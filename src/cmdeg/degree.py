@@ -7,17 +7,22 @@ This module scans the sign pattern of
     (-1)^k d^k/dt^k [ t^r phi(t) ]
         = (-1)^k sum_j C(k,j) r(r-1)...(r-j+1) t^(r-j) phi^(k-j)(t)
 
-over finite grids and derivative orders.  A grid-and-finite-order scan can
-only furnish evidence, never proof: a clean sign violation certifies that
-t^r phi is *not* CM (so the degree lies below r), while an all-pass scan
-is supporting evidence that the degree reaches r.  Upper bounds also come
+over finite grids and derivative orders.  Each grid point gets one row of
+these sums covering every order at once: the coefficients r(r-1)...(r-j+1)
+t^(r-j) are formed once per point and shared by all k.
+
+A grid-and-finite-order scan can only furnish evidence, never proof: a
+clean sign violation certifies that t^r phi is *not* CM (so the degree
+lies below r), while an all-pass scan is supporting evidence that the
+degree reaches r.  Upper bounds also come
 from the t -> 0+ criterion: if t^u phi stays CM then
 -u <= lim t phi'/phi, so extrapolating g(t) = -base_r - t phi'(t)/phi(t)
 to 0 bounds the degree by base_r + lim g.
 
 Verdict bookkeeping is deliberately conservative: any signed value within
 the guard band of zero is re-evaluated at doubled precision and reported
-as inconclusive when still indistinguishable from zero.
+as inconclusive when still indistinguishable from zero.  A point with any
+such value gets one doubled-precision row, shared by its borderline orders.
 """
 
 from __future__ import annotations
@@ -118,13 +123,6 @@ def _as_rational(x) -> Fraction:
     raise InvalidSpec(f"cannot interpret {x!r} as a rational exponent")
 
 
-def _falling(r: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= r - i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # derivative cache shared by scans (same spec/t/policy across lattice points)
 
@@ -146,29 +144,41 @@ def _phi_ders_cached(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: Precisi
     return val
 
 
-def _signed_with_scale(
+def _signed_row(
     r: Fraction,
-    k: int,
+    max_order: int,
     t: mp.mpf,
     ders: list[mp.mpf],
     policy: PrecisionPolicy,
-) -> tuple[mp.mpf, mp.mpf]:
-    """Signed derivative value and the largest |term| of its defining sum."""
+) -> list[tuple[mp.mpf, mp.mpf]]:
+    """(value, scale) for k = 0..max_order: the signed derivative
+    (-1)^k [t^r phi]^(k)(t) and the largest |term| of its product-rule sum.
+
+    The coefficients r(r-1)...(r-j+1) t^(r-j) are shared by every order:
+    the falling factorials are built exactly, once, and the powers come
+    from one exp(r ln t) and repeated multiplication by 1/t.
+    """
     with mp.workprec(policy.working_bits + _SUM_GUARD_BITS):
-        lnt = mp.log(t)
-        total = mp.mpf(0)
-        scale = mp.mpf(0)
-        for j in range(k + 1):
-            ff = _falling(r, j)
-            if ff == 0:
-                continue
-            power = mp.exp((mp.mpf(r.numerator) / r.denominator - j) * lnt)
-            term = comb(k, j) * (mp.mpf(ff.numerator) / ff.denominator) * power * ders[k - j]
-            total += term
-            scale = max(scale, abs(term))
-        if k % 2:
-            total = -total
-    return total, scale
+        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))
+        inv_t = 1 / t
+        coeffs = []  # r^(j) t^(r-j), up to the first zero falling factorial
+        falling = Fraction(1)
+        for j in range(max_order + 1):
+            if falling == 0:
+                break
+            coeffs.append(mp.mpf(falling.numerator) / falling.denominator * power)
+            falling *= r - j
+            power *= inv_t
+        row = []
+        for k in range(max_order + 1):
+            total = mp.mpf(0)
+            scale = mp.mpf(0)
+            for j in range(min(k + 1, len(coeffs))):
+                term = comb(k, j) * coeffs[j] * ders[k - j]
+                total += term
+                scale = max(scale, abs(term))
+            row.append((-total if k % 2 else total, scale))
+    return row
 
 
 def signed_derivative(
@@ -185,7 +195,7 @@ def signed_derivative(
     rv = _as_rational(r)
     tv = as_mpf(t, policy.internal_bits())
     ders = _phi_ders_cached(spec, tv, k, policy)
-    value, _ = _signed_with_scale(rv, k, tv, ders, policy)
+    value, _ = _signed_row(rv, k, tv, ders, policy)[k]
     return value
 
 
@@ -247,13 +257,13 @@ def cm_check(
     inconclusive = []
     all_values = []
     for tv in grid.values(policy.internal_bits()):
-        ders = provider(tv, max_order, policy)
-        for k in range(max_order + 1):
-            value, scale = _signed_with_scale(rv, k, tv, ders, policy)
-            cls = classify_sign(value, scale, policy)
+        row = _signed_row(rv, max_order, tv, provider(tv, max_order, policy), policy)
+        classes = [classify_sign(value, scale, policy) for value, scale in row]
+        if "borderline" in classes:
+            row2 = _signed_row(rv, max_order, tv, provider(tv, max_order, doubled), doubled)
+        for k, ((value, scale), cls) in enumerate(zip(row, classes)):
             if cls == "borderline":
-                ders2 = provider(tv, max_order, doubled)
-                value, scale = _signed_with_scale(rv, k, tv, ders2, doubled)
+                value, scale = row2[k]
                 cls = classify_sign(value, scale, doubled)
                 if cls == "borderline":
                     inconclusive.append((tv, k))

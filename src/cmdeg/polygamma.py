@@ -9,6 +9,11 @@ The algorithm is the classical shift-and-series scheme:
    truncated at its smallest term,
 3. undo the shift.
 
+``polygamma_block`` evaluates every order 0..k_max at one point: the shift
+is shared, and one pass over the Bernoulli index serves the series of all
+orders (each B_2i / w^(2i) is formed once and scaled per order by an
+integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.
+
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
@@ -42,49 +47,57 @@ def _magnitude_compensation(k: int, t: mp.mpf) -> int:
     return fact_bits + (k + 1) * neg_log_t + 4
 
 
-def _psi_series(k: int, w: mp.mpf, target: mp.mpf) -> mp.mpf | None:
-    """Asymptotic series for psi^(k)(w) at large w, smallest-term truncation.
+def _psi_series(k_max: int, w: mp.mpf, target: mp.mpf) -> list[mp.mpf] | None:
+    """Asymptotic series for psi^(0)(w) .. psi^(k_max)(w) at large w.
 
-    Returns None when the smallest term fails to reach ``target`` (caller
-    must shift further).
+    One pass over the Bernoulli index i serves every order: B_2i / w^(2i)
+    is formed once per i, and order k's term is that value times the
+    integer (2i+k-1)!/(2i)! and w^(-k) (times 1/(2i) for k = 0).  Each
+    order is truncated at its own smallest term.  Returns None as soon as
+    any order's terms grow before reaching ``target`` (caller must shift
+    further).
     """
-    w2 = w * w
-    if k == 0:
-        total = mp.log(w) - 1 / (2 * w)
-        wpow = w2  # w^(2i)
-        prev = mp.inf
-        i = 1
-        while True:
-            b = bernoulli(2 * i)
-            term = mp.mpf(b.numerator) / (b.denominator * 2 * i) / wpow
-            if abs(term) > prev:
-                return None  # terms growing before target met
-            total -= term
-            if abs(term) <= target:
-                return total
-            prev = abs(term)
-            wpow *= w2
-            i += 1
-    # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1)) + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
-    wk = w**k
-    total = mp.mpf(factorial(k - 1)) / wk + mp.mpf(factorial(k)) / (2 * wk * w)
-    coeff = factorial(k + 1) // 2  # (2i+k-1)!/(2i)! at i=1
-    wpow = wk * w2  # w^(2i+k)
-    prev = mp.inf
+    u = 1 / w
+    u2 = u * u
+    upow = [mp.mpf(1)]  # w^(-k) for k = 0 .. k_max+1
+    for _ in range(k_max + 1):
+        upow.append(upow[-1] * u)
+    # k = 0:  ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
+    # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
+    #                      + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
+    totals = [mp.log(w) - u / 2]
+    coeffs = [None]  # (2i+k-1)!/(2i)! at the current i
+    for k in range(1, k_max + 1):
+        totals.append(factorial(k - 1) * upow[k] + factorial(k) * upow[k + 1] / 2)
+        coeffs.append(factorial(k + 1) // 2)
+    prev = [mp.inf] * (k_max + 1)
+    open_orders = list(range(k_max + 1))
+    u2i = u2  # w^(-2i)
     i = 1
-    while True:
+    while open_orders:
         b = bernoulli(2 * i)
-        term = mp.mpf(b.numerator * coeff) / b.denominator / wpow
-        if abs(term) > prev:
-            return None
-        total += term
-        if abs(term) <= target:
-            break
-        prev = abs(term)
-        coeff = coeff * (2 * i + k + 1) * (2 * i + k) // ((2 * i + 2) * (2 * i + 1))
-        wpow *= w2
+        shared = mp.mpf(b.numerator) / b.denominator * u2i
+        still_open = []
+        for k in open_orders:
+            if k == 0:
+                term = shared / (2 * i)
+                totals[0] -= term
+            else:
+                term = shared * coeffs[k] * upow[k]
+                totals[k] += term
+                coeffs[k] = coeffs[k] * (2 * i + k + 1) * (2 * i + k) // (
+                    (2 * i + 2) * (2 * i + 1)
+                )
+            size = abs(term)
+            if size > prev[k]:
+                return None  # terms growing before target met
+            if size > target:
+                prev[k] = size
+                still_open.append(k)
+        open_orders = still_open
+        u2i *= u2
         i += 1
-    return total if k % 2 else -total
+    return [x if k % 2 or k == 0 else -x for k, x in enumerate(totals)]
 
 
 def _round_out(x: mp.mpf, working_bits: int) -> mp.mpf:
@@ -94,53 +107,21 @@ def _round_out(x: mp.mpf, working_bits: int) -> mp.mpf:
         return +x
 
 
-def _polygamma_raw(k: int, t: mp.mpf, policy: PrecisionPolicy) -> mp.mpf:
-    prec = policy.internal_bits(_magnitude_compensation(k, t))
-    with mp.workprec(prec):
-        target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(policy.working_bits)
-        extra = 0
-        while True:
-            # recurrence sum over the shifted-through points
-            shift_sum = mp.mpf(0)
-            w = +t
-            while w < base + extra:
-                shift_sum += 1 / w ** (k + 1)
-                w += 1
-            tail = _psi_series(k, w, target)
-            if tail is not None:
-                break
-            extra += max(base, (base + extra) // 2)
-            if extra > MAX_EXTRA_SHIFTS:
-                raise PrecisionUnreachable(
-                    f"polygamma order {k}: series did not reach target within shift budget"
-                )
-        if k == 0:
-            result = tail - shift_sum
-        elif k % 2:
-            result = tail + mp.mpf(factorial(k)) * shift_sum
-        else:
-            result = tail - mp.mpf(factorial(k)) * shift_sum
-    return _round_out(result, policy.working_bits)
-
-
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """psi^(k)(t) for t > 0; k = 0 is the digamma function.
 
     Absolute error stays below ``2**(-working_bits + guard_bits)``; values of
     large magnitude keep correspondingly many mantissa bits so the bound holds
-    absolutely, not just relatively.
+    absolutely, not just relatively.  Evaluated as the last order of
+    ``polygamma_block(k, t, policy)``.
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidIndex(f"derivative order must be a nonnegative integer, got {k!r}")
     policy = policy or default_policy()
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"polygamma requires t > 0, got {t!r}")
-    result = _polygamma_raw(k, tv, policy)
+    result = polygamma_block(k, t, policy)[k]
     if policy.agreement_check:
         doubled = PrecisionPolicy(2 * policy.working_bits, policy.guard_bits)
-        check = _polygamma_raw(k, as_mpf(t, doubled.internal_bits()), doubled)
+        check = polygamma_block(k, t, doubled)[k]
         tol = policy.abs_error_target * max(1, abs(check))
         if abs(result - check) > tol:
             raise PrecisionUnreachable(
@@ -150,11 +131,8 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
 
 
 def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
-    """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift.
-
-    Equivalent to ``[polygamma(k, t, policy) for k in 0..k_max]`` up to the
-    accuracy contract; used by scan code that needs many orders at one point.
-    """
+    """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
+    series pass, under the accuracy contract of :func:`polygamma`."""
     if not isinstance(k_max, int) or k_max < 0:
         raise InvalidIndex(f"k_max must be a nonnegative integer, got {k_max!r}")
     policy = policy or default_policy()
@@ -173,13 +151,8 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
             while w < base + extra:
                 points.append(1 / w)
                 w += 1
-            tails = []
-            for k in range(k_max + 1):
-                tail = _psi_series(k, w, target)
-                if tail is None:
-                    break
-                tails.append(tail)
-            if len(tails) == k_max + 1:
+            tails = _psi_series(k_max, w, target)
+            if tails is not None:
                 break
             extra += max(base, (base + extra) // 2)
             if extra > MAX_EXTRA_SHIFTS:

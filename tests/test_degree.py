@@ -12,6 +12,7 @@ whose order-3 signed derivative tends to -12 zeta(3) < 0.
 import dataclasses
 import importlib
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -199,6 +200,45 @@ def test_exponent_accepts_equivalent_forms():
     assert a == b == c
 
 
+def _per_term_row(r, max_order, t, ders, bits):
+    """Reference for the product-rule row: every (k, j) term built on its
+    own, with an exact falling factorial and exp((r - j) ln t)."""
+    out = []
+    with mp.workprec(bits):
+        lnt = mp.log(t)
+        for k in range(max_order + 1):
+            total = mp.mpf(0)
+            scale = mp.mpf(0)
+            for j in range(k + 1):
+                ff = Fraction(1)
+                for i in range(j):
+                    ff *= r - i
+                if ff == 0:
+                    continue
+                power = mp.exp((mp.mpf(r.numerator) / r.denominator - j) * lnt)
+                term = comb(k, j) * (mp.mpf(ff.numerator) / ff.denominator) * power * ders[k - j]
+                total += term
+                scale = max(scale, abs(term))
+            out.append((-total if k % 2 else total, scale))
+    return out
+
+
+@pytest.mark.parametrize("r", [Fraction(2), Fraction(21, 20), Fraction(61, 20), Fraction(9, 2)])
+@pytest.mark.parametrize("t", ["1e-3", 1, 10000])
+def test_product_rule_row_matches_per_term_sum(r, t):
+    # r = 2 has zero falling factorials from j = 3 on
+    tv = as_mpf(t, POLICY.internal_bits())
+    ders = phi_derivatives(Q, tv, 12, POLICY)
+    row = degree_module._signed_row(r, 12, tv, ders, POLICY)
+    ref = _per_term_row(r, 12, tv, ders, 2 * POLICY.working_bits)
+    assert len(row) == 13
+    with mp.workprec(2 * POLICY.working_bits):
+        for (value, scale), (ref_value, ref_scale) in zip(row, ref):
+            tol = mp.mpf(2) ** -POLICY.working_bits * ref_scale
+            assert abs(value - ref_value) <= tol
+            assert abs(scale - ref_scale) <= tol
+
+
 @pytest.mark.parametrize("k", [-1, 1.5, "2", None])
 def test_derivative_order_validation(k):
     with pytest.raises(InvalidIndex):
@@ -256,10 +296,15 @@ def test_q_violates_just_above_the_upper_degree():
 
 
 def test_all_borderline_scan_is_inconclusive():
+    precisions = []
+
     def zeros(t, i_max, pol):
+        precisions.append(pol.working_bits)
         return [mp.mpf(0)] * (i_max + 1)
 
     rep = cm_check(Q, 4, max_order=3, grid=TINY_GRID, policy=POLICY, _derivative_provider=zeros)
+    # one doubled-precision rerun per grid point, shared by its four orders
+    assert precisions.count(2 * POLICY.working_bits) == 12
     assert rep.verdict == "inconclusive"
     assert rep.violations == ()
     assert len(rep.inconclusive) == 12 * 4

@@ -172,11 +172,19 @@ def test_finite_difference_matches_next_order(k, t):
 
 
 def test_block_matches_pointwise():
-    block = polygamma_block(6, Fraction(5, 3), POLICY)
-    assert len(block) == 7
-    with mp.workprec(200):
-        for k, value in enumerate(block):
-            assert abs(value - polygamma(k, Fraction(5, 3), POLICY)) < 2 * as_tol()
+    # every order of the block against mpmath's psi at four times the bits;
+    # k_max = 0 is the block with no derivative orders at all
+    for bits in (128, 512):
+        policy = PrecisionPolicy(working_bits=bits)
+        for k_max in (0, 6, 15):
+            for t in ("1e-3", "0.3", "1.7", "50", "9000"):
+                block = polygamma_block(k_max, t, policy)
+                assert len(block) == k_max + 1
+                with mp.workprec(4 * bits):
+                    for k, value in enumerate(block):
+                        expected = mp.psi(k, mp.mpf(t))
+                        tol = policy.abs_error_target * max(1, abs(expected))
+                        assert abs(value - expected) <= tol, (bits, k_max, t, k)
 
 
 def test_determinism():
