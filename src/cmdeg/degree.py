@@ -27,9 +27,9 @@ such value gets one doubled-precision row, shared by its borderline orders.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath as mp
@@ -126,22 +126,9 @@ def _as_rational(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # derivative cache shared by scans (same spec/t/policy across lattice points)
 
-_ders_cache: dict = {}
-_ders_lock = threading.Lock()
-_DERS_CACHE_CAP = 200_000
-
-
+@lru_cache(maxsize=200_000)
 def _phi_ders_cached(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: PrecisionPolicy):
-    key = (spec.key(), t, i_max, policy.working_bits, policy.guard_bits)
-    hit = _ders_cache.get(key)
-    if hit is not None:
-        return hit
-    val = phi_derivatives(spec, t, i_max, policy)
-    with _ders_lock:
-        if len(_ders_cache) >= _DERS_CACHE_CAP:
-            _ders_cache.clear()
-        _ders_cache[key] = val
-    return val
+    return phi_derivatives(spec, t, i_max, policy)
 
 
 def _signed_row(

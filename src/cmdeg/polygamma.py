@@ -14,6 +14,13 @@ is shared, and one pass over the Bernoulli index serves the series of all
 orders (each B_2i / w^(2i) is formed once and scaled per order by an
 integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.
 
+Blocks and ln Gamma values are memoised per process on exactly what the
+computation reads: (k_max, t, working_bits) and (t, working_bits).  Guard
+bits and the agreement flag do not enter.  A smaller k_max is never served
+from a prefix of a larger block: the internal precision and the shift both
+depend on k_max, so the low orders of a larger block can differ in the last
+bits from a block computed for them.
+
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
@@ -22,6 +29,7 @@ achieved bound and shifts further when a high derivative order requires it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -139,10 +147,15 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"polygamma requires t > 0, got {t!r}")
-    prec = policy.internal_bits(_magnitude_compensation(k_max, tv))
+    return list(_block(k_max, tv, policy.working_bits))
+
+
+@lru_cache(maxsize=4096)
+def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
+    prec = PrecisionPolicy(working_bits).internal_bits(_magnitude_compensation(k_max, tv))
     with mp.workprec(prec):
         target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(policy.working_bits)
+        base = _shift_target(working_bits)
         extra = 0
         while True:
             # inverse powers of every shifted-through point, shared across orders
@@ -172,15 +185,16 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
                 results.append(tails[k] + mp.mpf(factorial(k)) * shift_sum)
             else:
                 results.append(tails[k] - mp.mpf(factorial(k)) * shift_sum)
-    return [_round_out(x, policy.working_bits) for x in results]
+    return tuple(_round_out(x, working_bits) for x in results)
 
 
-def _log_gamma_raw(t: mp.mpf, policy: PrecisionPolicy) -> mp.mpf:
+@lru_cache(maxsize=4096)
+def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
     comp = 6 + max(0, -mag_bits(t))  # |ln t| grows only logarithmically
-    prec = policy.internal_bits(comp)
+    prec = PrecisionPolicy(working_bits).internal_bits(comp)
     with mp.workprec(prec):
         target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(policy.working_bits)
+        base = _shift_target(working_bits)
         extra = 0
         while True:
             log_sum = mp.mpf(0)
@@ -213,7 +227,7 @@ def _log_gamma_raw(t: mp.mpf, policy: PrecisionPolicy) -> mp.mpf:
             if extra > MAX_EXTRA_SHIFTS:
                 raise PrecisionUnreachable("log_gamma: shift budget exhausted")
         result = tail - log_sum
-    return _round_out(result, policy.working_bits)
+    return _round_out(result, working_bits)
 
 
 def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -222,10 +236,10 @@ def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"log_gamma requires t > 0, got {t!r}")
-    result = _log_gamma_raw(tv, policy)
+    result = _log_gamma_raw(tv, policy.working_bits)
     if policy.agreement_check:
         doubled = PrecisionPolicy(2 * policy.working_bits, policy.guard_bits)
-        check = _log_gamma_raw(as_mpf(t, doubled.internal_bits()), doubled)
+        check = _log_gamma_raw(as_mpf(t, doubled.internal_bits()), doubled.working_bits)
         tol = policy.abs_error_target * max(1, abs(check))
         if abs(result - check) > tol:
             raise PrecisionUnreachable(f"log_gamma at t={t}: doubled-precision disagreement")

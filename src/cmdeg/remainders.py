@@ -106,9 +106,6 @@ class RemainderSpec:
             return self.special
         return f"phi({self.n},{self.m})"
 
-    def key(self) -> tuple:
-        return (self.n, self.m, self.special)
-
 
 @dataclass
 class ElementaryForm:

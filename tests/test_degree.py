@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 degree_module = importlib.import_module("cmdeg.degree")
+polygamma_module = importlib.import_module("cmdeg.polygamma")
 
 from cmdeg import (
     CmdegError,
@@ -313,10 +314,16 @@ def test_all_borderline_scan_is_inconclusive():
     _assert_report_integrity(rep)
 
 
+def clear_memos():
+    degree_module._phi_ders_cached.cache_clear()
+    polygamma_module._block.cache_clear()
+    polygamma_module._log_gamma_raw.cache_clear()
+
+
 def test_scan_reports_are_deterministic():
-    degree_module._ders_cache.clear()
+    clear_memos()
     a = cm_check(Q, 4, max_order=4, grid=SMALL_GRID, policy=POLICY)
-    degree_module._ders_cache.clear()
+    clear_memos()
     b = cm_check(Q, 4, max_order=4, grid=SMALL_GRID, policy=POLICY)
     assert a == b
 

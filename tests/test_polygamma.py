@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import importlib
 
 polygamma_module = importlib.import_module("cmdeg.polygamma")
+degree_module = importlib.import_module("cmdeg.degree")
 
 from cmdeg import (
     InvalidIndex,
@@ -22,6 +23,7 @@ from cmdeg import (
     polygamma,
     polygamma_block,
 )
+from cmdeg.cli import main
 
 POLICY = PrecisionPolicy(working_bits=128)
 
@@ -216,8 +218,94 @@ def test_policy_validation():
 
 
 def test_shift_budget_exhaustion_raises(monkeypatch):
+    # a memoised block would bypass the patched series
+    polygamma_module._block.cache_clear()
     # force the asymptotic series to keep reporting non-convergence
     monkeypatch.setattr(polygamma_module, "_psi_series", lambda k, w, target: None)
     monkeypatch.setattr(polygamma_module, "MAX_EXTRA_SHIFTS", 50)
     with pytest.raises(PrecisionUnreachable):
         polygamma(1, 1, PrecisionPolicy(working_bits=64))
+
+
+# ---------------------------------------------------------------------------
+# per-process memo of blocks and ln Gamma values
+
+
+def clear_memos():
+    polygamma_module._block.cache_clear()
+    polygamma_module._log_gamma_raw.cache_clear()
+    degree_module._phi_ders_cached.cache_clear()
+
+
+def bits_of(values):
+    return [(x.man, x.exp) for x in values]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("t", ["1e-3", "0.5", "9000"])
+@pytest.mark.parametrize("k_max", [0, 11, 14])
+def test_memo_hit_equals_fresh_value(k_max, t, bits):
+    policy = PrecisionPolicy(working_bits=bits)
+    polygamma_block(k_max, t, policy)
+    log_gamma(t, policy)
+    hits = polygamma_block(k_max, t, policy), log_gamma(t, policy)
+    clear_memos()
+    fresh = polygamma_block(k_max, t, policy), log_gamma(t, policy)
+    assert bits_of(hits[0]) == bits_of(fresh[0])
+    assert bits_of([hits[1]]) == bits_of([fresh[1]])
+
+
+def test_memo_ignores_ambient_precision():
+    def evaluate():
+        return bits_of(polygamma_block(11, "0.37", POLICY) + [log_gamma("0.37", POLICY)])
+
+    values = []
+    for prec in (53, 1000, 53):
+        clear_memos()
+        with mp.workprec(prec):
+            values.append(evaluate())
+    # and a hit on a value computed under another ambient precision
+    with mp.workprec(1000):
+        values.append(evaluate())
+    assert values[1] == values[0] == values[2] == values[3]
+
+
+def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
+    clear_memos()
+    calls = []
+    series = polygamma_module._psi_series
+
+    def counting(k_max, w, target):
+        calls.append(k_max)
+        return series(k_max, w, target)
+
+    monkeypatch.setattr(polygamma_module, "_psi_series", counting)
+    polygamma_block(14, "0.8", POLICY)
+    assert set(calls) == {14}
+    calls.clear()
+    polygamma_block(11, "0.8", POLICY)
+    assert set(calls) == {11}
+    calls.clear()
+    polygamma_block(14, "0.8", POLICY)
+    assert calls == []
+
+
+def test_memo_hands_out_no_shared_list():
+    expected = polygamma_block(3, "2.5", POLICY)
+    first = polygamma_block(3, "2.5", POLICY)
+    first[0] = mp.mpf(99)
+    first.append(mp.mpf(1))
+    assert polygamma_block(3, "2.5", POLICY) == expected
+    assert len(expected) == 4
+
+
+def test_conjecture_table_warm_equals_cold(capsys):
+    argv = ["conjectures", "--n-max", "1", "--m-max", "1", "--grid", "log:1e-3:1e4:4"]
+    outputs = []
+    for clear in (False, False, True):
+        if clear:
+            clear_memos()
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]
