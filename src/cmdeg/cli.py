@@ -50,7 +50,7 @@ from .kernel import (
     laplace_reconstruct,
 )
 from .precision import DEFAULT_PREC_ENV, PrecisionPolicy, as_mpf, default_policy
-from .remainders import RemainderSpec, evaluate_form_derivatives, form_for
+from .remainders import SPECIAL_NAMES, RemainderSpec, evaluate_form_derivatives, form_for
 
 __all__ = ["main", "build_parser", "RunConfig", "emit_plot_data"]
 
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--special",
         default=None,
-        choices=("Q", "PsiGap", "TrigammaGap3"),
+        choices=SPECIAL_NAMES,
         help="named special member",
     )
 

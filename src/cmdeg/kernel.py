@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -224,15 +225,9 @@ class QuadratureParams:
             raise InvalidSpec(f"panel_width must be at least 1, got {self.panel_width!r}")
 
 
-_ts_node_cache: dict[tuple[int, int], list[tuple[mp.mpf, mp.mpf]]] = {}
-
-
-def _ts_nodes(level: int, prec: int) -> list[tuple[mp.mpf, mp.mpf]]:
+@lru_cache(maxsize=64)
+def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     """tanh-sinh abscissas/weights for j >= 0 at step 2^-level."""
-    key = (level, prec)
-    cached = _ts_node_cache.get(key)
-    if cached is not None:
-        return cached
     with mp.workprec(prec):
         h = mp.mpf(2) ** (-level)
         cutoff = mp.mpf(2) ** (-prec - 32)
@@ -248,8 +243,7 @@ def _ts_nodes(level: int, prec: int) -> list[tuple[mp.mpf, mp.mpf]]:
             x = mp.tanh((mp.pi / 2) * sh)
             nodes.append((x, w))
             j += 1
-    _ts_node_cache[key] = nodes
-    return nodes
+    return tuple(nodes)
 
 
 def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -> mp.mpf:

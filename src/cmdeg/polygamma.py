@@ -14,12 +14,15 @@ is shared, and one pass over the Bernoulli index serves the series of all
 orders (each B_2i / w^(2i) is formed once and scaled per order by an
 integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.
 
+Both run through one shift loop, ``_shift_and_sum``; each supplies its
+own series and its own way of undoing the shift.
+
 Blocks and ln Gamma values are memoised per process on exactly what the
-computation reads: (k_max, t, working_bits) and (t, working_bits).  Guard
-bits and the agreement flag do not enter.  A smaller k_max is never served
-from a prefix of a larger block: the internal precision and the shift both
-depend on k_max, so the low orders of a larger block can differ in the last
-bits from a block computed for them.
+computation reads: (k_max, t, working_bits) and (t, working_bits); guard
+bits do not enter.  A smaller k_max is never served from a prefix of a
+larger block: the internal precision and the shift both depend on k_max,
+so the low orders of a larger block can differ in the last bits from a
+block computed for them.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
@@ -115,6 +118,57 @@ def _round_out(x: mp.mpf, working_bits: int) -> mp.mpf:
         return +x
 
 
+def _stirling_series(w: mp.mpf, target: mp.mpf) -> mp.mpf | None:
+    """Stirling series for ln Gamma(w) at large w, truncated at its smallest
+    term.  Returns None as soon as the terms grow before reaching ``target``
+    (caller must shift further)."""
+    total = (w - mp.mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
+    w2 = w * w
+    wpow = +w
+    prev = mp.inf
+    i = 1
+    while True:
+        b = bernoulli(2 * i)
+        term = mp.mpf(b.numerator) / (b.denominator * 2 * i * (2 * i - 1)) / wpow
+        if abs(term) > prev:
+            return None
+        total += term
+        if abs(term) <= target:
+            return total
+        prev = abs(term)
+        wpow *= w2
+        i += 1
+
+
+def _shift_and_sum(t: mp.mpf, working_bits: int, comp: int, series, unshift, what: str):
+    """The shift-and-series scheme at the internal precision for
+    ``working_bits`` plus ``comp`` compensation bits.
+
+    Shifts t upward by 1 until ``series(w, target)`` converges at the
+    shifted point w, raising the shift target each time it does not, and
+    returns ``unshift(tail, shifted)`` where ``shifted`` lists t, t+1, ...,
+    w-1.  Both callables run at the internal precision.  Raises
+    PrecisionUnreachable once the extra shifts exceed ``MAX_EXTRA_SHIFTS``.
+    """
+    prec = PrecisionPolicy(working_bits).internal_bits(comp)
+    with mp.workprec(prec):
+        target = mp.mpf(2) ** (8 - prec)
+        base = _shift_target(working_bits)
+        extra = 0
+        while True:
+            shifted: list[mp.mpf] = []
+            w = +t
+            while w < base + extra:
+                shifted.append(w)
+                w += 1
+            tail = series(w, target)
+            if tail is not None:
+                return unshift(tail, shifted)
+            extra += max(base, (base + extra) // 2)
+            if extra > MAX_EXTRA_SHIFTS:
+                raise PrecisionUnreachable(f"{what}: shift budget exhausted")
+
+
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """psi^(k)(t) for t > 0; k = 0 is the digamma function.
 
@@ -125,17 +179,7 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidIndex(f"derivative order must be a nonnegative integer, got {k!r}")
-    policy = policy or default_policy()
-    result = polygamma_block(k, t, policy)[k]
-    if policy.agreement_check:
-        doubled = PrecisionPolicy(2 * policy.working_bits, policy.guard_bits)
-        check = polygamma_block(k, t, doubled)[k]
-        tol = policy.abs_error_target * max(1, abs(check))
-        if abs(result - check) > tol:
-            raise PrecisionUnreachable(
-                f"polygamma order {k} at t={t}: doubled-precision disagreement"
-            )
-    return result
+    return polygamma_block(k, t, policy)[k]
 
 
 def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
@@ -152,28 +196,11 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
 
 @lru_cache(maxsize=4096)
 def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
-    prec = PrecisionPolicy(working_bits).internal_bits(_magnitude_compensation(k_max, tv))
-    with mp.workprec(prec):
-        target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(working_bits)
-        extra = 0
-        while True:
-            # inverse powers of every shifted-through point, shared across orders
-            points: list[mp.mpf] = []
-            w = +tv
-            while w < base + extra:
-                points.append(1 / w)
-                w += 1
-            tails = _psi_series(k_max, w, target)
-            if tails is not None:
-                break
-            extra += max(base, (base + extra) // 2)
-            if extra > MAX_EXTRA_SHIFTS:
-                raise PrecisionUnreachable(
-                    f"polygamma block up to order {k_max}: shift budget exhausted"
-                )
-        results = []
+    def unshift(tails: list[mp.mpf], shifted: list[mp.mpf]) -> list[mp.mpf]:
+        # inverse powers of every shifted-through point, shared across orders
+        points = [1 / w for w in shifted]
         powers = [mp.mpf(1)] * len(points)
+        results = []
         for k in range(k_max + 1):
             shift_sum = mp.mpf(0)
             for idx, u in enumerate(points):
@@ -185,48 +212,33 @@ def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
                 results.append(tails[k] + mp.mpf(factorial(k)) * shift_sum)
             else:
                 results.append(tails[k] - mp.mpf(factorial(k)) * shift_sum)
+        return results
+
+    results = _shift_and_sum(
+        tv,
+        working_bits,
+        _magnitude_compensation(k_max, tv),
+        lambda w, target: _psi_series(k_max, w, target),
+        unshift,
+        f"polygamma block up to order {k_max}",
+    )
     return tuple(_round_out(x, working_bits) for x in results)
+
+
+def _unshift_log_gamma(tail: mp.mpf, shifted: list[mp.mpf]) -> mp.mpf:
+    # ln Gamma(t) = ln Gamma(w) - ln t - ln(t+1) - ... - ln(w-1)
+    log_sum = mp.mpf(0)
+    for w in shifted:
+        log_sum += mp.log(w)
+    return tail - log_sum
 
 
 @lru_cache(maxsize=4096)
 def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
     comp = 6 + max(0, -mag_bits(t))  # |ln t| grows only logarithmically
-    prec = PrecisionPolicy(working_bits).internal_bits(comp)
-    with mp.workprec(prec):
-        target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(working_bits)
-        extra = 0
-        while True:
-            log_sum = mp.mpf(0)
-            w = +t
-            while w < base + extra:
-                log_sum += mp.log(w)
-                w += 1
-            # Stirling series at w, smallest-term truncation
-            total = (w - mp.mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
-            w2 = w * w
-            wpow = +w
-            prev = mp.inf
-            i = 1
-            tail = None
-            while True:
-                b = bernoulli(2 * i)
-                term = mp.mpf(b.numerator) / (b.denominator * 2 * i * (2 * i - 1)) / wpow
-                if abs(term) > prev:
-                    break
-                total += term
-                if abs(term) <= target:
-                    tail = total
-                    break
-                prev = abs(term)
-                wpow *= w2
-                i += 1
-            if tail is not None:
-                break
-            extra += max(base, (base + extra) // 2)
-            if extra > MAX_EXTRA_SHIFTS:
-                raise PrecisionUnreachable("log_gamma: shift budget exhausted")
-        result = tail - log_sum
+    result = _shift_and_sum(
+        t, working_bits, comp, _stirling_series, _unshift_log_gamma, "log_gamma"
+    )
     return _round_out(result, working_bits)
 
 
@@ -236,11 +248,4 @@ def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"log_gamma requires t > 0, got {t!r}")
-    result = _log_gamma_raw(tv, policy.working_bits)
-    if policy.agreement_check:
-        doubled = PrecisionPolicy(2 * policy.working_bits, policy.guard_bits)
-        check = _log_gamma_raw(as_mpf(t, doubled.internal_bits()), doubled.working_bits)
-        tol = policy.abs_error_target * max(1, abs(check))
-        if abs(result - check) > tol:
-            raise PrecisionUnreachable(f"log_gamma at t={t}: doubled-precision disagreement")
-    return result
+    return _log_gamma_raw(tv, policy.working_bits)

@@ -22,7 +22,6 @@ __all__ = [
     "default_policy",
     "as_mpf",
     "mag_bits",
-    "to_fraction",
     "DEFAULT_PREC_ENV",
 ]
 
@@ -40,14 +39,10 @@ class PrecisionPolicy:
     working_bits: binary precision of delivered values (>= 24).
     guard_bits: slack granted on the absolute error bound (>= 8); the
         absolute error target is ``2**(-working_bits + guard_bits)``.
-    agreement_check: when True, evaluations are repeated at doubled
-        precision and a disagreement beyond the error target raises
-        :class:`~cmdeg.errors.PrecisionUnreachable`.
     """
 
     working_bits: int = 128
     guard_bits: int = 16
-    agreement_check: bool = False
 
     def __post_init__(self) -> None:
         if self.working_bits < 24:
@@ -94,11 +89,3 @@ def mag_bits(x) -> int:
         return 0
     return int(mp.mag(x))
 
-
-def to_fraction(x) -> Fraction:
-    """Exact Fraction equal to an mpf (binary) value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(*mp.mpf(x).as_integer_ratio())

@@ -16,12 +16,11 @@ That combination is represented symbolically by :class:`ElementaryForm`
 with Fraction coefficients, differentiated exactly, and only evaluated
 numerically at the end -- no numerical differentiation anywhere.
 
-Named specials:
+Named specials are labels for family members:
 
-    Q            = psi'(t) - 1/t - 1/(2t^2) - 1/(6t^3) + 1/(30t^5)
-    PsiGap       = ln t - 1/(2t) - psi(t)
-    TrigammaGap3 = 1/t + 1/(2t^2) + 1/(6t^3) - psi'(t)
-    Q-alias      = the (n=2, m=2) family member (identical to Q)
+    Q            = phi_{2,2} = psi'(t) - 1/t - 1/(2t^2) - 1/(6t^3) + 1/(30t^5)
+    PsiGap       = phi_{0,1} = ln t - 1/(2t) - psi(t)
+    TrigammaGap3 = phi_{1,2} = 1/t + 1/(2t^2) + 1/(6t^3) - psi'(t)
 """
 
 from __future__ import annotations
@@ -56,7 +55,9 @@ __all__ = [
 
 PHI_N_MAX = 8
 PHI_M_MAX = 6
-SPECIAL_NAMES = ("Q", "PsiGap", "TrigammaGap3", "Q-alias")
+#: Each named special and the (n, m) of the family member it labels.
+_SPECIALS = {"Q": (2, 2), "PsiGap": (0, 1), "TrigammaGap3": (1, 2)}
+SPECIAL_NAMES = tuple(_SPECIALS)
 
 _ZERO = Fraction(0)
 
@@ -92,13 +93,11 @@ class RemainderSpec:
             raise InvalidSpec(f"m={self.m} outside supported range 0..{PHI_M_MAX}")
 
     @property
-    def family_indices(self) -> tuple[int, int] | None:
-        """(n, m) when this spec is a family member (directly or via alias)."""
+    def family_indices(self) -> tuple[int, int]:
+        """(n, m) of the family member this spec selects or names."""
         if self.special is None:
             return (self.n, self.m)
-        return {"Q": (2, 2), "Q-alias": (2, 2), "PsiGap": (0, 1), "TrigammaGap3": (1, 2)}[
-            self.special
-        ]
+        return _SPECIALS[self.special]
 
     @property
     def label(self) -> str:
@@ -124,18 +123,6 @@ class ElementaryForm:
     log2pi: Fraction = _ZERO
     const: Fraction = _ZERO
     cancel_gap: int = 4  # log2-per-octave bound on large-t cancellation
-
-    def copy(self) -> "ElementaryForm":
-        return ElementaryForm(
-            self.loggamma,
-            dict(self.psi),
-            dict(self.powers),
-            self.log,
-            self.tlog,
-            self.log2pi,
-            self.const,
-            self.cancel_gap,
-        )
 
     def scaled(self, c: Fraction) -> "ElementaryForm":
         return ElementaryForm(
@@ -170,62 +157,40 @@ def differentiate(form: ElementaryForm) -> ElementaryForm:
 
 
 @lru_cache(maxsize=None)
-def _remainder_form(n: int) -> ElementaryForm:
-    """R_n as an ElementaryForm."""
-    sign = Fraction((-1) ** n)
+def _partial_sum_form(n: int, m: int) -> ElementaryForm:
+    """d^m S_n where S_n is the Stirling partial sum approximating ln Gamma."""
     form = ElementaryForm(
-        loggamma=sign,
-        tlog=-sign,
-        log=sign / 2,
-        powers={1: sign},
-        log2pi=-sign / 2,
-        cancel_gap=2 * n + 4,
+        tlog=Fraction(1),
+        log=Fraction(-1, 2),
+        powers={1: Fraction(-1)},
+        log2pi=Fraction(1, 2),
+        cancel_gap=2 * n + m + 4,
     )
     for k in range(1, n + 1):
         coeff = bernoulli(2 * k) / (2 * k * (2 * k - 1))
         p = 1 - 2 * k
-        form.powers[p] = form.powers.get(p, _ZERO) - sign * coeff
+        form.powers[p] = form.powers.get(p, _ZERO) + coeff
+    for _ in range(m):
+        form = differentiate(form)
     return form
 
 
 @lru_cache(maxsize=None)
 def _phi_form(n: int, m: int) -> ElementaryForm:
-    """phi_{n,m} = (-1)^m d^m R_n."""
-    form = _remainder_form(n)
-    for _ in range(m):
-        form = differentiate(form)
-    form = form.scaled(Fraction((-1) ** m))
-    form.cancel_gap = 2 * n + m + 4
+    """phi_{n,m} = (-1)^m d^m R_n with R_n = (-1)^n (ln Gamma - S_n), so
+    phi_{n,m} = (-1)^(n+m) (d^m ln Gamma - d^m S_n), where
+    d^m ln Gamma = psi^(m-1) for m >= 1."""
+    sign = Fraction((-1) ** (n + m))
+    form = _partial_sum_form(n, m).scaled(-sign)
+    if m:
+        form.psi[m - 1] = sign
+    else:
+        form.loggamma = sign
     return form
 
 
-@lru_cache(maxsize=None)
-def _special_form(name: str) -> ElementaryForm:
-    if name == "Q":
-        return ElementaryForm(
-            psi={1: Fraction(1)},
-            powers={-1: Fraction(-1), -2: Fraction(-1, 2), -3: Fraction(-1, 6), -5: Fraction(1, 30)},
-            cancel_gap=10,
-        )
-    if name == "PsiGap":
-        return ElementaryForm(
-            psi={0: Fraction(-1)}, log=Fraction(1), powers={-1: Fraction(-1, 2)}, cancel_gap=5
-        )
-    if name == "TrigammaGap3":
-        return ElementaryForm(
-            psi={1: Fraction(-1)},
-            powers={-1: Fraction(1), -2: Fraction(1, 2), -3: Fraction(1, 6)},
-            cancel_gap=7,
-        )
-    if name == "Q-alias":
-        return _phi_form(2, 2)
-    raise InvalidSpec(f"unknown special {name!r}")
-
-
 def form_for(spec: RemainderSpec) -> ElementaryForm:
-    if spec.special is not None:
-        return _special_form(spec.special)
-    return _phi_form(spec.n, spec.m)
+    return _phi_form(*spec.family_indices)
 
 
 def _coeff_bits(c: Fraction) -> int:
@@ -240,9 +205,7 @@ def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> Precisio
     """Policy with enough extra working bits to survive large-t cancellation."""
     if t_bits <= 0:
         return policy
-    return PrecisionPolicy(
-        policy.working_bits + cancel_gap * t_bits + 16, policy.guard_bits, False
-    )
+    return PrecisionPolicy(policy.working_bits + cancel_gap * t_bits + 16, policy.guard_bits)
 
 
 def _assemble(form: ElementaryForm, pieces: dict, base_bits: int) -> mp.mpf:
@@ -308,13 +271,7 @@ def _pieces_for(
 
 def evaluate_form(form: ElementaryForm, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """Numerical value of an ElementaryForm at t > 0."""
-    policy = policy or default_policy()
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
-    pol = _elevated(policy, form.cancel_gap, mag_bits(tv))
-    pieces = _pieces_for([form], tv, pol)
-    return _assemble(form, pieces, pol.working_bits)
+    return evaluate_form_derivatives(form, t, 0, policy)[0]
 
 
 def evaluate_form_derivatives(
@@ -367,38 +324,11 @@ def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
         return psi1 - inv - inv2 / 2 - inv3 / 6 + inv5 / 30
 
 
-@lru_cache(maxsize=None)
-def _q_derivative_form(j: int) -> ElementaryForm:
-    form = _special_form("Q")
-    for _ in range(j):
-        form = differentiate(form)
-    return form
-
-
 def q_derivative(j: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """j-th derivative of Q, via exact symbolic differentiation."""
     if not isinstance(j, int) or j < 0:
         raise InvalidIndex(f"derivative order must be a nonnegative integer, got {j!r}")
-    return evaluate_form(_q_derivative_form(j), t, policy)
-
-
-@lru_cache(maxsize=None)
-def _partial_sum_form(n: int, m: int) -> ElementaryForm:
-    """d^m S_n where S_n is the Stirling partial sum approximating ln Gamma."""
-    form = ElementaryForm(
-        tlog=Fraction(1),
-        log=Fraction(-1, 2),
-        powers={1: Fraction(-1)},
-        log2pi=Fraction(1, 2),
-        cancel_gap=2 * n + m + 4,
-    )
-    for k in range(1, n + 1):
-        coeff = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        p = 1 - 2 * k
-        form.powers[p] = form.powers.get(p, _ZERO) + coeff
-    for _ in range(m):
-        form = differentiate(form)
-    return form
+    return phi_derivatives(RemainderSpec(special="Q"), t, j, policy)[j]
 
 
 def asymptotic_partial_sum(n: int, m: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:

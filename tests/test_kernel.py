@@ -226,3 +226,17 @@ def test_determinism():
     b = laplace_reconstruct(5, POLICY)
     assert a == b
     assert kernel_h(2, "0.3", POLICY) == kernel_h(2, "0.3", POLICY)
+
+
+def test_node_memo_is_clearable_and_exact():
+    # the tanh-sinh nodes are an lru_cache: a hit is the tuple a cold call
+    # builds, and laplace_reconstruct gives the same bits warm and cold
+    warm_value = laplace_reconstruct(5, POLICY)
+    warm_nodes = kernel_module._ts_nodes(5, 200)
+    kernel_module._ts_nodes.cache_clear()
+    assert kernel_module._ts_nodes.cache_info().currsize == 0
+    cold_nodes = kernel_module._ts_nodes(5, 200)
+    assert isinstance(cold_nodes, tuple)
+    assert cold_nodes == warm_nodes
+    kernel_module._ts_nodes.cache_clear()
+    assert laplace_reconstruct(5, POLICY) == warm_value

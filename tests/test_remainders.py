@@ -11,6 +11,9 @@ from cmdeg import (
     ElementaryForm,
     InvalidIndex,
     InvalidSpec,
+    PHI_M_MAX,
+    PHI_N_MAX,
+    SPECIAL_NAMES,
     NonPositiveArgument,
     PrecisionPolicy,
     RemainderSpec,
@@ -18,6 +21,7 @@ from cmdeg import (
     bernoulli,
     differentiate,
     evaluate_form,
+    form_for,
     log_gamma,
     phi_derivatives,
     pole_order,
@@ -70,11 +74,41 @@ def test_phi_2_2_is_q(t):
         assert abs(family - direct) < mp.mpf(2) ** (-120)
 
 
-@pytest.mark.parametrize("t", [1, "3.5"])
-def test_alias_special_matches_family_member(t):
-    a = remainder_value(RemainderSpec(special="Q-alias"), t, POLICY)
-    b = remainder_value(RemainderSpec(n=2, m=2), t, POLICY)
-    assert a == b
+@pytest.mark.parametrize("t", ["1e-3", "0.5", 3, "1e4"])
+@pytest.mark.parametrize("name", SPECIAL_NAMES)
+def test_special_is_its_family_member(name, t):
+    # a special is only a label: same form, same bits at every order
+    n, m = RemainderSpec(special=name).family_indices
+    a = phi_derivatives(RemainderSpec(special=name), t, 6, POLICY)
+    b = phi_derivatives(RemainderSpec(n=n, m=m), t, 6, POLICY)
+    assert [(x.man, x.exp) for x in a] == [(y.man, y.exp) for y in b]
+
+
+def reference_phi_form(n, m):
+    # R_n built term by term, then differentiated m times
+    sign = Fraction((-1) ** n)
+    form = ElementaryForm(
+        loggamma=sign,
+        tlog=-sign,
+        log=sign / 2,
+        powers={1: sign},
+        log2pi=-sign / 2,
+        cancel_gap=2 * n + 4,
+    )
+    for k in range(1, n + 1):
+        p = 1 - 2 * k
+        form.powers[p] = form.powers.get(p, 0) - sign * bernoulli(2 * k) / (2 * k * (2 * k - 1))
+    for _ in range(m):
+        form = differentiate(form)
+    form = form.scaled(Fraction((-1) ** m))
+    form.cancel_gap = 2 * n + m + 4
+    return form
+
+
+@pytest.mark.parametrize("n", range(PHI_N_MAX + 1))
+def test_phi_form_matches_differentiated_remainder(n):
+    for m in range(PHI_M_MAX + 1):
+        assert form_for(RemainderSpec(n=n, m=m)) == reference_phi_form(n, m), (n, m)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -193,22 +227,6 @@ def test_partial_sum_plus_remainder_property(n, t):
         assert abs(total - log_gamma(t, POLICY)) < 16 * TOL
 
 
-def test_trigamma_gap_matches_family_member():
-    # TrigammaGap3 is phi_{1,2}
-    for t in ("0.5", 3):
-        a = remainder_value(RemainderSpec(special="TrigammaGap3"), t, POLICY)
-        b = remainder_value(RemainderSpec(n=1, m=2), t, POLICY)
-        assert abs(a - b) < mp.mpf(2) ** (-120)
-
-
-def test_psi_gap_matches_family_member():
-    # PsiGap is phi_{0,1}
-    for t in ("0.5", 3):
-        a = remainder_value(RemainderSpec(special="PsiGap"), t, POLICY)
-        b = remainder_value(RemainderSpec(n=0, m=1), t, POLICY)
-        assert abs(a - b) < mp.mpf(2) ** (-120)
-
-
 def test_phi_derivatives_match_q_derivatives():
     ders = phi_derivatives(RemainderSpec(n=2, m=2), 1, 3, POLICY)
     with mp.workprec(200):
@@ -232,6 +250,7 @@ def test_spec_labels_and_indices():
     assert RemainderSpec(special="Q").label == "Q"
     assert RemainderSpec(special="Q").family_indices == (2, 2)
     assert RemainderSpec(special="PsiGap").family_indices == (0, 1)
+    assert RemainderSpec(special="TrigammaGap3").family_indices == (1, 2)
     assert RemainderSpec(n=4, m=0).family_indices == (4, 0)
 
 
@@ -247,6 +266,7 @@ def test_spec_labels_and_indices():
         {},
         {"special": "Quux"},
         {"n": 2, "m": 2, "special": "Q"},
+        {"special": "Q-alias"},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
