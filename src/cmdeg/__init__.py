@@ -41,14 +41,13 @@ from .kernel import (
     KERNEL_SERIES_CROSSOVER,
     KernelCoefficient,
     PositivityScanReport,
-    QuadratureParams,
     h4_positivity_scan,
     h4_series_coefficient,
     kernel_h,
     laplace_reconstruct,
 )
 from .polygamma import log_gamma, polygamma, polygamma_block
-from .precision import PrecisionPolicy, as_mpf, default_policy
+from .precision import PrecisionPolicy, as_mpf
 from .remainders import (
     PHI_M_MAX,
     PHI_N_MAX,
@@ -72,7 +71,6 @@ __all__ = [
     "__version__",
     # precision
     "PrecisionPolicy",
-    "default_policy",
     "as_mpf",
     # errors
     "CmdegError",
@@ -111,7 +109,6 @@ __all__ = [
     "h4_series_coefficient",
     "PositivityScanReport",
     "h4_positivity_scan",
-    "QuadratureParams",
     "laplace_reconstruct",
     # degree evidence
     "Grid",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,64 +41,39 @@ from .degree import (
     degree_bracket,
 )
 from .errors import CmdegError
-from .kernel import (
-    QuadratureParams,
-    h4_positivity_scan,
-    h4_series_coefficient,
-    kernel_h,
-    laplace_reconstruct,
-)
-from .precision import DEFAULT_PREC_ENV, PrecisionPolicy, as_mpf, default_policy
-from .remainders import SPECIAL_NAMES, RemainderSpec, evaluate_form_derivatives, form_for
+from .kernel import h4_positivity_scan, h4_series_coefficient, kernel_h, laplace_reconstruct
+from .precision import PrecisionPolicy, as_mpf
+from .remainders import SPECIAL_NAMES, RemainderSpec, phi_derivatives
 
-__all__ = ["main", "build_parser", "RunConfig", "emit_plot_data"]
+__all__ = ["main", "build_parser", "emit_plot_data"]
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands.
+def _arg(convert):
+    """argparse ``type=`` for ``convert``: a value it rejects is a usage error."""
 
-    Fully deterministic: no seeds, no clocks; identical configs produce
-    byte-identical output.
-    """
-
-    policy: PrecisionPolicy
-    grid: Grid
-    step: Fraction
-    max_order: int
-    fmt: str
-    out: str | None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.step <= 1:
-            raise CmdegError(f"lattice step must lie in (0, 1], got {self.step}")
-        if self.max_order < 0:
-            raise CmdegError(f"max order must be nonnegative, got {self.max_order}")
-        if self.fmt not in ("json", "csv", "text"):
-            raise CmdegError(f"unknown format {self.fmt!r}")
-
-
-def _config_from_args(args) -> RunConfig:
-    if getattr(args, "prec", None) is not None:
+    def parse(text: str):
         try:
-            policy = PrecisionPolicy(working_bits=args.prec)
-        except ValueError as exc:
-            raise CmdegError(str(exc)) from None
-    else:
-        policy = default_policy()
-    grid = Grid.parse(args.grid) if getattr(args, "grid", None) else default_grid()
-    step = Fraction(getattr(args, "step", None) or 1)
-    max_order = getattr(args, "max_order", None)
-    return RunConfig(
-        policy=policy,
-        grid=grid,
-        step=step,
-        max_order=12 if max_order is None else max_order,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-    )
+            return convert(text)
+        except (CmdegError, ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _step(text: str) -> Fraction:
+    step = Fraction(text)
+    if not 0 < step <= 1:
+        raise ValueError(f"lattice step must lie in (0, 1], got {step}")
+    return step
+
+
+def _max_order(text: str) -> int:
+    order = int(text)
+    if order < 0:
+        raise ValueError(f"max order must be nonnegative, got {order}")
+    return order
 
 
 def _digits(bits: int) -> int:
@@ -133,10 +107,10 @@ def _spec_from_args(args) -> RemainderSpec:
 # per-command record builders; each returns (json_record, csv_rows)
 
 
-def _run_eval(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
+def _run_eval(args) -> tuple[dict, list[list[str]]]:
     spec = _spec_from_args(args)
-    bits = cfg.policy.working_bits
-    ders = evaluate_form_derivatives(form_for(spec), args.t, args.derivative, cfg.policy)
+    bits = args.policy.working_bits
+    ders = phi_derivatives(spec, args.t, args.derivative, args.policy)
     record = {
         "spec": spec.label,
         "t": args.t,
@@ -150,7 +124,7 @@ def _run_eval(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
     return record, rows
 
 
-def _run_bernoulli(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
+def _run_bernoulli(args) -> tuple[dict, list[list[str]]]:
     table = bernoulli_table(args.n_max)
     record = {
         "n_max": args.n_max,
@@ -162,8 +136,8 @@ def _run_bernoulli(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
     return record, rows
 
 
-def _run_kernel(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
-    bits = cfg.policy.working_bits
+def _run_kernel(args) -> tuple[dict, list[list[str]]]:
+    bits = args.policy.working_bits
     if args.kernel_cmd == "coeffs":
         coeffs = [h4_series_coefficient(k) for k in range(args.from_k, args.to_k + 1)]
         record = {
@@ -193,8 +167,7 @@ def _run_kernel(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
         ]
         return record, rows
     if args.kernel_cmd == "laplace":
-        quad = QuadratureParams(tolerance=args.tol)
-        value = laplace_reconstruct(args.t, cfg.policy, quad)
+        value = laplace_reconstruct(args.t, args.policy, args.tol)
         record = {
             "t": args.t,
             "tolerance": repr(args.tol),
@@ -205,7 +178,7 @@ def _run_kernel(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
         return record, rows
     if args.s is None:
         raise CmdegError("kernel requires --s (or a sub-operation: coeffs, laplace, scan)")
-    value = kernel_h(args.order, args.s, cfg.policy)
+    value = kernel_h(args.order, args.s, args.policy)
     record = {
         "order": args.order,
         "s": args.s,
@@ -248,9 +221,9 @@ def _report_rows(report: CmCheckReport) -> list[list[str]]:
     return rows
 
 
-def _run_cmcheck(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
+def _run_cmcheck(args) -> tuple[dict, list[list[str]]]:
     spec = _spec_from_args(args)
-    report = cm_check(spec, args.r, cfg.max_order, cfg.grid, cfg.policy)
+    report = cm_check(spec, args.r, args.max_order, args.grid, args.policy)
     return _report_record(report), _report_rows(report)
 
 
@@ -278,10 +251,10 @@ def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
     }
 
 
-def _run_degree(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
+def _run_degree(args) -> tuple[dict, list[list[str]]]:
     spec = _spec_from_args(args)
-    bracket = degree_bracket(spec, cfg.step, cfg.max_order, cfg.grid, cfg.policy)
-    bits = cfg.policy.working_bits
+    bracket = degree_bracket(spec, args.step, args.max_order, args.grid, args.policy)
+    bits = args.policy.working_bits
     record = _bracket_record(bracket, bits)
     rows = [
         ["spec", "lower", "upper"],
@@ -313,9 +286,9 @@ def _scan_rows(scan: ConjectureScanReport) -> list[list[str]]:
     return rows
 
 
-def _run_conjectures(args, cfg: RunConfig) -> tuple[dict, list[list[str]]]:
+def _run_conjectures(args) -> tuple[dict, list[list[str]]]:
     scan = conjecture_scan(
-        args.n_max, args.m_max, cfg.max_order, cfg.grid, cfg.policy, cfg.step
+        args.n_max, args.m_max, args.max_order, args.grid, args.policy, args.step
     )
     bits = scan.working_bits
     cells = []
@@ -398,16 +371,16 @@ def _as_text(record: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _emit(cfg: RunConfig, command: str, record: dict, rows: list[list[str]]) -> None:
-    record = {"schema": SCHEMA_VERSION, "command": command, **record}
-    if cfg.fmt == "json":
+def _emit(args, record: dict, rows: list[list[str]]) -> None:
+    record = {"schema": SCHEMA_VERSION, "command": args.command, **record}
+    if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = "\n".join(",".join(row) for row in rows) + "\n"
     else:
         text = _as_text(record) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -432,9 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--prec",
-        type=int,
-        default=None,
-        help=f"working precision in bits (default: ${DEFAULT_PREC_ENV} or 128)",
+        dest="policy",
+        type=_arg(lambda text: PrecisionPolicy(int(text))),
+        default=PrecisionPolicy(),
+        metavar="PREC",
+        help="working precision in bits (default 128)",
     )
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
@@ -453,10 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan_opts = argparse.ArgumentParser(add_help=False)
     scan_opts.add_argument(
-        "--max-order", type=int, default=None, help="largest derivative order (default 12)"
+        "--max-order",
+        type=_arg(_max_order),
+        default=12,
+        help="largest derivative order (default 12)",
     )
     scan_opts.add_argument(
-        "--grid", default=None, help="grid as 'log:1e-3:1e4:200' (the default)"
+        "--grid",
+        type=_arg(Grid.parse),
+        default=default_grid(),
+        help="grid as 'log:1e-3:1e4:200' (the default)",
+    )
+
+    step_opt = argparse.ArgumentParser(add_help=False)
+    step_opt.add_argument(
+        "--step",
+        type=_arg(_step),
+        default=Fraction(1),
+        help="exponent lattice step (default 1)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -492,19 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cmcheck", parents=[common, member, scan_opts], help="CM sign scan")
     p.add_argument("--r", required=True, help="exponent r (decimal or fraction string)")
 
-    p = sub.add_parser(
-        "degree", parents=[common, member, scan_opts], help="CM degree bracket"
+    sub.add_parser(
+        "degree", parents=[common, member, scan_opts, step_opt], help="CM degree bracket"
     )
-    p.add_argument("--step", default=None, help="exponent lattice step (default 1)")
 
     p = sub.add_parser(
         "conjectures",
-        parents=[common, scan_opts],
+        parents=[common, scan_opts, step_opt],
         help="bracket the phi_{n,m} conjecture table",
     )
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--step", default=None, help="exponent lattice step (default 1)")
     return parser
 
 
@@ -512,11 +499,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except (CmdegError, ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))  # prints a synopsis and exits 2
-    try:
-        record, rows = _RUNNERS[args.command](args, cfg)
+        record, rows = _RUNNERS[args.command](args)
     except CmdegError as exc:
         error_record = {
             "schema": SCHEMA_VERSION,
@@ -525,7 +508,7 @@ def main(argv=None) -> int:
         }
         sys.stdout.write(json.dumps(error_record, indent=2) + "\n")
         return 1
-    _emit(cfg, args.command, record, rows)
+    _emit(args, record, rows)
     return 0
 
 

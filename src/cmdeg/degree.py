@@ -35,7 +35,7 @@ from math import comb
 import mpmath as mp
 
 from .errors import CmdegError, ExtrapolationUnstable, InvalidIndex, InvalidSpec
-from .precision import PrecisionPolicy, as_mpf, default_policy
+from .precision import PrecisionPolicy, as_mpf
 from .remainders import RemainderSpec, phi_derivatives, pole_order
 
 __all__ = [
@@ -110,16 +110,15 @@ def default_grid() -> Grid:
 
 
 def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    if isinstance(x, mp.mpf):
-        return Fraction(*x.as_integer_ratio())
+    try:
+        if isinstance(x, (Fraction, int, str)):
+            return Fraction(x)
+        if isinstance(x, float):
+            return Fraction(x).limit_denominator(10**12)
+        if isinstance(x, mp.mpf):
+            return Fraction(*x.as_integer_ratio())
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise InvalidSpec(f"cannot interpret {x!r} as a rational exponent")
 
 
@@ -178,7 +177,7 @@ def signed_derivative(
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidIndex(f"derivative order must be a nonnegative integer, got {k!r}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     rv = _as_rational(r)
     tv = as_mpf(t, policy.internal_bits())
     ders = _phi_ders_cached(spec, tv, k, policy)
@@ -212,10 +211,6 @@ class CmCheckReport:
     inconclusive: tuple  # (t, k)
     values: tuple  # every (t, k, value), ordered by (t, k)
 
-    def worst_margin(self):
-        """Smallest value/scale ratio is not retained; smallest value is."""
-        return min((v for _, _, v in self.values), default=None)
-
 
 def cm_check(
     spec: RemainderSpec,
@@ -233,13 +228,13 @@ def cm_check(
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise InvalidIndex(f"max_order must be a nonnegative integer, got {max_order!r}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     rv = _as_rational(r)
     provider = _derivative_provider or (
         lambda t, i_max, pol: _phi_ders_cached(spec, t, i_max, pol)
     )
-    doubled = PrecisionPolicy(2 * policy.working_bits, policy.guard_bits)
+    doubled = PrecisionPolicy(2 * policy.working_bits)
     violations = []
     inconclusive = []
     all_values = []
@@ -340,7 +335,7 @@ def small_t_bound(
     If t^u phi is CM then u <= base_r + limit, so ``base_r + limit`` is a
     numerical upper bound for the CM degree of phi.
     """
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     limit, _ = _small_t_detail(spec, base_r, t_sequence, policy)
     return limit
 
@@ -385,7 +380,7 @@ def degree_bracket(
     step = _as_rational(r_lattice_step)
     if not 0 < step <= 1:
         raise InvalidSpec(f"lattice step must lie in (0, 1], got {step}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     limit, limit_err = _small_t_detail(spec, 0, None, policy)
 
@@ -523,7 +518,7 @@ def conjecture_scan(
     """Bracket every phi_{n,m} for n <= n_max, m <= m_max and report whether
     the conjectured degree falls inside its bracket.  Per-cell failures are
     recorded and the scan continues."""
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     step = _as_rational(lattice_step)
     cells = []

@@ -38,13 +38,12 @@ from .errors import (
     NonPositiveArgument,
     QuadratureNotConverged,
 )
-from .precision import PrecisionPolicy, as_mpf, default_policy
+from .precision import PrecisionPolicy, as_mpf
 
 __all__ = [
     "KERNEL_SERIES_CROSSOVER",
     "KernelCoefficient",
     "PositivityScanReport",
-    "QuadratureParams",
     "kernel_h",
     "h4_series_coefficient",
     "h4_positivity_scan",
@@ -57,6 +56,11 @@ KERNEL_SERIES_CROSSOVER = Fraction(1, 4)
 #: Guard bits absorbing closed-form cancellation near the crossover
 #: (about 2^27 at s = 1/4) plus quadrature summation rounding.
 _KERNEL_GUARD_BITS = 64
+
+#: tanh-sinh refinement ceiling per panel (nodes roughly double per level).
+QUAD_MAX_LEVEL = 12
+#: Finite-part panel length, well inside the integrand's analyticity strip.
+QUAD_PANEL_WIDTH = 4
 
 
 def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
@@ -127,7 +131,7 @@ def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """h^(j)(s) for 0 <= j <= 4 and s >= 0."""
     if not isinstance(j, int) or not 0 <= j <= 4:
         raise InvalidIndex(f"kernel derivative order must be 0..4, got {j!r}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     prec = policy.internal_bits(_KERNEL_GUARD_BITS)
     sv = as_mpf(s, prec)
     if sv < 0:
@@ -201,30 +205,6 @@ def h4_positivity_scan(k_max: int) -> PositivityScanReport:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureParams:
-    """Controls for the Laplace-integral reconstruction.
-
-    tolerance: absolute error target for the full integral (tail included).
-    max_level: tanh-sinh refinement ceiling per panel (nodes roughly
-        double per level); exceeding it raises QuadratureNotConverged.
-    panel_width: finite-part panel length; panels stay well inside the
-        analyticity strip of the integrand.
-    """
-
-    tolerance: float = 1e-22
-    max_level: int = 12
-    panel_width: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise InvalidSpec(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_level < 3:
-            raise InvalidSpec(f"max_level must be at least 3, got {self.max_level!r}")
-        if self.panel_width < 1:
-            raise InvalidSpec(f"panel_width must be at least 1, got {self.panel_width!r}")
-
-
 @lru_cache(maxsize=64)
 def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     """tanh-sinh abscissas/weights for j >= 0 at step 2^-level."""
@@ -281,26 +261,30 @@ def _tail_bound(A: mp.mpf, t: mp.mpf) -> mp.mpf:
 
 
 def laplace_reconstruct(
-    t, policy: PrecisionPolicy | None = None, quad: QuadratureParams | None = None
+    t, policy: PrecisionPolicy | None = None, tolerance: float = 1e-22
 ) -> mp.mpf:
-    """Reconstruct Q(t) as integral_0^inf h(s) exp(-t s) ds.
+    """Reconstruct Q(t) as integral_0^inf h(s) exp(-t s) ds to within the
+    absolute ``tolerance`` (tail included).
 
     The integral is split at a point A where the proven envelope
     h(s) <= 2 s^4 (s >= 1) makes the discarded tail smaller than half the
     tolerance; the finite part is integrated by per-panel tanh-sinh
     quadrature with level doubling.
     """
-    policy = policy or default_policy()
-    quad = quad or QuadratureParams()
+    if not tolerance > 0:
+        raise InvalidSpec(f"tolerance must be positive, got {tolerance!r}")
+    if not mp.isfinite(tolerance):
+        raise InvalidSpec(f"tolerance must be finite, got {tolerance!r}")
+    policy = policy or PrecisionPolicy()
     prec = max(
         policy.internal_bits(_KERNEL_GUARD_BITS),
-        int(-mp.log(mp.mpf(quad.tolerance), 2)) + 80,
+        int(-mp.log(mp.mpf(tolerance), 2)) + 80,
     )
     tv = as_mpf(t, prec)
     if not tv > 0:
         raise NonPositiveArgument(f"laplace_reconstruct requires t > 0, got {t!r}")
     with mp.workprec(prec):
-        tol = mp.mpf(quad.tolerance)
+        tol = mp.mpf(tolerance)
         A = max(mp.mpf(1), 40 / tv)
         while _tail_bound(A, tv) > tol / 2:
             A *= mp.mpf(5) / 4
@@ -309,11 +293,11 @@ def laplace_reconstruct(
             return kernel_h(0, s, policy) * mp.exp(-tv * s)
 
         edges = [mp.mpf(0)]
-        while edges[-1] + quad.panel_width < A:
-            edges.append(edges[-1] + quad.panel_width)
+        while edges[-1] + QUAD_PANEL_WIDTH < A:
+            edges.append(edges[-1] + QUAD_PANEL_WIDTH)
         edges.append(A)
         panel_tol = (tol / 2) / len(edges)
         total = mp.mpf(0)
         for a, b in zip(edges[:-1], edges[1:]):
-            total += _ts_panel(f, a, b, panel_tol, quad.max_level, prec)
+            total += _ts_panel(f, a, b, panel_tol, QUAD_MAX_LEVEL, prec)
     return total

@@ -18,11 +18,10 @@ Both run through one shift loop, ``_shift_and_sum``; each supplies its
 own series and its own way of undoing the shift.
 
 Blocks and ln Gamma values are memoised per process on exactly what the
-computation reads: (k_max, t, working_bits) and (t, working_bits); guard
-bits do not enter.  A smaller k_max is never served from a prefix of a
-larger block: the internal precision and the shift both depend on k_max,
-so the low orders of a larger block can differ in the last bits from a
-block computed for them.
+computation reads: (k_max, t, working_bits) and (t, working_bits).  A
+smaller k_max is never served from a prefix of a larger block: the internal
+precision and the shift both depend on k_max, so the low orders of a larger
+block can differ in the last bits from a block computed for them.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
@@ -39,7 +38,7 @@ import mpmath as mp
 
 from .bernoulli import bernoulli
 from .errors import InvalidIndex, NonPositiveArgument, PrecisionUnreachable
-from .precision import PrecisionPolicy, as_mpf, default_policy, mag_bits
+from .precision import PrecisionPolicy, as_mpf, mag_bits
 
 __all__ = ["polygamma", "log_gamma", "polygamma_block"]
 
@@ -172,7 +171,7 @@ def _shift_and_sum(t: mp.mpf, working_bits: int, comp: int, series, unshift, wha
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """psi^(k)(t) for t > 0; k = 0 is the digamma function.
 
-    Absolute error stays below ``2**(-working_bits + guard_bits)``; values of
+    Absolute error stays below ``2**(-working_bits + GUARD_BITS)``; values of
     large magnitude keep correspondingly many mantissa bits so the bound holds
     absolutely, not just relatively.  Evaluated as the last order of
     ``polygamma_block(k, t, policy)``.
@@ -187,7 +186,7 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
     series pass, under the accuracy contract of :func:`polygamma`."""
     if not isinstance(k_max, int) or k_max < 0:
         raise InvalidIndex(f"k_max must be a nonnegative integer, got {k_max!r}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"polygamma requires t > 0, got {t!r}")
@@ -244,7 +243,7 @@ def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
 
 def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma."""
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"log_gamma requires t > 0, got {t!r}")

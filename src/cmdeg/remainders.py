@@ -34,7 +34,7 @@ import mpmath as mp
 from .bernoulli import bernoulli
 from .errors import InvalidIndex, InvalidSpec, NonPositiveArgument
 from .polygamma import log_gamma, polygamma, polygamma_block
-from .precision import PrecisionPolicy, as_mpf, default_policy, mag_bits
+from .precision import PrecisionPolicy, as_mpf, mag_bits
 
 __all__ = [
     "PHI_N_MAX",
@@ -205,7 +205,7 @@ def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> Precisio
     """Policy with enough extra working bits to survive large-t cancellation."""
     if t_bits <= 0:
         return policy
-    return PrecisionPolicy(policy.working_bits + cancel_gap * t_bits + 16, policy.guard_bits)
+    return PrecisionPolicy(policy.working_bits + cancel_gap * t_bits + 16)
 
 
 def _assemble(form: ElementaryForm, pieces: dict, base_bits: int) -> mp.mpf:
@@ -279,7 +279,9 @@ def evaluate_form_derivatives(
 ) -> list[mp.mpf]:
     """[F(t), F'(t), ..., F^(i_max)(t)] for an ElementaryForm F, exactly
     differentiated and sharing one polygamma evaluation block."""
-    policy = policy or default_policy()
+    if not isinstance(i_max, int) or i_max < 0:
+        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
+    policy = policy or PrecisionPolicy()
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
@@ -300,15 +302,13 @@ def phi_derivatives(
     spec: RemainderSpec, t, i_max: int, policy: PrecisionPolicy | None = None
 ) -> list[mp.mpf]:
     """Derivatives phi^(0..i_max) of the selected member at t > 0."""
-    if not isinstance(i_max, int) or i_max < 0:
-        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
     return evaluate_form_derivatives(form_for(spec), t, i_max, policy)
 
 
 def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """Q(t) = psi'(t) - 1/t - 1/(2t^2) - 1/(6t^3) + 1/(30t^5) by the explicit
     formula, assembled independently of the ElementaryForm machinery."""
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     tv = as_mpf(t, policy.internal_bits())
     t_bits = mag_bits(tv)
     pol = _elevated(policy, 7, t_bits)

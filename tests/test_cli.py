@@ -16,18 +16,15 @@ import pytest
 
 from cmdeg import (
     CmCheckReport,
-    CmdegError,
     DegreeBracket,
     Grid,
     PrecisionPolicy,
     RemainderSpec,
     cm_check,
     conjecture_scan,
-    default_grid,
     q_value,
 )
-from cmdeg.cli import RunConfig, emit_plot_data, main
-from cmdeg.precision import DEFAULT_PREC_ENV
+from cmdeg.cli import emit_plot_data, main
 
 # frozen decimal prefixes (see module docstring)
 Q1_PREFIX = "0.011600733514893103"
@@ -387,16 +384,6 @@ def test_output_is_byte_deterministic(argv, capsys):
     assert first == second
 
 
-def test_default_precision_env_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv(DEFAULT_PREC_ENV, "96")
-    record = run_json(["eval", "--special", "Q", "--t", "1"], capsys)
-    assert record["precision_bits"] == 96
-    assert record["value"]["digits"] == 30
-    override = run_json(["eval", "--special", "Q", "--t", "1", "--prec", "64"], capsys)
-    assert override["precision_bits"] == 64
-    assert override["value"]["digits"] == 21
-
-
 def test_prec_flag_changes_reported_digits(capsys):
     record = run_json(["eval", "--special", "Q", "--t", "1", "--prec", "256"], capsys)
     assert record["precision_bits"] == 256
@@ -419,6 +406,7 @@ def test_prec_flag_changes_reported_digits(capsys):
         ["degree", "--special", "Q", "--step", "1.5"],
         ["kernel", "coeffs", "--to", "11"],  # missing --from
         ["eval", "--special", "Q", "--t", "1", "--format", "yaml"],
+        ["cmcheck", "--special", "Q", "--r", "4", "--max-order", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -445,36 +433,31 @@ def test_unknown_family_indices_are_a_structured_error(capsys):
     assert record["error"]["type"] == "InvalidSpec"
 
 
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (["eval", "--special", "Q", "--t", "1", "--derivative", "-1"], "InvalidIndex"),
+        (["eval", "--special", "Q", "--t", "abc"], "InvalidSpec"),
+        (["kernel", "--s", "abc"], "InvalidSpec"),
+        (["kernel", "laplace", "--t", "abc"], "InvalidSpec"),
+        (["cmcheck", "--special", "Q", "--r", "abc"], "InvalidSpec"),
+        (["cmcheck", "--special", "Q", "--r", "1/0"], "InvalidSpec"),
+        (["kernel", "laplace", "--t", "1", "--tol", "inf"], "InvalidSpec"),
+    ],
+)
+def test_malformed_numbers_are_structured_errors(argv, error_type, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    record = json.loads(out)
+    assert record["command"] == argv[0]
+    assert record["error"]["type"] == error_type
+
+
 def test_missing_member_selection_is_a_structured_error(capsys):
     code, out = run_cli(["cmcheck", "--r", "4", "--grid", "log:1:10:3", "--max-order", "2"], capsys)
     assert code == 1
     record = json.loads(out)
     assert record["error"]["type"] == "CmdegError"
-
-
-def test_run_config_validation():
-    policy = PrecisionPolicy(working_bits=64)
-    cfg = RunConfig(
-        policy=policy, grid=default_grid(), step=Fraction(1), max_order=4, fmt="json", out=None
-    )
-    assert cfg.step == 1
-    for bad in (
-        dict(step=Fraction(3, 2)),
-        dict(step=Fraction(0)),
-        dict(max_order=-1),
-        dict(fmt="yaml"),
-    ):
-        kwargs = dict(
-            policy=policy,
-            grid=default_grid(),
-            step=Fraction(1),
-            max_order=4,
-            fmt="json",
-            out=None,
-        )
-        kwargs.update(bad)
-        with pytest.raises(CmdegError):
-            RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

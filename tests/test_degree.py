@@ -310,7 +310,6 @@ def test_all_borderline_scan_is_inconclusive():
     assert rep.violations == ()
     assert len(rep.inconclusive) == 12 * 4
     assert len(rep.values) == 12 * 4
-    assert rep.worst_margin() == 0
     _assert_report_integrity(rep)
 
 
@@ -353,13 +352,6 @@ def test_pass_set_is_downward_closed_on_the_lattice():
         assert cm_check(Q, r, max_order=8, grid=GRID60, policy=POLICY).verdict == "pass"
     for r in (5, Fraction(11, 2), 6):
         assert cm_check(Q, r, max_order=8, grid=GRID60, policy=POLICY).verdict == "violation"
-
-
-def test_worst_margin_helper():
-    rep = cm_check(Q, 4, max_order=2, grid=TINY_GRID, policy=POLICY)
-    assert rep.worst_margin() == min(v for _, _, v in rep.values)
-    empty = dataclasses.replace(rep, verdict="pass", violations=(), inconclusive=(), values=())
-    assert empty.worst_margin() is None
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, "6", None])

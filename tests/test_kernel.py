@@ -18,7 +18,6 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     QuadratureNotConverged,
-    QuadratureParams,
     bernoulli,
     h4_positivity_scan,
     h4_series_coefficient,
@@ -201,10 +200,10 @@ def test_laplace_rejects_nonpositive_t():
         laplace_reconstruct(0, POLICY)
 
 
-def test_quadrature_stall_raises():
-    params = QuadratureParams(tolerance=1e-60, max_level=3)
+def test_quadrature_stall_raises(monkeypatch):
+    monkeypatch.setattr(kernel_module, "QUAD_MAX_LEVEL", 3)
     with pytest.raises(QuadratureNotConverged):
-        laplace_reconstruct(1, POLICY, params)
+        laplace_reconstruct(1, POLICY, tolerance=1e-60)
 
 
 @pytest.mark.parametrize(
@@ -212,13 +211,12 @@ def test_quadrature_stall_raises():
     [
         {"tolerance": 0.0},
         {"tolerance": -1e-10},
-        {"max_level": 2},
-        {"panel_width": 0},
+        pytest.param({"tolerance": float("inf")}, id="inf"),
     ],
 )
 def test_quadrature_params_validation(kwargs):
     with pytest.raises(InvalidSpec):
-        QuadratureParams(**kwargs)
+        laplace_reconstruct(1, POLICY, **kwargs)
 
 
 def test_determinism():

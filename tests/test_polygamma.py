@@ -16,9 +16,11 @@ degree_module = importlib.import_module("cmdeg.degree")
 
 from cmdeg import (
     InvalidIndex,
+    InvalidSpec,
     NonPositiveArgument,
     PrecisionPolicy,
     PrecisionUnreachable,
+    as_mpf,
     log_gamma,
     polygamma,
     polygamma_block,
@@ -210,8 +212,12 @@ def test_invalid_order_rejected(k):
 def test_policy_validation():
     with pytest.raises(ValueError):
         PrecisionPolicy(working_bits=16)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(working_bits=64, guard_bits=4)
+
+
+@pytest.mark.parametrize("text", ["abc", "", "1/0"])
+def test_as_mpf_rejects_unreadable_strings(text):
+    with pytest.raises(InvalidSpec):
+        as_mpf(text, 64)
 
 
 def test_shift_budget_exhaustion_raises(monkeypatch):

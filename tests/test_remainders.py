@@ -29,6 +29,7 @@ from cmdeg import (
     q_value,
     remainder_value,
 )
+from cmdeg.remainders import evaluate_form_derivatives
 
 POLICY = PrecisionPolicy(working_bits=128)
 TOL = POLICY.abs_error_target
@@ -285,6 +286,8 @@ def test_nonpositive_argument_rejected(t):
 def test_invalid_derivative_indices_rejected():
     with pytest.raises(InvalidIndex):
         phi_derivatives(Q, 1, -1, POLICY)
+    with pytest.raises(InvalidIndex):
+        evaluate_form_derivatives(form_for(Q), 1, -1, POLICY)
     with pytest.raises(InvalidIndex):
         q_derivative(-1, 1, POLICY)
     with pytest.raises(InvalidSpec):
