@@ -26,11 +26,9 @@ from .degree import (
     degree_bracket,
     established_degree,
     signed_derivative,
-    small_t_bound,
 )
 from .errors import (
     CmdegError,
-    ExtrapolationUnstable,
     InvalidIndex,
     InvalidSpec,
     NonPositiveArgument,
@@ -79,7 +77,6 @@ __all__ = [
     "InvalidSpec",
     "InvalidIndex",
     "QuadratureNotConverged",
-    "ExtrapolationUnstable",
     # exact integers
     "bernoulli",
     "bernoulli_table",
@@ -117,7 +114,6 @@ __all__ = [
     "classify_sign",
     "CmCheckReport",
     "cm_check",
-    "small_t_bound",
     "DegreeBracket",
     "degree_bracket",
     "conjectured_degree",

@@ -45,9 +45,9 @@ from .kernel import h4_positivity_scan, h4_series_coefficient, kernel_h, laplace
 from .precision import PrecisionPolicy, as_mpf
 from .remainders import SPECIAL_NAMES, RemainderSpec, phi_derivatives
 
-__all__ = ["main", "build_parser", "emit_plot_data"]
+__all__ = ["main", "build_parser"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _arg(convert):
@@ -240,8 +240,6 @@ def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
             if bracket.scan_violation_r is not None
             else None
         ),
-        "small_t_limit": _real(bracket.small_t_limit, bits),
-        "small_t_error": _real(bracket.small_t_error, bits),
         "lower_evidence": {
             "verdict": bracket.lower_evidence.verdict,
             "r": _frac(bracket.lower_evidence.r),
@@ -321,31 +319,6 @@ def _run_conjectures(args) -> tuple[dict, list[list[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# plot-data emission
-
-
-def emit_plot_data(obj, destination) -> None:
-    """Write CSV plot data: (t, k, value) rows for a CmCheckReport, or
-    (n, m, lower, upper, conjectured) rows for a ConjectureScanReport.
-
-    ``destination`` is a path or a writable text stream.  Bytes are
-    identical across runs for identical inputs.
-    """
-    if isinstance(obj, CmCheckReport):
-        rows = _report_rows(obj)
-    elif isinstance(obj, ConjectureScanReport):
-        rows = _scan_rows(obj)
-    else:
-        raise TypeError(f"cannot emit plot data for {type(obj).__name__}")
-    text = "\n".join(",".join(row) for row in rows) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-# ---------------------------------------------------------------------------
 # formatting and entry point
 
 
@@ -402,19 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Completely monotonic degree evidence for gamma-function "
         "asymptotic remainders.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    # The common options are accepted both before and after a `kernel`
+    # sub-operation.  Their defaults live on the top-level parser only: a
+    # sub-parser's own default would overwrite a value parsed before it.
+    parser.set_defaults(policy=PrecisionPolicy(), format="json", out=None)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument(
         "--prec",
         dest="policy",
         type=_arg(lambda text: PrecisionPolicy(int(text))),
-        default=PrecisionPolicy(),
         metavar="PREC",
         help="working precision in bits (default 128)",
     )
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json", help="output format"
-    )
-    common.add_argument("--out", default=None, help="write output to this file")
+    common.add_argument("--format", choices=("json", "csv", "text"), help="output format")
+    common.add_argument("--out", help="write output to this file")
 
     member = argparse.ArgumentParser(add_help=False)
     group = member.add_mutually_exclusive_group()

@@ -14,10 +14,13 @@ t^(r-j) are formed once per point and shared by all k.
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree
 lies below r), while an all-pass scan is supporting evidence that the
-degree reaches r.  Upper bounds also come
-from the t -> 0+ criterion: if t^u phi stays CM then
--u <= lim t phi'/phi, so extrapolating g(t) = -base_r - t phi'(t)/phi(t)
-to 0 bounds the degree by base_r + lim g.
+degree reaches r.
+
+The upper end needs no scan.  Every member is positive near 0+ with a
+pole of exact order p = pole_order(spec), or a log singularity when
+p = 0, so t^u phi -> 0 as t -> 0+ for every u > p.  A CM function is
+positive and nonincreasing and cannot tend to 0 there, so the degree is
+at most p.  Lattice exponents above p are therefore never scanned.
 
 Verdict bookkeeping is deliberately conservative: any signed value within
 the guard band of zero is re-evaluated at doubled precision and reported
@@ -34,7 +37,7 @@ from math import comb
 
 import mpmath as mp
 
-from .errors import CmdegError, ExtrapolationUnstable, InvalidIndex, InvalidSpec
+from .errors import CmdegError, InvalidIndex, InvalidSpec
 from .precision import PrecisionPolicy, as_mpf
 from .remainders import RemainderSpec, phi_derivatives, pole_order
 
@@ -45,7 +48,6 @@ __all__ = [
     "classify_sign",
     "CmCheckReport",
     "cm_check",
-    "small_t_bound",
     "DegreeBracket",
     "degree_bracket",
     "conjectured_degree",
@@ -111,12 +113,11 @@ def default_grid() -> Grid:
 
 def _as_rational(x) -> Fraction:
     try:
-        if isinstance(x, (Fraction, int, str)):
+        if isinstance(x, (Fraction, int, str, float)):
             return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
-        if isinstance(x, mp.mpf):
-            return Fraction(*x.as_integer_ratio())
+        if isinstance(x, mp.mpf) and mp.isfinite(x):
+            value = x.man * Fraction(2) ** x.exp  # man is unsigned
+            return -value if x < 0 else value
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise InvalidSpec(f"cannot interpret {x!r} as a rational exponent")
@@ -273,80 +274,13 @@ def cm_check(
     )
 
 
-_DEFAULT_SMALL_T = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
-
-
-def _small_t_detail(
-    spec: RemainderSpec, base_r, t_sequence, policy: PrecisionPolicy
-) -> tuple[mp.mpf, mp.mpf]:
-    base = _as_rational(base_r)
-    seq = tuple(t_sequence) if t_sequence is not None else _DEFAULT_SMALL_T
-    if len(seq) < 2:
-        raise InvalidSpec("small_t_bound needs at least two sample points")
-    rationals = [_as_rational(t) for t in seq]
-    if any(t <= 0 for t in rationals) or any(
-        a <= b for a, b in zip(rationals, rationals[1:])
-    ):
-        raise InvalidSpec("small_t sample points must be positive and strictly decreasing")
-    prec = policy.internal_bits(_SUM_GUARD_BITS)
-    xs = []
-    ys = []
-    with mp.workprec(prec):
-        for t in seq:
-            tv = as_mpf(t, prec)
-            phi0, phi1 = _phi_ders_cached(spec, tv, 1, policy)[:2]
-            if phi0 == 0:
-                raise ExtrapolationUnstable(f"phi({t}) = 0; ratio undefined")
-            g = -mp.mpf(base.numerator) / base.denominator - tv * phi1 / phi0
-            xs.append(tv)
-            ys.append(g)
-        # Neville extrapolation of the samples to t = 0
-        n = len(xs)
-        tableau = [list(ys)]
-        for depth in range(1, n):
-            row = []
-            for i in range(n - depth):
-                hi = tableau[depth - 1][i + 1]
-                lo = tableau[depth - 1][i]
-                row.append(hi + (hi - lo) * xs[i + depth] / (xs[i] - xs[i + depth]))
-            tableau.append(row)
-        diagonal = [tableau[d][-1] for d in range(n)]
-        corrections = [abs(diagonal[i] - diagonal[i - 1]) for i in range(1, n)]
-        if len(corrections) >= 2:
-            last, prev = corrections[-1], corrections[-2]
-            floor = mp.mpf("1e-9") * (1 + abs(diagonal[-1]))
-            if last > 4 * prev and last > floor:
-                raise ExtrapolationUnstable(
-                    "extrapolation diagonal stopped converging: "
-                    f"corrections {mp.nstr(prev, 4)} -> {mp.nstr(last, 4)}"
-                )
-        err = corrections[-1] * 2 if corrections else mp.mpf(0)
-    return diagonal[-1], err
-
-
-def small_t_bound(
-    spec: RemainderSpec,
-    base_r,
-    t_sequence=None,
-    policy: PrecisionPolicy | None = None,
-) -> mp.mpf:
-    """Extrapolated limit of -base_r - t phi'(t)/phi(t) as t -> 0+.
-
-    If t^u phi is CM then u <= base_r + limit, so ``base_r + limit`` is a
-    numerical upper bound for the CM degree of phi.
-    """
-    policy = policy or PrecisionPolicy()
-    limit, _ = _small_t_detail(spec, base_r, t_sequence, policy)
-    return limit
-
-
 @dataclass(frozen=True)
 class DegreeBracket:
     """Evidence interval for a CM degree.
 
     lower: largest lattice exponent whose scan passed.
-    upper: smaller of the small-t criterion bound and the smallest lattice
-        exponent with a scan violation.
+    upper: the pole order p (inclusive), or the smallest lattice exponent
+        r_v <= p with a scan violation (exclusive: the degree lies below r_v).
     """
 
     spec: RemainderSpec
@@ -357,12 +291,12 @@ class DegreeBracket:
     upper_method: str  # "small_t_criterion" | "scan_violation"
     scan_violation_r: Fraction | None
     violation_evidence: CmCheckReport | None
-    small_t_limit: mp.mpf
-    small_t_error: mp.mpf
 
     def contains(self, x) -> bool:
         xv = _as_rational(x)
-        return self.lower <= xv and mp.mpf(xv.numerator) / xv.denominator <= self.upper
+        if self.scan_violation_r is not None:
+            return self.lower <= xv < self.scan_violation_r
+        return self.lower <= xv <= pole_order(self.spec)
 
 
 def degree_bracket(
@@ -372,7 +306,7 @@ def degree_bracket(
     grid: Grid | None = None,
     policy: PrecisionPolicy | None = None,
 ) -> DegreeBracket:
-    """Bracket the CM degree by lattice bisection plus the small-t bound.
+    """Bracket the CM degree by lattice bisection below the pole order.
 
     Inconclusive lattice points are excluded from both endpoints, widening
     the bracket conservatively.
@@ -382,7 +316,6 @@ def degree_bracket(
         raise InvalidSpec(f"lattice step must lie in (0, 1], got {step}")
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
-    limit, limit_err = _small_t_detail(spec, 0, None, policy)
 
     def check(idx: int) -> CmCheckReport:
         return cm_check(spec, step * idx, max_order, grid, policy)
@@ -394,68 +327,45 @@ def degree_bracket(
             "the member does not look completely monotonic on this grid"
         )
     pole = pole_order(spec)
-    hi = int(pole / step) + 1
-    hi_rep = check(hi)
-    tries = 0
-    while hi_rep.verdict != "violation" and tries < 8:
-        hi += max(1, int(1 / step))
-        hi_rep = check(hi)
-        tries += 1
-    if hi_rep.verdict != "violation":
-        hi = None  # no scan violation found; upper rests on the small-t bound
-
     lo, lo_rep = 0, rep0
-    if hi is not None:
-        top, top_rep = hi, hi_rep
-        while top - lo > 1:
-            mid = (lo + top) // 2
-            rep = check(mid)
-            if rep.verdict == "pass":
-                lo, lo_rep = mid, rep
-            elif rep.verdict == "violation":
-                top, top_rep = mid, rep
-            else:
-                # inconclusive midpoint: fall back to a linear sweep and
-                # keep the widest consistent bracket
-                sweep = {idx: check(idx) for idx in range(lo + 1, top)}
-                viols = [i for i, rp in sweep.items() if rp.verdict == "violation"]
-                if viols:
-                    top, top_rep = min(viols), sweep[min(viols)]
-                passes = [
-                    i for i, rp in sweep.items() if rp.verdict == "pass" and i < top
-                ]
-                if passes:
-                    lo, lo_rep = max(passes), sweep[max(passes)]
-                break
-        hi, hi_rep = top, top_rep
-
-    lower = step * lo
-    small_t_upper = limit  # base_r = 0
-    if hi is not None:
-        hi_value = as_mpf(step * hi, policy.working_bits)
-        if small_t_upper <= hi_value:
-            upper, method = small_t_upper, "small_t_criterion"
+    top = int(pole / step)
+    top_rep = check(top) if top > 0 else rep0
+    if top_rep.verdict == "pass":
+        lo, lo_rep = top, top_rep
+    while top - lo > 1:
+        mid = (lo + top) // 2
+        rep = check(mid)
+        if rep.verdict == "pass":
+            lo, lo_rep = mid, rep
+        elif rep.verdict == "violation":
+            top, top_rep = mid, rep
         else:
-            upper, method = hi_value, "scan_violation"
+            # inconclusive midpoint: fall back to a linear sweep and
+            # keep the widest consistent bracket
+            sweep = {idx: check(idx) for idx in range(lo + 1, top)}
+            viols = [i for i, rp in sweep.items() if rp.verdict == "violation"]
+            if viols:
+                top, top_rep = min(viols), sweep[min(viols)]
+            passes = [i for i, rp in sweep.items() if rp.verdict == "pass" and i < top]
+            if passes:
+                lo, lo_rep = max(passes), sweep[max(passes)]
+            break
+
+    if top_rep.verdict == "violation":
+        upper = as_mpf(step * top, policy.working_bits)
+        method, violation_r, violation_rep = "scan_violation", step * top, top_rep
     else:
-        upper, method = small_t_upper, "small_t_criterion"
-    if upper < as_mpf(lower, policy.working_bits):
-        raise CmdegError(
-            f"contradictory evidence for {spec.label}: scans pass at r = {lower} "
-            f"but the small-t criterion bounds the degree by {mp.nstr(upper, 12)}; "
-            "increase max_order or refine the grid"
-        )
+        upper = mp.mpf(pole)
+        method, violation_r, violation_rep = "small_t_criterion", None, None
     return DegreeBracket(
         spec=spec,
         step=step,
-        lower=lower,
+        lower=step * lo,
         upper=upper,
         lower_evidence=lo_rep,
         upper_method=method,
-        scan_violation_r=(step * hi) if hi is not None else None,
-        violation_evidence=hi_rep if hi is not None else None,
-        small_t_limit=limit,
-        small_t_error=limit_err,
+        scan_violation_r=violation_r,
+        violation_evidence=violation_rep,
     )
 
 

@@ -12,7 +12,6 @@ __all__ = [
     "InvalidSpec",
     "InvalidIndex",
     "QuadratureNotConverged",
-    "ExtrapolationUnstable",
 ]
 
 
@@ -39,6 +38,3 @@ class InvalidIndex(CmdegError):
 class QuadratureNotConverged(CmdegError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-
-class ExtrapolationUnstable(CmdegError):
-    """A limit extrapolation produced a non-converging diagonal."""

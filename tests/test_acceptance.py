@@ -29,10 +29,11 @@ from cmdeg import (
     h4_series_coefficient,
     kernel_h,
     laplace_reconstruct,
+    phi_derivatives,
+    pole_order,
     polygamma,
     q_value,
     remainder_value,
-    small_t_bound,
 )
 
 degree_module = importlib.import_module("cmdeg.degree")
@@ -85,12 +86,15 @@ def test_criterion_03_q_passes_full_monotonicity_scan_at_exponent_4():
 
 
 def test_criterion_04_small_t_limit_and_first_order_violation_above_5():
-    """[DERIVED] small-t extrapolation for t^4 Q gives 1 +/- 1e-3, and
-    exponent 5.05 already fails at derivative order 1."""
+    """[DERIVED] the small-t limit of -4 - t Q'/Q is exactly pole_order(Q) - 4
+    = 1, reached within 1e-20 at t = 1e-30, and exponent 5.05 already fails
+    at derivative order 1."""
     start = time.perf_counter()
-    bound = small_t_bound(Q, 4, policy=POLICY)
-    with mp.workprec(160):
-        assert abs(bound - 1) < mp.mpf("1e-3")
+    assert pole_order(Q) - 4 == 1
+    t = as_mpf("1e-30", POLICY.internal_bits())
+    q0, q1 = phi_derivatives(Q, t, 1, POLICY)
+    with mp.workprec(256):
+        assert abs(-4 - t * q1 / q0 - 1) < mp.mpf("1e-20")
     grid = Grid(Fraction(1, 100), Fraction(100), 30)
     report = cm_check(Q, "5.05", max_order=8, grid=grid, policy=POLICY)
     assert report.verdict == "violation"

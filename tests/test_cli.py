@@ -1,5 +1,5 @@
-"""Command-line interface: record schemas, formats, determinism, exit codes,
-and plot-data emission.
+"""Command-line interface: record schemas, formats, determinism and exit
+codes.
 
 Oracle notes: decimal prefixes are frozen from the exact identities behind
 the members -- Q(1) = pi^2/6 - 149/120 and Q'(1) = -2 zeta(3) + 7/3 (checked
@@ -7,24 +7,13 @@ elsewhere against 50-digit constants), h(1) against its closed form, and the
 expansion coefficients against their published exact values.
 """
 
-import io
 import json
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from cmdeg import (
-    CmCheckReport,
-    DegreeBracket,
-    Grid,
-    PrecisionPolicy,
-    RemainderSpec,
-    cm_check,
-    conjecture_scan,
-    q_value,
-)
-from cmdeg.cli import emit_plot_data, main
+from cmdeg import PrecisionPolicy, q_value
+from cmdeg.cli import main
 
 # frozen decimal prefixes (see module docstring)
 Q1_PREFIX = "0.011600733514893103"
@@ -45,7 +34,7 @@ def run_json(argv, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     record = json.loads(out)
-    assert record["schema"] == 1
+    assert record["schema"] == 2
     return record
 
 
@@ -93,7 +82,7 @@ def test_eval_csv_lists_all_derivative_orders(capsys):
 def test_eval_text_format(capsys):
     code, out = run_cli(["eval", "--special", "Q", "--t", "1", "--format", "text"], capsys)
     assert code == 0
-    assert "schema: 1" in out
+    assert "schema: 2" in out
     assert "command: eval" in out
     assert "value: " + Q1_PREFIX in out
 
@@ -166,6 +155,14 @@ def test_kernel_scan(capsys):
     assert record["checked"] == 54
     assert record["all_positive"] is True
     assert record["failures"] == []
+
+
+def test_kernel_options_before_the_sub_operation_are_honoured(capsys):
+    record = run_json(["kernel", "--prec", "256", "laplace", "--t", "2"], capsys)
+    assert record["precision_bits"] == 256
+    code, out = run_cli(["kernel", "--format", "csv", "coeffs", "--from", "7", "--to", "7"], capsys)
+    assert code == 0
+    assert out == "k,numerator,denominator\n7,5,14\n"
 
 
 def test_kernel_without_argument_is_a_computation_error(capsys):
@@ -275,9 +272,10 @@ def test_degree_bracket_record(capsys):
     assert record["step"] == "1"
     assert record["lower"]["lattice"] == "4"
     assert record["lower"]["decimal"] == "4.0"
-    assert record["upper"]["decimal"].startswith("4.999999988")
-    assert record["upper_method"] == "small_t_criterion"
+    assert record["upper"]["decimal"] == "5.0"
+    assert record["upper_method"] == "scan_violation"
     assert record["scan_violation_r"] == "5"
+    assert "small_t_limit" not in record and "small_t_error" not in record
     assert record["lower_evidence"]["verdict"] == "pass"
     assert record["lower_evidence"]["r"] == "4"
 
@@ -299,8 +297,9 @@ def test_degree_fine_step(capsys):
     )
     assert record["step"] == "1/20"
     assert record["lower"]["lattice"] == "1"
-    assert record["upper"]["decimal"].startswith("1.000")
-    assert record["scan_violation_r"] == "21/20"
+    assert record["upper"]["decimal"] == "1.0"
+    assert record["upper_method"] == "small_t_criterion"
+    assert record["scan_violation_r"] is None
 
 
 def test_conjectures_record(capsys):
@@ -420,7 +419,7 @@ def test_nonpositive_argument_is_a_structured_error(capsys):
     code, out = run_cli(["eval", "--special", "Q", "--t", "-3"], capsys)
     assert code == 1
     record = json.loads(out)
-    assert record["schema"] == 1
+    assert record["schema"] == 2
     assert record["command"] == "eval"
     assert record["error"]["type"] == "NonPositiveArgument"
     assert "value" not in record
@@ -458,79 +457,3 @@ def test_missing_member_selection_is_a_structured_error(capsys):
     assert code == 1
     record = json.loads(out)
     assert record["error"]["type"] == "CmdegError"
-
-
-# ---------------------------------------------------------------------------
-# plot-data emission
-
-
-POLICY = PrecisionPolicy(working_bits=128)
-Q = RemainderSpec(special="Q")
-PLOT_GRID = Grid(Fraction(1, 10), Fraction(10), 6)
-
-
-def test_emit_plot_data_for_a_scan_report():
-    rep = cm_check(Q, 4, max_order=3, grid=PLOT_GRID, policy=POLICY)
-    buf = io.StringIO()
-    emit_plot_data(rep, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,k,value"
-    assert len(lines) == 1 + 6 * 4
-
-
-def test_emit_plot_data_for_an_empty_report_is_header_only():
-    rep = CmCheckReport(
-        spec=Q,
-        r=Fraction(4),
-        max_order=0,
-        grid=PLOT_GRID,
-        working_bits=128,
-        verdict="pass",
-        violations=(),
-        inconclusive=(),
-        values=(),
-    )
-    buf = io.StringIO()
-    emit_plot_data(rep, buf)
-    assert buf.getvalue() == "t,k,value\n"
-
-
-def test_emit_plot_data_for_a_conjecture_scan(tmp_path):
-    scan = conjecture_scan(0, 1, max_order=4, grid=PLOT_GRID, policy=POLICY)
-    target = tmp_path / "cells.csv"
-    emit_plot_data(scan, target)
-    lines = target.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "n,m,lower,upper,conjectured"
-    assert len(lines) == 3
-    buf = io.StringIO()
-    emit_plot_data(scan, buf)
-    assert buf.getvalue() == target.read_text(encoding="utf-8")
-
-
-def test_emit_plot_data_rejects_other_objects():
-    evidence = CmCheckReport(
-        spec=Q,
-        r=Fraction(4),
-        max_order=0,
-        grid=PLOT_GRID,
-        working_bits=128,
-        verdict="pass",
-        violations=(),
-        inconclusive=(),
-        values=(),
-    )
-    bracket = DegreeBracket(
-        spec=Q,
-        step=Fraction(1),
-        lower=Fraction(4),
-        upper=mp.mpf(5),
-        lower_evidence=evidence,
-        upper_method="lattice_violation",
-        scan_violation_r=Fraction(5),
-        violation_evidence=None,
-        small_t_limit=None,
-        small_t_error=None,
-    )
-    for obj in (42, "report", bracket):
-        with pytest.raises(TypeError):
-            emit_plot_data(obj, io.StringIO())

@@ -1,12 +1,12 @@
-"""Sign scans over grids, the small-t degree criterion, bracket assembly,
-and the family-wide conjecture scan.
+"""Sign scans over grids, bracket assembly below the pole order, and the
+family-wide conjecture scan.
 
 Oracle notes: signed derivatives are cross-checked against mpmath's numeric
 differentiation of t^r * q_value(t), which shares no code with the
-phi_derivatives path.  Small-t limits are checked against the degrees they
-approximate; the refutation test for phi(0,3) rests on the series
-t^3 phi(0,3) = 1 - t + 2 zeta(3) t^3 - 6 zeta(4) t^4 + ... near t = 0,
-whose order-3 signed derivative tends to -12 zeta(3) < 0.
+phi_derivatives path.  The pole order that caps every bracket is checked
+against -t phi'/phi at t = 2^-200; the refutation test for phi(0,3) rests
+on the series t^3 phi(0,3) = 1 - t + 2 zeta(3) t^3 - 6 zeta(4) t^4 + ...
+near t = 0, whose order-3 signed derivative tends to -12 zeta(3) < 0.
 """
 
 import dataclasses
@@ -23,8 +23,9 @@ degree_module = importlib.import_module("cmdeg.degree")
 polygamma_module = importlib.import_module("cmdeg.polygamma")
 
 from cmdeg import (
+    PHI_M_MAX,
+    PHI_N_MAX,
     CmdegError,
-    ExtrapolationUnstable,
     Grid,
     InvalidIndex,
     InvalidSpec,
@@ -39,10 +40,10 @@ from cmdeg import (
     degree_bracket,
     established_degree,
     phi_derivatives,
+    pole_order,
     q_value,
     remainder_value,
     signed_derivative,
-    small_t_bound,
 )
 
 POLICY = PrecisionPolicy(working_bits=128)
@@ -198,7 +199,23 @@ def test_exponent_accepts_equivalent_forms():
     a = signed_derivative(Q, Fraction(9, 2), 2, 1, POLICY)
     b = signed_derivative(Q, "9/2", 2, 1, POLICY)
     c = signed_derivative(Q, 4.5, 2, 1, POLICY)
-    assert a == b == c
+    d = signed_derivative(Q, mp.mpf("4.5"), 2, 1, POLICY)
+    assert a == b == c == d
+
+
+def test_exponents_are_read_exactly():
+    grid = Grid(Fraction(1), Fraction(2), 2)
+    assert cm_check(Q, mp.mpf(4), 1, grid, POLICY) == cm_check(Q, 4, 1, grid, POLICY)
+    with mp.workprec(200):
+        x = mp.mpf(-1) / 3
+        q = degree_module._as_rational(x)
+        assert q != Fraction(-1, 3) and abs(q + Fraction(1, 3)) < Fraction(1, 2**200)
+        assert mp.mpf(q.numerator) / q.denominator == x
+    assert degree_module._as_rational(5 - 2.0**-45) == 5 - Fraction(1, 2**45)
+    assert degree_module._as_rational(0.1) == Fraction(3602879701896397, 2**55)
+    for bad in (mp.inf, mp.nan, float("inf"), float("nan")):
+        with pytest.raises(InvalidSpec):
+            degree_module._as_rational(bad)
 
 
 def _per_term_row(r, max_order, t, ders, bits):
@@ -361,71 +378,6 @@ def test_max_order_validation(bad):
 
 
 # ---------------------------------------------------------------------------
-# the small-t upper-bound criterion
-
-
-def test_small_t_bound_for_q_at_base_four():
-    v = small_t_bound(Q, 4, policy=POLICY)
-    assert abs(v - 1) < mp.mpf("1e-3")
-
-
-def test_small_t_bound_specials():
-    assert abs(small_t_bound(PSIGAP, 0, policy=POLICY) - 1) < mp.mpf("5e-3")
-    assert abs(small_t_bound(TRIGAP, 0, policy=POLICY) - 3) < mp.mpf("1e-3")
-
-
-def test_small_t_base_shift_is_exact():
-    b0 = small_t_bound(Q, 0, policy=POLICY)
-    b4 = small_t_bound(Q, 4, policy=POLICY)
-    with mp.workprec(220):
-        assert abs(b0 - b4 - 4) < mp.mpf(2) ** -100
-
-
-def test_small_t_custom_sequence():
-    seq = (Fraction(1, 50), Fraction(1, 500), Fraction(1, 5000), Fraction(1, 50000))
-    v = small_t_bound(Q, 4, t_sequence=seq, policy=POLICY)
-    assert abs(v - 1) < mp.mpf("1e-3")
-
-
-@pytest.mark.parametrize(
-    "seq",
-    [
-        (Fraction(1, 10),),
-        (Fraction(1, 10), Fraction(1, 10)),
-        (Fraction(1, 100), Fraction(1, 10)),
-        (Fraction(1, 10), Fraction(0)),
-        (Fraction(1, 10), Fraction(-1, 100)),
-    ],
-)
-def test_small_t_sequence_validation(seq):
-    with pytest.raises(InvalidSpec):
-        small_t_bound(Q, 4, t_sequence=seq, policy=POLICY)
-
-
-def test_diverging_extrapolation_is_detected(monkeypatch):
-    calls = {"i": 0}
-
-    def erratic(spec, tv, i_max, policy):
-        # a spike in the first (largest-t) sample only reaches the diagonal at
-        # full depth, so the final correction jumps and the detector must fire
-        calls["i"] += 1
-        slope = mp.mpf(-1e13) if calls["i"] == 1 else mp.mpf(-10) / tv
-        return [mp.mpf(1), slope]
-
-    monkeypatch.setattr(degree_module, "_phi_ders_cached", erratic)
-    with pytest.raises(ExtrapolationUnstable):
-        small_t_bound(Q, 0, policy=POLICY)
-
-
-def test_vanishing_member_is_detected(monkeypatch):
-    monkeypatch.setattr(
-        degree_module, "_phi_ders_cached", lambda spec, tv, i_max, policy: [mp.mpf(0), mp.mpf(1)]
-    )
-    with pytest.raises(ExtrapolationUnstable):
-        small_t_bound(Q, 0, policy=POLICY)
-
-
-# ---------------------------------------------------------------------------
 # degree brackets
 
 
@@ -433,12 +385,10 @@ def test_q_bracket_on_the_integer_lattice():
     br = degree_bracket(Q, 1, max_order=8, grid=GRID60, policy=POLICY)
     assert br.lower == 4
     assert br.scan_violation_r == 5
-    assert br.upper_method == "small_t_criterion"
-    assert br.upper < 5
-    assert abs(br.upper - 5) < mp.mpf("1e-3")
-    assert br.upper == br.small_t_limit
-    assert br.small_t_error > 0
-    assert br.contains(4) and br.contains("9/2")
+    assert br.upper_method == "scan_violation"
+    assert br.upper == 5 and isinstance(br.upper, mp.mpf)
+    assert br.contains(4) and br.contains("9/2") and br.contains(5 - 2.0**-45)
+    assert br.contains(mp.mpf(4))
     assert not br.contains(3) and not br.contains(5) and not br.contains(6)
     assert br.lower_evidence.verdict == "pass" and br.lower_evidence.r == 4
     assert br.violation_evidence.verdict == "violation" and br.violation_evidence.r == 5
@@ -447,34 +397,61 @@ def test_q_bracket_on_the_integer_lattice():
 def test_specials_bracket_their_established_degrees():
     psi = degree_bracket(PSIGAP, Fraction(1, 20), max_order=8, grid=GRID60, policy=POLICY)
     assert psi.lower == 1
-    assert psi.contains(1)
-    assert psi.upper < mp.mpf("1.05")
-    assert psi.scan_violation_r == Fraction(21, 20)
+    assert psi.upper == 1
+    assert psi.upper_method == "small_t_criterion"
+    assert psi.scan_violation_r is None and psi.violation_evidence is None
+    assert psi.contains(1) and psi.contains(1.0) and psi.contains(mp.mpf(1))
+    assert not psi.contains(1 + 1e-13) and not psi.contains(Fraction(19, 20))
     tri = degree_bracket(TRIGAP, Fraction(1, 20), max_order=8, grid=GRID60, policy=POLICY)
     assert tri.lower == 3
+    assert tri.upper == 3
+    assert tri.upper_method == "small_t_criterion"
+    assert tri.scan_violation_r is None and tri.violation_evidence is None
     assert tri.contains(3)
-    assert tri.upper < mp.mpf("3.05")
-    assert tri.scan_violation_r == Fraction(61, 20)
+    assert not tri.contains(Fraction(61, 20)) and not tri.contains(Fraction(59, 20))
 
 
 def test_phi00_brackets_degree_zero():
     br = degree_bracket(PHI00, 1, max_order=8, grid=GRID60, policy=POLICY)
     assert br.lower == 0
+    assert br.upper == 0
+    assert br.upper_method == "small_t_criterion"
+    assert br.scan_violation_r is None
     assert br.contains(0)
-    assert br.scan_violation_r == 1
-    assert 0 < br.upper < mp.mpf("0.5")
+    assert not br.contains(Fraction(1, 10**9))
 
 
 def test_refining_the_lattice_tightens_the_q_bracket():
     br = degree_bracket(Q, Fraction(1, 20), max_order=8, grid=GRID60, policy=POLICY)
     assert br.step == Fraction(1, 20)
     assert (br.lower * 20).denominator == 1
-    assert Fraction(24, 5) <= br.lower < 5
-    assert br.upper <= mp.mpf(5)
+    assert br.lower == Fraction(24, 5)
+    assert br.upper_method == "scan_violation"
+    assert br.scan_violation_r == Fraction(97, 20) == br.lower + br.step
+    assert br.upper == as_mpf(Fraction(97, 20), POLICY.working_bits)
     assert not br.contains(4)  # the fine lattice excludes the coarse lower endpoint
+    assert not br.contains(Fraction(97, 20))
     coarse = degree_bracket(Q, 1, max_order=8, grid=GRID60, policy=POLICY)
-    assert coarse.lower <= br.lower
-    assert br.upper <= coarse.upper
+    assert coarse.lower < br.lower
+    assert br.scan_violation_r < coarse.scan_violation_r
+
+
+@pytest.mark.parametrize("n", range(PHI_N_MAX + 1))
+@pytest.mark.parametrize("m", range(PHI_M_MAX + 1))
+def test_pole_order_is_the_small_t_exponent(n, m):
+    """Premise of the upper end: phi > 0 near 0+ and -t phi'/phi tends to
+    pole_order, or to 0 through positive values for the log singularity."""
+    spec = RemainderSpec(n=n, m=m)
+    p = pole_order(spec)
+    t = mp.mpf(2) ** -200
+    phi0, phi1 = phi_derivatives(spec, t, 1, PrecisionPolicy(working_bits=256))
+    assert phi0 > 0
+    with mp.workprec(512):
+        ratio = -t * phi1 / phi0
+        if p > 0:
+            assert abs(ratio - p) < mp.mpf(2) ** -60
+        else:
+            assert 0 < ratio < mp.mpf("0.01")
 
 
 @pytest.mark.parametrize("step", [0, Fraction(0), 2, Fraction(3, 2), -1, "1.5"])
@@ -495,16 +472,6 @@ def test_non_monotone_member_is_an_error(monkeypatch):
     monkeypatch.setattr(degree_module, "cm_check", fake)
     with pytest.raises(CmdegError, match="completely monotonic"):
         degree_bracket(Q, 1, max_order=2, grid=TINY_GRID, policy=POLICY)
-
-
-def test_contradictory_small_t_bound_is_an_error(monkeypatch):
-    monkeypatch.setattr(
-        degree_module,
-        "_small_t_detail",
-        lambda spec, base_r, seq, policy: (mp.mpf("0.5"), mp.mpf("1e-9")),
-    )
-    with pytest.raises(CmdegError, match="contradictory"):
-        degree_bracket(Q, 1, max_order=4, grid=SMALL_GRID, policy=POLICY)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +550,11 @@ def test_scan_reports_refutations_honestly():
     by = {(c.n, c.m): c for c in rep.cells}
     assert by[(0, 3)].contains_conjectured is False
     assert by[(0, 3)].established is None
-    assert float(by[(0, 3)].bracket.upper) < 3
+    assert by[(0, 3)].bracket.lower == 2
+    assert by[(0, 3)].bracket.upper == 3
+    assert by[(0, 3)].bracket.upper_method == "scan_violation"
+    assert by[(0, 3)].bracket.scan_violation_r == 3
+    assert not by[(0, 3)].bracket.contains(3)
     for nm in [(0, 0), (0, 1), (0, 2)]:
         assert by[nm].contains_conjectured is True
 
