@@ -17,6 +17,35 @@ integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.
 Both run through one shift loop, ``_shift_and_sum``; each supplies its
 own series and its own way of undoing the shift.
 
+Fixed-point arithmetic.  The shift loop, both series and both unshifts run
+on plain Python integers; mpmath only supplies the logarithms and the final
+rounding.  The representation and the reasons for each part:
+
+* t is held exactly as num / 2^sh, read from its mantissa and exponent, so
+  the shifts t, t+1, ..., w-1 are exact integers num + j 2^sh and each
+  1/(t+j) costs one integer division.
+* Every other quantity is an integer X standing for X / 2^scale.  The
+  internal precision P0 = working_bits + PAD_BITS + compensation sets the
+  absolute truncation target 2^(8-P0).  The scale is wider:
+  scale = P0 + (k_max+1) * bitlen(floor w), with k_max = 0 for ln Gamma.
+  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k), and an absolute
+  2^(-P0) would keep only P0 - k bitlen(w) of its bits; the widening makes
+  w^-(k_max+1) still carry P0 significant bits, so the block is accurate
+  relative to its own size.
+* w^(-2i) underflows at any fixed scale while |B_2i| grows past 2^400 (512
+  working bits, w ~ 171), so B_2i w^(-2i) at 2^scale alone would be only
+  2^(-scale) * |B_2i| accurate.  It is therefore held as v / 2^e with
+  scale + _FIXED_GUARD_BITS significant bits in v: a guard scale
+  2^(e - scale) that grows with i, divided out together with B_2i's
+  denominator.
+* Order k >= 1 stops at its first term below 2^(8-P0) * min(1, (k-1)!
+  t^-k), the absolute target scaled down to the smallest value
+  |psi^(k)(t)| can take, so every order is accurate relative to its value;
+  order 0 and ln Gamma keep the absolute target.
+* ln Gamma undoes its shift with one log of the product t(t+1)...(w-1),
+  carried to scale + _FIXED_GUARD_BITS significant bits: one log per
+  value, not one per shift.
+
 Blocks and ln Gamma values are memoised per process on exactly what the
 computation reads: (k_max, t, working_bits) and (t, working_bits).  A
 smaller k_max is never served from a prefix of a larger block: the internal
@@ -32,9 +61,10 @@ achieved bound and shifts further when a high derivative order requires it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 
 import mpmath as mp
+from mpmath import libmp
 
 from .bernoulli import bernoulli
 from .errors import InvalidIndex, NonPositiveArgument, PrecisionUnreachable
@@ -44,6 +74,10 @@ __all__ = ["polygamma", "log_gamma", "polygamma_block"]
 
 #: Hard budget on extra recurrence shifts beyond the baseline target.
 MAX_EXTRA_SHIFTS = 10**6
+
+#: Significant bits beyond the scale kept in w^(-2i) and in the ln Gamma
+#: shift product, absorbing their relative rounding over a few hundred steps.
+_FIXED_GUARD_BITS = 32
 
 
 def _shift_target(working_bits: int) -> int:
@@ -57,43 +91,78 @@ def _magnitude_compensation(k: int, t: mp.mpf) -> int:
     return fact_bits + (k + 1) * neg_log_t + 4
 
 
-def _psi_series(k_max: int, w: mp.mpf, target: mp.mpf) -> list[mp.mpf] | None:
-    """Asymptotic series for psi^(0)(w) .. psi^(k_max)(w) at large w.
+def _exact(t: mp.mpf) -> tuple[int, int]:
+    """(num, sh) with t = num / 2^sh exactly."""
+    return (t.man << t.exp, 0) if t.exp >= 0 else (t.man, -t.exp)
+
+
+def _fixed_log(man: int, exp: int, scale: int) -> int:
+    """ln(man * 2^exp) for man > 0, as an integer at 2^scale."""
+    mag = abs(man.bit_length() + exp).bit_length()  # bits of |ln x| / ln 2
+    return libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(man, exp), scale + mag + 8), scale)
+
+
+def _inverse_even_powers(w: int, sh: int, scale: int):
+    """Yield (v, e) with v / 2^e = (w / 2^sh)^(-2i) for i = 1, 2, ..., v
+    keeping scale + _FIXED_GUARD_BITS significant bits (e > scale always)."""
+    keep = scale + _FIXED_GUARD_BITS
+    bits = 2 * w.bit_length()
+    m2 = (1 << (keep + bits)) // (w * w)
+    e2 = keep + bits - 2 * sh
+    v, e = m2, e2
+    while True:
+        yield v, e
+        v *= m2
+        excess = v.bit_length() - keep
+        v >>= excess
+        e += e2 - excess
+
+
+def _psi_series(
+    k_max: int, t: int, w: int, sh: int, scale: int, target: int
+) -> list[int] | None:
+    """Asymptotic series for psi^(0)(w) .. psi^(k_max)(w) at large w =
+    w / 2^sh, as integers at 2^scale; t / 2^sh is the unshifted argument.
 
     One pass over the Bernoulli index i serves every order: B_2i / w^(2i)
     is formed once per i, and order k's term is that value times the
     integer (2i+k-1)!/(2i)! and w^(-k) (times 1/(2i) for k = 0).  Each
-    order is truncated at its own smallest term.  Returns None as soon as
-    any order's terms grow before reaching ``target`` (caller must shift
+    order is truncated at its own smallest term, below ``target`` (for
+    k >= 1 scaled by min(1, (k-1)! t^-k)).  Returns None as soon as any
+    order's terms grow before reaching its target (caller must shift
     further).
     """
-    u = 1 / w
-    u2 = u * u
-    upow = [mp.mpf(1)]  # w^(-k) for k = 0 .. k_max+1
+    u = (1 << (scale + sh)) // w
+    upow = [1 << scale]  # w^(-k) for k = 0 .. k_max+1
     for _ in range(k_max + 1):
-        upow.append(upow[-1] * u)
+        upow.append(upow[-1] * u >> scale)
+    targets = [target]
+    for k in range(1, k_max + 1):
+        lead, t_k = factorial(k - 1) << (k * sh), t**k  # (k-1)! t^-k = lead / t_k
+        targets.append(target if lead >= t_k else target * lead // t_k)
     # k = 0:  ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
     # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
     #                      + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
-    totals = [mp.log(w) - u / 2]
-    coeffs = [None]  # (2i+k-1)!/(2i)! at the current i
+    totals = [_fixed_log(w, -sh, scale) - (u >> 1)]
+    coeffs = [1]  # (2i+k-1)!/(2i)! at the current i
     for k in range(1, k_max + 1):
-        totals.append(factorial(k - 1) * upow[k] + factorial(k) * upow[k + 1] / 2)
+        totals.append(factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> 1))
         coeffs.append(factorial(k + 1) // 2)
-    prev = [mp.inf] * (k_max + 1)
+    prev = [inf] * (k_max + 1)
     open_orders = list(range(k_max + 1))
-    u2i = u2  # w^(-2i)
+    powers = _inverse_even_powers(w, sh, scale)
     i = 1
     while open_orders:
         b = bernoulli(2 * i)
-        shared = mp.mpf(b.numerator) / b.denominator * u2i
+        v, e = next(powers)
+        shared = b.numerator * v // b.denominator  # B_2i w^(-2i) at 2^e
         still_open = []
         for k in open_orders:
+            term = shared * coeffs[k] * upow[k] >> e
             if k == 0:
-                term = shared / (2 * i)
+                term //= 2 * i
                 totals[0] -= term
             else:
-                term = shared * coeffs[k] * upow[k]
                 totals[k] += term
                 coeffs[k] = coeffs[k] * (2 * i + k + 1) * (2 * i + k) // (
                     (2 * i + 2) * (2 * i + 1)
@@ -101,11 +170,10 @@ def _psi_series(k_max: int, w: mp.mpf, target: mp.mpf) -> list[mp.mpf] | None:
             size = abs(term)
             if size > prev[k]:
                 return None  # terms growing before target met
-            if size > target:
+            if size > targets[k]:
                 prev[k] = size
                 still_open.append(k)
         open_orders = still_open
-        u2i *= u2
         i += 1
     return [x if k % 2 or k == 0 else -x for k, x in enumerate(totals)]
 
@@ -117,55 +185,67 @@ def _round_out(x: mp.mpf, working_bits: int) -> mp.mpf:
         return +x
 
 
-def _stirling_series(w: mp.mpf, target: mp.mpf) -> mp.mpf | None:
-    """Stirling series for ln Gamma(w) at large w, truncated at its smallest
-    term.  Returns None as soon as the terms grow before reaching ``target``
-    (caller must shift further)."""
-    total = (w - mp.mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
-    w2 = w * w
-    wpow = +w
-    prev = mp.inf
+def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
+    """The integer x at 2^scale, exactly as an mpf, then ``_round_out``."""
+    return _round_out(mp.make_mpf(libmp.from_man_exp(x, -scale)), working_bits)
+
+
+def _stirling_series(w: int, sh: int, scale: int, target: int) -> int | None:
+    """Stirling series for ln Gamma(w) at large w = w / 2^sh, as an integer
+    at 2^scale, truncated at its smallest term.  Returns None as soon as
+    the terms grow before reaching ``target`` (caller must shift further)."""
+    half_log_2pi = libmp.to_fixed(
+        libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(scale + 8), 1), scale + 8), scale - 1
+    )
+    # (w - 1/2) ln w - w + ln(2 pi)/2
+    log_w = _fixed_log(w, -sh, scale)
+    total = ((2 * w - (1 << sh)) * log_w >> (sh + 1)) - (w << scale >> sh) + half_log_2pi
+    prev = inf
     i = 1
-    while True:
+    for v, e in _inverse_even_powers(w, sh, scale):
+        # B_2i / (2i (2i-1) w^(2i-1)) = B_2i w w^(-2i) / (2i (2i-1))
         b = bernoulli(2 * i)
-        term = mp.mpf(b.numerator) / (b.denominator * 2 * i * (2 * i - 1)) / wpow
+        term = (b.numerator * v * w >> (e + sh - scale)) // (
+            b.denominator * 2 * i * (2 * i - 1)
+        )
         if abs(term) > prev:
             return None
         total += term
         if abs(term) <= target:
             return total
         prev = abs(term)
-        wpow *= w2
         i += 1
 
 
-def _shift_and_sum(t: mp.mpf, working_bits: int, comp: int, series, unshift, what: str):
-    """The shift-and-series scheme at the internal precision for
-    ``working_bits`` plus ``comp`` compensation bits.
+def _shift_and_sum(
+    t: mp.mpf, working_bits: int, comp: int, orders: int, series, unshift, what: str
+):
+    """The shift-and-series scheme at internal precision P0 = the policy's
+    internal bits for ``working_bits`` plus ``comp`` compensation bits.
 
-    Shifts t upward by 1 until ``series(w, target)`` converges at the
-    shifted point w, raising the shift target each time it does not, and
-    returns ``unshift(tail, shifted)`` where ``shifted`` lists t, t+1, ...,
-    w-1.  Both callables run at the internal precision.  Raises
-    PrecisionUnreachable once the extra shifts exceed ``MAX_EXTRA_SHIFTS``.
+    Shifts t = num / 2^sh upward by 1 until ``series(w, sh, scale, target)``
+    converges at the shifted point w / 2^sh, raising the shift target each
+    time it does not, and returns ``(unshift(tail, num, sh, steps, scale),
+    scale)`` where ``steps`` = w - t and every value is an integer at
+    2^scale, scale = P0 + orders * bitlen(floor w), target = 2^(8-P0).
+    Raises PrecisionUnreachable once the extra shifts exceed
+    ``MAX_EXTRA_SHIFTS``.
     """
-    prec = PrecisionPolicy(working_bits).internal_bits(comp)
-    with mp.workprec(prec):
-        target = mp.mpf(2) ** (8 - prec)
-        base = _shift_target(working_bits)
-        extra = 0
-        while True:
-            shifted: list[mp.mpf] = []
-            w = +t
-            while w < base + extra:
-                shifted.append(w)
-                w += 1
-            tail = series(w, target)
-            if tail is not None:
-                return unshift(tail, shifted)
-            extra += max(base, (base + extra) // 2)
-            if extra > MAX_EXTRA_SHIFTS:
-                raise PrecisionUnreachable(f"{what}: shift budget exhausted")
+    p0 = PrecisionPolicy(working_bits).internal_bits(comp)
+    num, sh = _exact(t)
+    base = _shift_target(working_bits)
+    extra = 0
+    while True:
+        # fewest steps with t + steps >= base + extra
+        steps = max(0, -((num - ((base + extra) << sh)) >> sh))
+        w = num + (steps << sh)
+        scale = p0 + orders * (w >> sh).bit_length()
+        tail = series(w, sh, scale, 1 << (scale - p0 + 8))
+        if tail is not None:
+            return unshift(tail, num, sh, steps, scale), scale
+        extra += max(base, (base + extra) // 2)
+        if extra > MAX_EXTRA_SHIFTS:
+            raise PrecisionUnreachable(f"{what}: shift budget exhausted")
 
 
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -173,7 +253,8 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
 
     Absolute error stays below ``2**(-working_bits + GUARD_BITS)``; values of
     large magnitude keep correspondingly many mantissa bits so the bound holds
-    absolutely, not just relatively.  Evaluated as the last order of
+    absolutely, not just relatively, and for k >= 1 the error is also below
+    that bound relative to the value.  Evaluated as the last order of
     ``polygamma_block(k, t, policy)``.
     """
     if not isinstance(k, int) or k < 0:
@@ -195,50 +276,54 @@ def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> lis
 
 @lru_cache(maxsize=4096)
 def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
-    def unshift(tails: list[mp.mpf], shifted: list[mp.mpf]) -> list[mp.mpf]:
-        # inverse powers of every shifted-through point, shared across orders
-        points = [1 / w for w in shifted]
-        powers = [mp.mpf(1)] * len(points)
-        results = []
-        for k in range(k_max + 1):
-            shift_sum = mp.mpf(0)
-            for idx, u in enumerate(points):
-                powers[idx] *= u
-                shift_sum += powers[idx]
-            if k == 0:
-                results.append(tails[0] - shift_sum)
-            elif k % 2:
-                results.append(tails[k] + mp.mpf(factorial(k)) * shift_sum)
-            else:
-                results.append(tails[k] - mp.mpf(factorial(k)) * shift_sum)
+    def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
+        # sums over the shifted-through points of (t+j)^-(k+1), per order k
+        shift_sums = [0] * (k_max + 1)
+        for j in range(steps):
+            u = (1 << (scale + sh)) // (num + (j << sh))
+            power = u
+            shift_sums[0] += power
+            for k in range(1, k_max + 1):
+                power = power * u >> scale
+                shift_sums[k] += power
+        results = [tails[0] - shift_sums[0]]
+        for k in range(1, k_max + 1):
+            jump = factorial(k) * shift_sums[k]
+            results.append(tails[k] + jump if k % 2 else tails[k] - jump)
         return results
 
-    results = _shift_and_sum(
+    num = _exact(tv)[0]
+    results, scale = _shift_and_sum(
         tv,
         working_bits,
         _magnitude_compensation(k_max, tv),
-        lambda w, target: _psi_series(k_max, w, target),
+        k_max + 1,
+        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target),
         unshift,
         f"polygamma block up to order {k_max}",
     )
-    return tuple(_round_out(x, working_bits) for x in results)
+    return tuple(_from_fixed(x, scale, working_bits) for x in results)
 
 
-def _unshift_log_gamma(tail: mp.mpf, shifted: list[mp.mpf]) -> mp.mpf:
-    # ln Gamma(t) = ln Gamma(w) - ln t - ln(t+1) - ... - ln(w-1)
-    log_sum = mp.mpf(0)
-    for w in shifted:
-        log_sum += mp.log(w)
-    return tail - log_sum
+def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> int:
+    # ln Gamma(t) = ln Gamma(w) - ln(t (t+1) ... (w-1)), the product kept to
+    # scale + _FIXED_GUARD_BITS significant bits times 2^dropped
+    product, dropped = 1, 0
+    for j in range(steps):
+        product *= num + (j << sh)
+        excess = max(0, product.bit_length() - scale - _FIXED_GUARD_BITS)
+        product >>= excess
+        dropped += excess
+    return tail - _fixed_log(product, dropped - steps * sh, scale)
 
 
 @lru_cache(maxsize=4096)
 def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
     comp = 6 + max(0, -mag_bits(t))  # |ln t| grows only logarithmically
-    result = _shift_and_sum(
-        t, working_bits, comp, _stirling_series, _unshift_log_gamma, "log_gamma"
+    result, scale = _shift_and_sum(
+        t, working_bits, comp, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
     )
-    return _round_out(result, working_bits)
+    return _from_fixed(result, scale, working_bits)
 
 
 def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:

@@ -66,6 +66,16 @@ def test_eval_derivative(capsys):
     assert record["value"]["decimal"].startswith(QPRIME1_PREFIX)
 
 
+def test_eval_large_t_high_derivative_golden(capsys):
+    # a tiny value after heavy cancellation: every printed digit agrees with
+    # mpmath at 1200 bits, so the polygamma block must be accurate relative
+    # to its own size at t = 1e6, not only to the absolute target
+    record = run_json(
+        ["eval", "--special", "Q", "--t", "1e6", "--derivative", "7", "--prec", "64"], capsys
+    )
+    assert record["value"] == {"decimal": "-2.0591999999891892e-79", "digits": 21}
+
+
 def test_eval_csv_lists_all_derivative_orders(capsys):
     code, out = run_cli(
         ["eval", "--special", "Q", "--t", "1", "--derivative", "1", "--format", "csv"],

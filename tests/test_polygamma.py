@@ -26,6 +26,7 @@ from cmdeg import (
     polygamma_block,
 )
 from cmdeg.cli import main
+from cmdeg.precision import GUARD_BITS
 
 POLICY = PrecisionPolicy(working_bits=128)
 
@@ -188,6 +189,26 @@ def test_block_matches_pointwise():
                         assert abs(value - expected) <= tol, (bits, k_max, t, k)
 
 
+@pytest.mark.parametrize("bits", [64, 128, 512, 1024])
+@pytest.mark.parametrize("t", ["1e-4", "0.3387", "3.5", "9000", "1e6"])
+def test_block_and_log_gamma_relative_accuracy(t, bits):
+    # orders k >= 1 within 2^(GUARD_BITS - working_bits) of mpmath at four
+    # times the bits *relative to the value*, which at large t is far below
+    # the absolute target; order 0 and ln Gamma to the same bound times
+    # max(1, |value|)
+    policy = PrecisionPolicy(working_bits=bits)
+    with mp.workprec(4 * bits):
+        bound = mp.mpf(2) ** (GUARD_BITS - bits)
+        psi = [mp.psi(k, mp.mpf(t)) for k in range(19)]
+        scales = [max(1, abs(psi[0]))] + [abs(x) for x in psi[1:]]
+        for k_max in (0, 3, 12, 18):
+            block = polygamma_block(k_max, t, policy)
+            for k, value in enumerate(block):
+                assert abs(value - psi[k]) <= bound * scales[k], (k_max, k)
+        expected = mp.loggamma(mp.mpf(t))
+        assert abs(log_gamma(t, policy) - expected) <= bound * max(1, abs(expected))
+
+
 def test_determinism():
     a = polygamma(2, "3.25", POLICY)
     b = polygamma(2, "3.25", POLICY)
@@ -226,8 +247,8 @@ def test_shift_budget_exhaustion_raises(monkeypatch):
     polygamma_module._block.cache_clear()
     polygamma_module._log_gamma_raw.cache_clear()
     # force each asymptotic series to keep reporting non-convergence
-    monkeypatch.setattr(polygamma_module, "_psi_series", lambda k, w, target: None)
-    monkeypatch.setattr(polygamma_module, "_stirling_series", lambda w, target: None)
+    monkeypatch.setattr(polygamma_module, "_psi_series", lambda k_max, *args: None)
+    monkeypatch.setattr(polygamma_module, "_stirling_series", lambda w, sh, scale, target: None)
     monkeypatch.setattr(polygamma_module, "MAX_EXTRA_SHIFTS", 50)
     policy = PrecisionPolicy(working_bits=64)
     with pytest.raises(PrecisionUnreachable, match="polygamma block up to order 1"):
@@ -284,9 +305,9 @@ def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
     calls = []
     series = polygamma_module._psi_series
 
-    def counting(k_max, w, target):
+    def counting(k_max, t, w, sh, scale, target):
         calls.append(k_max)
-        return series(k_max, w, target)
+        return series(k_max, t, w, sh, scale, target)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", counting)
     polygamma_block(14, "0.8", POLICY)
