@@ -19,6 +19,10 @@ The fourth derivative expands as
 
 with exactly known positive rational c_k; their positivity is the heart
 of the lower-bound argument for the monotonic degree of Q.
+
+``laplace_reconstruct`` integrates h(s) e^(-ts) by tanh-sinh panels whose
+refinement levels are nested: every abscissa of one level is an abscissa of
+the next, so each abscissa of a panel is evaluated once.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
 
 #: Below this |s| the Maclaurin series is used instead of the closed forms.
 KERNEL_SERIES_CROSSOVER = Fraction(1, 4)
+_CROSSOVER = float(KERNEL_SERIES_CROSSOVER)
 
 #: Guard bits absorbing closed-form cancellation near the crossover
 #: (about 2^27 at s = 1/4) plus quadrature summation rounding.
@@ -63,6 +68,14 @@ QUAD_MAX_LEVEL = 12
 QUAD_PANEL_WIDTH = 4
 
 
+@lru_cache(maxsize=1024)
+def _h_coefficient(k: int, j: int, prec: int) -> mp.mpf:
+    """B_2k/(2k-j)! rounded at prec bits."""
+    with mp.workprec(prec):
+        b = bernoulli(2 * k)
+        return mp.mpf(b.numerator) / b.denominator / factorial(2 * k - j)
+
+
 def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
     """sum_{k>=3} B_2k s^(2k-j)/(2k-j)!  -- converges fast for |s| <= 1/4."""
     with mp.workprec(prec):
@@ -72,8 +85,7 @@ def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
         spow = s ** (6 - j)
         k = 3
         while True:
-            b = bernoulli(2 * k)
-            term = mp.mpf(b.numerator) / b.denominator / factorial(2 * k - j) * spow
+            term = _h_coefficient(k, j, prec) * spow
             total += term
             # ratio of consecutive terms is below (s/2pi)^2 < 1/600 here,
             # so the tail is dominated by the last added term
@@ -138,7 +150,7 @@ def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
         raise NonPositiveArgument(f"kernel argument must be s >= 0, got {s!r}")
     if sv == 0:
         return mp.mpf(0)
-    if sv < float(KERNEL_SERIES_CROSSOVER):
+    if sv < _CROSSOVER:
         return _h_series(j, sv, prec)
     return _h_closed(j, sv, prec)
 
@@ -227,24 +239,36 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
 
 
 def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -> mp.mpf:
-    """Integrate f over [a, b] by tanh-sinh with level doubling."""
+    """Integrate f over [a, b] by tanh-sinh with level doubling.
+
+    The levels are nested: node 2i of level L+1 has the abscissa of node i
+    of level L, because u = 2i 2^-(L+1) = i 2^-L is exact in binary.  Each
+    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j),
+    and the next level reuses them, so f is evaluated once per abscissa.
+    The weighted sum runs over j in the same order at every level.
+    """
     with mp.workprec(prec):
         c = (a + b) / 2
         d = (b - a) / 2
-        estimates = []
+        pairs: list[mp.mpf] = []
+        previous = None
         for level in range(3, max_level + 1):
             h = mp.mpf(2) ** (-level)
-            nodes = _ts_nodes(level, prec)
+            reused, pairs = pairs, []
             total = mp.mpf(0)
-            for j, (x, w) in enumerate(nodes):
-                if j == 0:
-                    total += w * f(c)
+            for j, (x, w) in enumerate(_ts_nodes(level, prec)):
+                if j % 2 == 0 and j // 2 < len(reused):
+                    pair = reused[j // 2]
+                elif j == 0:
+                    pair = f(c)
                 else:
-                    total += w * (f(c + d * x) + f(c - d * x))
+                    pair = f(c + d * x) + f(c - d * x)
+                pairs.append(pair)
+                total += w * pair
             value = total * h * d
-            estimates.append(value)
-            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) <= tol:
+            if previous is not None and abs(value - previous) <= tol:
                 return value
+            previous = value
         raise QuadratureNotConverged(
             f"tanh-sinh failed to reach tolerance {mp.nstr(tol, 3)} on "
             f"[{mp.nstr(a, 6)}, {mp.nstr(b, 6)}] within level {max_level}"

@@ -1,5 +1,6 @@
 """Exact Bernoulli numbers: table values, recurrence, and structure."""
 
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdeg import InvalidIndex, bernoulli, bernoulli_table
+
+bernoulli_module = importlib.import_module("cmdeg.bernoulli")
 
 # [TRIVIAL] classical opening values, B_1 = -1/2 convention
 KNOWN_PREFIX = [
@@ -101,3 +104,31 @@ def test_invalid_index_rejected(bad):
         bernoulli(bad)
     with pytest.raises(InvalidIndex):
         bernoulli_table(bad)
+
+
+def _recurrence_table(n_max):
+    """B_0 .. B_{n_max} from sum_{j<=m} C(m+1, j) B_j = 0 over all terms --
+    an independent reference for the tangent-number table."""
+    table = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = sum(comb(m + 1, j) * table[j] for j in range(m) if table[j])
+        table.append(-acc / (m + 1))
+    return table
+
+
+def test_table_matches_all_terms_recurrence_through_300():
+    assert list(bernoulli_table(300)) == _recurrence_table(300)
+
+
+def test_table_grown_in_steps_equals_one_cold_build(monkeypatch):
+    monkeypatch.setattr(bernoulli_module, "_table", [Fraction(1), Fraction(-1, 2)])
+    cold = bernoulli_table(300)
+
+    monkeypatch.setattr(bernoulli_module, "_table", [Fraction(1), Fraction(-1, 2)])
+    for n in (10, 11, 40, 300):
+        before = len(bernoulli_module._table)
+        bernoulli(n)
+        after = len(bernoulli_module._table)
+        assert after > n
+        assert after >= 2 * before
+    assert bernoulli_table(300) == cold

@@ -185,6 +185,18 @@ def test_kernel_argument_validation():
     assert kernel_h(0, 0, POLICY) == 0
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_tail_envelope_holds_on_log_grid(bits):
+    # _tail_bound cuts the Laplace integral at A using 0 <= h(s) <= 2 s^4
+    # for s >= 1; h(s) approaches s^4/720 from below as s grows
+    policy = PrecisionPolicy(working_bits=bits)
+    with mp.workprec(2 * bits):
+        for i in range(41):
+            s = mp.mpf(10) ** (mp.mpf(i) / 10)
+            value = kernel_h(0, s, policy)
+            assert 0 <= value <= 2 * s**4
+
+
 def test_laplace_reconstruction_matches_q():
     with mp.workprec(200):
         diff = abs(laplace_reconstruct(1, POLICY) - q_value(1, POLICY))
@@ -238,3 +250,57 @@ def test_node_memo_is_clearable_and_exact():
     assert cold_nodes == warm_nodes
     kernel_module._ts_nodes.cache_clear()
     assert laplace_reconstruct(5, POLICY) == warm_value
+
+
+def _reference_panel(f, a, b, tol, max_level, prec):
+    """tanh-sinh over [a, b] re-evaluating every node at every level --
+    the reference for the nested-level reuse in ``_ts_panel``.  Returns
+    the value and the level it converged at."""
+    with mp.workprec(prec):
+        c = (a + b) / 2
+        d = (b - a) / 2
+        previous = None
+        for level in range(3, max_level + 1):
+            total = mp.mpf(0)
+            for j, (x, w) in enumerate(kernel_module._ts_nodes(level, prec)):
+                if j == 0:
+                    total += w * f(c)
+                else:
+                    total += w * (f(c + d * x) + f(c - d * x))
+            value = total * mp.mpf(2) ** (-level) * d
+            if previous is not None and abs(value - previous) <= tol:
+                return value, level
+            previous = value
+    raise AssertionError("reference quadrature did not converge")
+
+
+@pytest.mark.parametrize(
+    "a, b, t, bits, tol",
+    [
+        (0, 4, "0.3", 128, "1e-24"),
+        (4, 8, "2", 64, "1e-24"),
+        (36, 40, "1.5", 256, "1e-40"),
+        (0, 4, "40", 128, "1e-62"),
+    ],
+)
+def test_panel_reuses_each_abscissa_exactly(a, b, t, bits, tol):
+    policy = PrecisionPolicy(working_bits=bits)
+    prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    with mp.workprec(prec):
+        tv = mp.mpf(t)
+        tolv = mp.mpf(tol)
+
+    def f(s):
+        return kernel_h(0, s, policy) * mp.exp(-tv * s)
+
+    abscissas = []
+
+    def counted(s):
+        abscissas.append(s)
+        return f(s)
+
+    a, b = mp.mpf(a), mp.mpf(b)
+    value = kernel_module._ts_panel(counted, a, b, tolv, 12, prec)
+    expected, level = _reference_panel(f, a, b, tolv, 12, prec)
+    assert (value.man, value.exp) == (expected.man, expected.exp)
+    assert len(abscissas) == 2 * len(kernel_module._ts_nodes(level, prec)) - 1
