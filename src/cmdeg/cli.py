@@ -87,10 +87,6 @@ def _real(x, bits: int) -> dict:
     return {"decimal": mp.nstr(x, d), "digits": d}
 
 
-def _frac(q: Fraction) -> str:
-    return str(q)
-
-
 def _spec_from_args(args) -> RemainderSpec:
     if args.special is not None:
         return RemainderSpec(special=args.special)
@@ -128,7 +124,7 @@ def _run_bernoulli(args) -> tuple[dict, list[list[str]]]:
     table = bernoulli_table(args.n_max)
     record = {
         "n_max": args.n_max,
-        "values": [{"n": i, "value": _frac(b)} for i, b in enumerate(table)],
+        "values": [{"n": i, "value": str(b)} for i, b in enumerate(table)],
     }
     rows = [["n", "numerator", "denominator"]] + [
         [str(i), str(b.numerator), str(b.denominator)] for i, b in enumerate(table)
@@ -144,7 +140,7 @@ def _run_kernel(args) -> tuple[dict, list[list[str]]]:
             "from": args.from_k,
             "to": args.to_k,
             "coefficients": [
-                {"k": c.k, "value": _frac(c.value), "doubled": _frac(2 * c.value)}
+                {"k": c.k, "value": str(c.value), "doubled": str(2 * c.value)}
                 for c in coeffs
             ],
         }
@@ -193,12 +189,12 @@ def _report_record(report: CmCheckReport) -> dict:
     bits = report.working_bits
     return {
         "spec": report.spec.label,
-        "r": _frac(report.r),
+        "r": str(report.r),
         "max_order": report.max_order,
         "grid": {
             "spacing": report.grid.spacing,
-            "t_min": _frac(report.grid.t_min),
-            "t_max": _frac(report.grid.t_max),
+            "t_min": str(report.grid.t_min),
+            "t_max": str(report.grid.t_max),
             "points": report.grid.points,
         },
         "precision_bits": bits,
@@ -230,19 +226,19 @@ def _run_cmcheck(args) -> tuple[dict, list[list[str]]]:
 def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
     return {
         "spec": bracket.spec.label,
-        "step": _frac(bracket.step),
+        "step": str(bracket.step),
         "precision_bits": bits,
-        "lower": {"lattice": _frac(bracket.lower), **_real(bracket.lower, bits)},
+        "lower": {"lattice": str(bracket.lower), **_real(bracket.lower, bits)},
         "upper": _real(bracket.upper, bits),
         "upper_method": bracket.upper_method,
         "scan_violation_r": (
-            _frac(bracket.scan_violation_r)
+            str(bracket.scan_violation_r)
             if bracket.scan_violation_r is not None
             else None
         ),
         "lower_evidence": {
             "verdict": bracket.lower_evidence.verdict,
-            "r": _frac(bracket.lower_evidence.r),
+            "r": str(bracket.lower_evidence.r),
             "violation_count": len(bracket.lower_evidence.violations),
             "inconclusive_count": len(bracket.lower_evidence.inconclusive),
         },
@@ -311,7 +307,7 @@ def _run_conjectures(args) -> tuple[dict, list[list[str]]]:
         "n_max": scan.n_max,
         "m_max": scan.m_max,
         "max_order": scan.max_order,
-        "step": _frac(scan.step),
+        "step": str(scan.step),
         "precision_bits": bits,
         "cells": cells,
     }

@@ -219,7 +219,6 @@ def cm_check(
     max_order: int = 12,
     grid: Grid | None = None,
     policy: PrecisionPolicy | None = None,
-    _derivative_provider=None,
 ) -> CmCheckReport:
     """Scan the CM sign pattern of t^r phi(t) at orders 0..max_order.
 
@@ -232,18 +231,17 @@ def cm_check(
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     rv = _as_rational(r)
-    provider = _derivative_provider or (
-        lambda t, i_max, pol: _phi_ders_cached(spec, t, i_max, pol)
-    )
     doubled = PrecisionPolicy(2 * policy.working_bits)
     violations = []
     inconclusive = []
     all_values = []
     for tv in grid.values(policy.internal_bits()):
-        row = _signed_row(rv, max_order, tv, provider(tv, max_order, policy), policy)
+        ders = _phi_ders_cached(spec, tv, max_order, policy)
+        row = _signed_row(rv, max_order, tv, ders, policy)
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
-            row2 = _signed_row(rv, max_order, tv, provider(tv, max_order, doubled), doubled)
+            ders = _phi_ders_cached(spec, tv, max_order, doubled)
+            row2 = _signed_row(rv, max_order, tv, ders, doubled)
         for k, ((value, scale), cls) in enumerate(zip(row, classes)):
             if cls == "borderline":
                 value, scale = row2[k]

@@ -9,9 +9,12 @@ and h has the everywhere-convergent-for-|s|<2pi Maclaurin series
 
     h(s) = sum_{k>=3} B_2k s^(2k) / (2k)!.
 
-Derivatives h', h'', h^(3), h^(4) have explicit exponential-polynomial
-closed forms, used for s >= 1/4; below the crossover the Maclaurin series
-avoids the catastrophic cancellation of the closed forms near 0.
+For s >= 1/4, y = 1/(e^s - 1) has s y = sum_n B_n s^n/n! and y' = -(y + y^2), so
+
+    h^(j)(s) = s Y_j(y) + j Y_{j-1}(y) - P_j(s),  P_j(s) = sum_{n=j}^{4} B_n s^(n-j)/(n-j)!,
+
+with the integer polynomials Y_0 = y, Y_{i+1} = -(y + y^2) Y_i'(y).  Below the
+crossover the Maclaurin series avoids the cancellation of this form near 0.
 
 The fourth derivative expands as
 
@@ -58,8 +61,10 @@ __all__ = [
 KERNEL_SERIES_CROSSOVER = Fraction(1, 4)
 _CROSSOVER = float(KERNEL_SERIES_CROSSOVER)
 
-#: Guard bits absorbing closed-form cancellation near the crossover
-#: (about 2^27 at s = 1/4) plus quadrature summation rounding.
+#: Guard bits absorbing closed-form cancellation near the crossover plus
+#: quadrature summation rounding.  At s = 1/4 the largest term of
+#: s Y_j(y) + j Y_{j-1}(y) - P_j(s) is at most 1.24e8 (about 2^27, at j = 0)
+#: times |h^(j)(s)| for j <= 4.
 _KERNEL_GUARD_BITS = 64
 
 #: tanh-sinh refinement ceiling per panel (nodes roughly double per level).
@@ -69,11 +74,11 @@ QUAD_PANEL_WIDTH = 4
 
 
 @lru_cache(maxsize=1024)
-def _h_coefficient(k: int, j: int, prec: int) -> mp.mpf:
-    """B_2k/(2k-j)! rounded at prec bits."""
+def _h_coefficient(n: int, j: int, prec: int) -> mp.mpf:
+    """B_n/(n-j)! rounded at prec bits."""
     with mp.workprec(prec):
-        b = bernoulli(2 * k)
-        return mp.mpf(b.numerator) / b.denominator / factorial(2 * k - j)
+        b = bernoulli(n)
+        return mp.mpf(b.numerator) / b.denominator / factorial(n - j)
 
 
 def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
@@ -85,7 +90,7 @@ def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
         spow = s ** (6 - j)
         k = 3
         while True:
-            term = _h_coefficient(k, j, prec) * spow
+            term = _h_coefficient(2 * k, j, prec) * spow
             total += term
             # ratio of consecutive terms is below (s/2pi)^2 < 1/600 here,
             # so the tail is dominated by the last added term
@@ -95,48 +100,39 @@ def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
             k += 1
 
 
-def _h_closed(j: int, s: mp.mpf, prec: int) -> mp.mpf:
+@lru_cache(maxsize=64)
+def _closed_coefficients(j: int, prec: int) -> tuple[tuple, tuple, tuple]:
+    """Leading-first coefficients of Y_j(y)/y, j Y_{j-1}(y)/y and P_j(s)."""
+    ys = [[1]]  # ys[i][m] is the coefficient of y^(m+1) in Y_i
+    for _ in range(j):
+        a = [0] + ys[-1] + [0]
+        ys.append([-(m + 1) * a[m + 1] - m * a[m] for m in range(len(a) - 1)])
     with mp.workprec(prec):
-        if j == 0:
-            return s / (1 - mp.exp(-s)) - 1 - s / 2 - s * s / 12 + s**4 / 720
-        e1 = mp.exp(s)
-        em1 = e1 - 1
-        s2 = s * s
-        if j == 1:
-            s3 = s2 * s
-            e2 = e1 * e1
-            num = s3 + (s3 - 30 * s + 90) * e2 - 2 * s * (s2 + 60) * e1 - 30 * s - 90
-            return num / (180 * em1**2)
-        if j == 2:
-            e2 = e1 * e1
-            e3 = e2 * e1
-            num = (
-                e3 * (s2 - 10)
-                + 3 * (s2 + 20 * s + 30) * e1
-                - 3 * (s2 - 20 * s + 30) * e2
-                - s2
-                + 10
-            )
-            return num / (60 * em1**3)
-        if j == 3:
-            e2 = e1 * e1
-            e3 = e2 * e1
-            e4 = e2 * e2
-            num = s * e4 + (90 - 34 * s) * e3 - 114 * s * e2 - 2 * (17 * s + 45) * e1 + s
-            return num / (30 * em1**4)
-        e2 = e1 * e1
-        e3 = e2 * e1
-        e4 = e2 * e2
-        e5 = e4 * e1
-        num = (
-            e5
-            + 5 * (6 * s - 25) * e4
-            + 10 * (33 * s - 35) * e3
-            + 10 * (33 * s + 35) * e2
-            + 5 * (6 * s + 25) * e1
-            - 1
-        )
-        return num / (30 * em1**5)
+        y_j = tuple(mp.mpf(c) for c in reversed(ys[j]))
+        y_prev = tuple(mp.mpf(j * c) for c in reversed(ys[j - 1])) if j else ()
+    p_j = tuple(_h_coefficient(n, j, prec) for n in range(4, j - 1, -1))
+    return y_j, y_prev, p_j
+
+
+def _horner(coefficients: tuple, x: mp.mpf) -> mp.mpf:
+    """The polynomial with these leading-first coefficients, at x."""
+    total = coefficients[0]
+    for c in coefficients[1:]:
+        total *= x
+        if c:
+            total += c
+    return total
+
+
+def _h_closed(j: int, s: mp.mpf, prec: int) -> mp.mpf:
+    """h^(j)(s) = s Y_j(y) + j Y_{j-1}(y) - P_j(s) with y = 1/(e^s - 1)."""
+    y_j, y_prev, p_j = _closed_coefficients(j, prec)
+    with mp.workprec(prec):
+        y = 1 / (mp.exp(s) - 1)
+        inner = s * _horner(y_j, y)
+        if j:
+            inner += _horner(y_prev, y)
+        return y * inner - _horner(p_j, s)
 
 
 def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -219,20 +215,19 @@ def h4_positivity_scan(k_max: int) -> PositivityScanReport:
 
 @lru_cache(maxsize=64)
 def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
-    """tanh-sinh abscissas/weights for j >= 0 at step 2^-level."""
+    """tanh-sinh abscissas/weights for j >= 0 at step 2^-level, up to the
+    first node whose abscissa rounds to 1 (it would land on a panel end)."""
     with mp.workprec(prec):
         h = mp.mpf(2) ** (-level)
-        cutoff = mp.mpf(2) ** (-prec - 32)
         nodes = []
         j = 0
         while True:
             u = j * h
-            ch = mp.cosh(u)
             sh = mp.sinh(u)
-            w = (mp.pi / 2) * ch / mp.cosh((mp.pi / 2) * sh) ** 2
-            if w < cutoff and j > 0:
-                break
             x = mp.tanh((mp.pi / 2) * sh)
+            if x == 1:
+                break
+            w = (mp.pi / 2) * mp.cosh(u) / mp.cosh((mp.pi / 2) * sh) ** 2
             nodes.append((x, w))
             j += 1
     return tuple(nodes)

@@ -179,7 +179,7 @@ def test_criterion_09_degree_brackets_and_conjecture_table():
     assert time.perf_counter() - start < 900.0
 
 
-def test_criterion_10_property_families():
+def test_criterion_10_property_families(monkeypatch):
     """[DERIVED] the four structural property families hold: Bernoulli
     recurrence, remainder telescoping, scan invariance under positive scaling
     plus downward closure of passing exponents, and two-precision agreement."""
@@ -205,19 +205,20 @@ def test_criterion_10_property_families():
 
     # Scan verdicts are invariant under positive rescaling of the member.
     grid = Grid(Fraction(1, 100), Fraction(100), 30)
+    real = degree_module._phi_ders_cached
     for c in (Fraction(7, 3), Fraction(10) ** 6):
 
-        def provider(t, i_max, pol, _c=c):
-            ders = degree_module._phi_ders_cached(Q, t, i_max, pol)
+        def provider(spec, t, i_max, pol, _c=c):
+            ders = real(spec, t, i_max, pol)
             with mp.workprec(pol.internal_bits(64)):
                 cv = as_mpf(_c, pol.internal_bits(64))
                 return [cv * d for d in ders]
 
         for r in (4, "5.05"):
             base = cm_check(Q, r, max_order=4, grid=grid, policy=POLICY)
-            scaled = cm_check(
-                Q, r, max_order=4, grid=grid, policy=POLICY, _derivative_provider=provider
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(degree_module, "_phi_ders_cached", provider)
+                scaled = cm_check(Q, r, max_order=4, grid=grid, policy=POLICY)
             assert scaled.verdict == base.verdict
             assert [(t, k) for t, k, _ in scaled.violations] == [
                 (t, k) for t, k, _ in base.violations

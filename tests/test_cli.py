@@ -23,6 +23,52 @@ H1_PREFIX = "0.0000322624248819799405"
 DOUBLED = ["5/7", "25/14", "193/84", "85/42", "5065/3696"]
 HALVED = ["5/14", "25/28", "193/168", "85/84", "5065/7392"]
 
+# `cmdeg kernel --order j --s s` value.decimal at 128 bits, frozen from the
+# hand-derived exponential-polynomial closed forms that the Bernoulli-derived
+# form replaced (s = 0.1 takes the Maclaurin branch)
+KERNEL_GOLDEN = {
+    0: {
+        "0.1": "0.00000000003306051796016328658029125224684097657734",
+        "0.25": "0.000000008060838504947609701649409619599628658245",
+        "0.3": "0.00000002405302478069172097350805446721006350734",
+        "1": "0.00003226242488197994055756066456711410242486",
+        "3.7": "0.06326282178589447032489087402436964493591",
+        "40": "3441.222222222222222392156392433885782757",
+    },
+    1: {
+        "0.1": "0.000000001983465817169786792754405023100127743147",
+        "0.25": "0.0000001933595240013765023684046030453244496954",
+        "0.3": "0.0000004807005265403582255834707227108630153417",
+        "1": "0.0001920015504229943284773712814008445541026",
+        "3.7": "0.09391539254224103186172245667163344967489",
+        "40": "349.3888888888888887232030729325169166452",
+    },
+    2: {
+        "0.1": "0.00000009916007169216150295951960756861839443532",
+        "0.25": "0.000003863973812647698927200874761497110589476",
+        "0.3": "0.000008002087150292623383315779854525755802328",
+        "1": "0.0009475787094027550351895675691181820680933",
+        "3.7": "0.1105640118588911401882880581207654752805",
+        "40": "26.50000000000000016143746170108038463808",
+    },
+    3: {
+        "0.1": "0.00000396547769290547266513344827896398689207",
+        "0.25": "0.00006173361567461708950927790955851504079625",
+        "0.3": "0.0001064711308029637533638143482123622389716",
+        "1": "0.003704838071535363838085869439707146521846",
+        "3.7": "0.09409284251757546352804407823542504524647",
+        "40": "1.333333333333333176144225887544534947209",
+    },
+    4: {
+        "0.1": "0.0001189088353148413341437110248805934909699",
+        "0.25": "0.0007386478645393527071102557845746916927096",
+        "0.3": "0.001060254865990115524795822231036710779485",
+        "1": "0.01061512155534501236935631118181205282458",
+        "3.7": "0.04571532099907998803152347404365007756006",
+        "40": "0.03333333333333348627408652383054813868222",
+    },
+}
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -148,6 +194,13 @@ def test_kernel_value_mode(capsys):
     assert record["order"] == 0
     assert record["s"] == "1"
     assert record["value"]["decimal"].startswith(H1_PREFIX)
+
+
+@pytest.mark.parametrize("order", sorted(KERNEL_GOLDEN))
+def test_kernel_value_mode_golden(order, capsys):
+    for s, decimal in KERNEL_GOLDEN[order].items():
+        record = run_json(["kernel", "--order", str(order), "--s", s], capsys)
+        assert record["value"]["decimal"] == decimal, s
 
 
 def test_kernel_laplace_matches_direct_evaluation(capsys):

@@ -313,14 +313,15 @@ def test_q_violates_just_above_the_upper_degree():
     _assert_report_integrity(rep)
 
 
-def test_all_borderline_scan_is_inconclusive():
+def test_all_borderline_scan_is_inconclusive(monkeypatch):
     precisions = []
 
-    def zeros(t, i_max, pol):
+    def zeros(spec, t, i_max, pol):
         precisions.append(pol.working_bits)
         return [mp.mpf(0)] * (i_max + 1)
 
-    rep = cm_check(Q, 4, max_order=3, grid=TINY_GRID, policy=POLICY, _derivative_provider=zeros)
+    monkeypatch.setattr(degree_module, "_phi_ders_cached", zeros)
+    rep = cm_check(Q, 4, max_order=3, grid=TINY_GRID, policy=POLICY)
     # one doubled-precision rerun per grid point, shared by its four orders
     assert precisions.count(2 * POLICY.working_bits) == 12
     assert rep.verdict == "inconclusive"
@@ -345,18 +346,20 @@ def test_scan_reports_are_deterministic():
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3), Fraction(10) ** 6])
-def test_verdicts_invariant_under_positive_scaling(c):
-    def provider(t, i_max, pol):
-        ders = degree_module._phi_ders_cached(Q, t, i_max, pol)
+def test_verdicts_invariant_under_positive_scaling(c, monkeypatch):
+    real = degree_module._phi_ders_cached
+
+    def provider(spec, t, i_max, pol):
+        ders = real(spec, t, i_max, pol)
         with mp.workprec(pol.internal_bits(64)):
             cv = as_mpf(c, pol.internal_bits(64))
             return [cv * d for d in ders]
 
     for r in (4, "5.05"):
         base = cm_check(Q, r, max_order=4, grid=SMALL_GRID, policy=POLICY)
-        scaled = cm_check(
-            Q, r, max_order=4, grid=SMALL_GRID, policy=POLICY, _derivative_provider=provider
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(degree_module, "_phi_ders_cached", provider)
+            scaled = cm_check(Q, r, max_order=4, grid=SMALL_GRID, policy=POLICY)
         assert scaled.verdict == base.verdict
         assert [(t, k) for t, k, _ in scaled.violations] == [
             (t, k) for t, k, _ in base.violations
@@ -463,8 +466,8 @@ def test_lattice_step_validation(step):
 def test_non_monotone_member_is_an_error(monkeypatch):
     real = degree_module.cm_check
 
-    def fake(spec, r, max_order=12, grid=None, policy=None, _derivative_provider=None):
-        rep = real(spec, r, max_order, grid, policy, _derivative_provider)
+    def fake(spec, r, max_order=12, grid=None, policy=None):
+        rep = real(spec, r, max_order, grid, policy)
         if degree_module._as_rational(r) == 0:
             return dataclasses.replace(rep, verdict="violation")
         return rep

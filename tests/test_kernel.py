@@ -111,7 +111,7 @@ def test_kernel_value_at_one_frozen():
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("s", ["0.125", "0.25", "0.5", 1])
+@pytest.mark.parametrize("s", ["0.125", "0.25", "0.5", 1, 2, 4])
 def test_series_and_closed_forms_agree(j, s):
     # the Maclaurin series converges for |s| < 2 pi, so it overlaps the
     # closed-form branch well past the crossover
@@ -120,6 +120,25 @@ def test_series_and_closed_forms_agree(j, s):
     series = kernel_module._h_series(j, sv, prec)
     closed = kernel_module._h_closed(j, sv, prec)
     assert abs(series - closed) < mp.mpf(2) ** (-150) * (1 + abs(closed))
+
+
+# h^(j)(s) minus its polynomial limit from the defining formula is about
+# s e^-s, far below 2^-100 relative at s = 200
+LARGE_S_LIMITS = {
+    0: lambda s: s**4 / 720 - s**2 / 12 + s / 2 - 1,
+    1: lambda s: s**3 / 180 - s / 6 + mp.mpf(1) / 2,
+    2: lambda s: s**2 / 60 - mp.mpf(1) / 6,
+    3: lambda s: s / 30,
+    4: lambda s: mp.mpf(1) / 30,
+}
+
+
+@pytest.mark.parametrize("j", sorted(LARGE_S_LIMITS))
+def test_large_s_matches_polynomial_limit(j):
+    with mp.workprec(300):
+        limit = LARGE_S_LIMITS[j](mp.mpf(200))
+        value = kernel_h(j, 200, POLICY)
+        assert abs(value - limit) <= mp.mpf(2) ** (-100) * abs(limit)
 
 
 @pytest.mark.parametrize("s", ["0.5", 1, 2, 5])
@@ -250,6 +269,15 @@ def test_node_memo_is_clearable_and_exact():
     assert cold_nodes == warm_nodes
     kernel_module._ts_nodes.cache_clear()
     assert laplace_reconstruct(5, POLICY) == warm_value
+
+
+@pytest.mark.parametrize("level", [3, 6, 12])
+@pytest.mark.parametrize("prec", [64, 208, 400])
+def test_no_node_lands_on_a_panel_end(level, prec):
+    # a node whose abscissa rounds to 1 would evaluate f at a or b
+    nodes = kernel_module._ts_nodes(level, prec)
+    assert all(x < 1 for x, _ in nodes)
+    assert nodes[0][0] == 0
 
 
 def _reference_panel(f, a, b, tol, max_level, prec):
