@@ -238,9 +238,10 @@ def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -
 
     The levels are nested: node 2i of level L+1 has the abscissa of node i
     of level L, because u = 2i 2^-(L+1) = i 2^-L is exact in binary.  Each
-    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j),
-    and the next level reuses them, so f is evaluated once per abscissa.
-    The weighted sum runs over j in the same order at every level.
+    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j).
+    The nodes stop where x rounds to 1 and x grows with u, so level L+1 has
+    2N - 1 or 2N nodes for level L's N, and each even j > 0 reuses value
+    j/2: f runs once per abscissa, and the sum runs in j order.
     """
     with mp.workprec(prec):
         c = (a + b) / 2
@@ -252,12 +253,10 @@ def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -
             reused, pairs = pairs, []
             total = mp.mpf(0)
             for j, (x, w) in enumerate(_ts_nodes(level, prec)):
-                if j % 2 == 0 and j // 2 < len(reused):
+                if reused and j % 2 == 0:
                     pair = reused[j // 2]
-                elif j == 0:
-                    pair = f(c)
                 else:
-                    pair = f(c + d * x) + f(c - d * x)
+                    pair = f(c + d * x) + f(c - d * x) if j else f(c)
                 pairs.append(pair)
                 total += w * pair
             value = total * h * d

@@ -39,15 +39,15 @@ PAD_BITS = 32
 class PrecisionPolicy:
     """Accuracy contract for evaluation routines.
 
-    working_bits: binary precision of delivered values (>= 24); the
+    working_bits: binary precision of delivered values, an int >= 24; the
         absolute error target is ``2**(-working_bits + GUARD_BITS)``.
     """
 
     working_bits: int = 128
 
     def __post_init__(self) -> None:
-        if self.working_bits < 24:
-            raise ValueError("working_bits must be at least 24")
+        if not isinstance(self.working_bits, int) or self.working_bits < 24:
+            raise InvalidSpec(f"working_bits must be an integer >= 24, got {self.working_bits!r}")
 
     @property
     def abs_error_target(self) -> mp.mpf:

@@ -177,15 +177,16 @@ def _partial_sum_form(n: int, m: int) -> ElementaryForm:
 
 @lru_cache(maxsize=None)
 def _phi_form(n: int, m: int) -> ElementaryForm:
-    """phi_{n,m} = (-1)^m d^m R_n with R_n = (-1)^n (ln Gamma - S_n), so
-    phi_{n,m} = (-1)^(n+m) (d^m ln Gamma - d^m S_n), where
-    d^m ln Gamma = psi^(m-1) for m >= 1."""
-    sign = Fraction((-1) ** (n + m))
-    form = _partial_sum_form(n, m).scaled(-sign)
-    if m:
-        form.psi[m - 1] = sign
-    else:
-        form.loggamma = sign
+    """phi_{n,0} = R_n = (-1)^n (ln Gamma - S_n), and phi_{n,m} = -d/dt
+    phi_{n,m-1} for m >= 1, so phi_{n,m}^(i) = (-1)^i phi_{n,m+i}."""
+    if m == 0:
+        form = _partial_sum_form(n, 0).scaled(Fraction((-1) ** (n + 1)))
+        form.loggamma = Fraction((-1) ** n)
+        return form
+    for k in range(m):  # bottom-up, so each call recurses one level at most
+        previous = _phi_form(n, k)
+    form = differentiate(previous).scaled(Fraction(-1))
+    form.cancel_gap += 1
     return form
 
 
@@ -269,28 +270,21 @@ def _pieces_for(
     return pieces
 
 
-def evaluate_form(form: ElementaryForm, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """Numerical value of an ElementaryForm at t > 0."""
-    return evaluate_form_derivatives(form, t, 0, policy)[0]
-
-
-def evaluate_form_derivatives(
-    form: ElementaryForm, t, i_max: int, policy: PrecisionPolicy | None = None
-) -> list[mp.mpf]:
-    """[F(t), F'(t), ..., F^(i_max)(t)] for an ElementaryForm F, exactly
-    differentiated and sharing one polygamma evaluation block."""
-    if not isinstance(i_max, int) or i_max < 0:
-        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
+def _evaluate(forms: list[ElementaryForm], t, policy: PrecisionPolicy | None) -> list[mp.mpf]:
+    """Values of ``forms`` at t > 0, sharing one set of elementary pieces;
+    the large-t elevation is that of forms[0]."""
     policy = policy or PrecisionPolicy()
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
-    forms = [form]
-    for _ in range(i_max):
-        forms.append(differentiate(forms[-1]))
-    pol = _elevated(policy, form.cancel_gap, mag_bits(tv))
+    pol = _elevated(policy, forms[0].cancel_gap, mag_bits(tv))
     pieces = _pieces_for(forms, tv, pol)
     return [_assemble(f, pieces, pol.working_bits) for f in forms]
+
+
+def evaluate_form(form: ElementaryForm, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
+    """Numerical value of an ElementaryForm at t > 0."""
+    return _evaluate([form], t, policy)[0]
 
 
 def remainder_value(spec: RemainderSpec, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -301,8 +295,13 @@ def remainder_value(spec: RemainderSpec, t, policy: PrecisionPolicy | None = Non
 def phi_derivatives(
     spec: RemainderSpec, t, i_max: int, policy: PrecisionPolicy | None = None
 ) -> list[mp.mpf]:
-    """Derivatives phi^(0..i_max) of the selected member at t > 0."""
-    return evaluate_form_derivatives(form_for(spec), t, i_max, policy)
+    """Derivatives phi^(0..i_max) of the selected member at t > 0, read off
+    the family as phi_{n,m}^(i) = (-1)^i phi_{n,m+i}."""
+    if not isinstance(i_max, int) or i_max < 0:
+        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
+    n, m = spec.family_indices
+    values = _evaluate([_phi_form(n, m + i) for i in range(i_max + 1)], t, policy)
+    return [mp.fneg(v, exact=True) if i % 2 else v for i, v in enumerate(values)]
 
 
 def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -325,7 +324,7 @@ def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
 
 
 def q_derivative(j: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """j-th derivative of Q, via exact symbolic differentiation."""
+    """j-th derivative of Q = phi_{2,2}, read off the family."""
     if not isinstance(j, int) or j < 0:
         raise InvalidIndex(f"derivative order must be a nonnegative integer, got {j!r}")
     return phi_derivatives(RemainderSpec(special="Q"), t, j, policy)[j]

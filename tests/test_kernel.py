@@ -280,6 +280,15 @@ def test_no_node_lands_on_a_panel_end(level, prec):
     assert nodes[0][0] == 0
 
 
+@pytest.mark.parametrize("prec", [144, 224, 400])
+def test_each_level_doubles_the_previous_nodes(prec):
+    # _ts_panel's reuse rule: level L+1 has 2N - 1 or 2N nodes for level
+    # L's N, so every even node has a value one level down
+    for level in range(4, 13):
+        n = len(kernel_module._ts_nodes(level - 1, prec))
+        assert len(kernel_module._ts_nodes(level, prec)) in (2 * n - 1, 2 * n), level
+
+
 def _reference_panel(f, a, b, tol, max_level, prec):
     """tanh-sinh over [a, b] re-evaluating every node at every level --
     the reference for the nested-level reuse in ``_ts_panel``.  Returns

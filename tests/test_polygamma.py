@@ -231,8 +231,9 @@ def test_invalid_order_rejected(k):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        PrecisionPolicy(working_bits=16)
+    for bits in (16, 128.5, "128", None):
+        with pytest.raises(InvalidSpec):
+            PrecisionPolicy(working_bits=bits)
 
 
 @pytest.mark.parametrize("text", ["abc", "", "1/0"])

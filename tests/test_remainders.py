@@ -1,5 +1,8 @@
 """Asymptotic remainders phi_{n,m}: oracle values, identities, decay, signs."""
 
+import dataclasses
+import hashlib
+import importlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,7 +32,8 @@ from cmdeg import (
     q_value,
     remainder_value,
 )
-from cmdeg.remainders import evaluate_form_derivatives
+
+remainders_module = importlib.import_module("cmdeg.remainders")
 
 POLICY = PrecisionPolicy(working_bits=128)
 TOL = POLICY.abs_error_target
@@ -110,6 +114,72 @@ def reference_phi_form(n, m):
 def test_phi_form_matches_differentiated_remainder(n):
     for m in range(PHI_M_MAX + 1):
         assert form_for(RemainderSpec(n=n, m=m)) == reference_phi_form(n, m), (n, m)
+
+
+def _without_gap(form):
+    return dataclasses.replace(form, cancel_gap=0)
+
+
+@pytest.mark.parametrize("n", range(PHI_N_MAX + 1))
+def test_family_is_closed_under_differentiation(n):
+    # d^i phi_{n,m} = (-1)^i phi_{n,m+i}: the derivatives phi_derivatives
+    # reads off the family are those of the independently built remainder
+    for m in range(PHI_M_MAX + 1):
+        form = reference_phi_form(n, m)
+        for i in range(13):
+            member = remainders_module._phi_form(n, m + i)
+            assert member.cancel_gap == 2 * n + m + i + 4
+            assert _without_gap(form) == _without_gap(member.scaled(Fraction((-1) ** i))), (n, m, i)
+            form = differentiate(form)
+
+
+def test_deep_members_build_without_recursion_error():
+    # each cold member is built from the one below it, one level at a time
+    remainders_module._phi_form.cache_clear()
+    remainders_module._partial_sum_form.cache_clear()
+    try:
+        form = remainders_module._phi_form(0, 1200)
+        assert form.psi == {1199: Fraction(1)} and form.loggamma == 0
+        assert remainders_module._partial_sum_form(0, 1200).powers[-1200]
+    finally:
+        remainders_module._phi_form.cache_clear()
+        remainders_module._partial_sum_form.cache_clear()
+
+
+def test_warm_phi_derivatives_do_no_symbolic_work(monkeypatch):
+    spec = RemainderSpec(n=3, m=4)
+    phi_derivatives(spec, "0.7", 12, POLICY)
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return differentiate(form)
+
+    monkeypatch.setattr(remainders_module, "differentiate", counted)
+    phi_derivatives(spec, "5.25", 12, POLICY)
+    phi_derivatives(spec, "0.7", 5, POLICY)
+    phi_derivatives(spec, "0.7", 12, PrecisionPolicy(working_bits=256))
+    assert calls == []
+
+
+def test_phi_derivatives_golden_bits():
+    # pins the (man, exp) of every value at 128, 256 and 512 bits: any
+    # moved bit changes the digest
+    ts = (Fraction(1, 1000), "0.37", 2, "37.5", 9000)
+    cases = [(n, m, t, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1) for t in ts]
+    cases += [
+        (n, m, t, bits)
+        for n, m in ((0, 0), (2, 2), (8, 6))
+        for t in ("0.37", 9000)
+        for bits in (256, 512)
+    ]
+    digest = hashlib.sha256()
+    for n, m, t, bits in cases:
+        for v in phi_derivatives(RemainderSpec(n=n, m=m), t, 12, PrecisionPolicy(bits)):
+            digest.update(f"{v.man}p{v.exp};".encode())
+    assert digest.hexdigest() == (
+        "705e82c2dc7fe821d7b6457c755b4d993a417e654fa941b5988bc4a8742adb2e"
+    )
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -286,8 +356,6 @@ def test_nonpositive_argument_rejected(t):
 def test_invalid_derivative_indices_rejected():
     with pytest.raises(InvalidIndex):
         phi_derivatives(Q, 1, -1, POLICY)
-    with pytest.raises(InvalidIndex):
-        evaluate_form_derivatives(form_for(Q), 1, -1, POLICY)
     with pytest.raises(InvalidIndex):
         q_derivative(-1, 1, POLICY)
     with pytest.raises(InvalidSpec):
