@@ -23,9 +23,11 @@ The fourth derivative expands as
 with exactly known positive rational c_k; their positivity is the heart
 of the lower-bound argument for the monotonic degree of Q.
 
-``laplace_reconstruct`` integrates h(s) e^(-ts) by tanh-sinh panels whose
-refinement levels are nested: every abscissa of one level is an abscissa of
-the next, so each abscissa of a panel is evaluated once.
+``laplace_reconstruct`` integrates h(s) e^(-ts) by tanh-sinh over whole
+panels [4k, 4k + 4] whose refinement levels are nested: every abscissa of one
+level is an abscissa of the next.  h does not depend on t, so its values are
+memoised per (panel, level, precision) and shared by every t: each abscissa
+is evaluated once per process.
 """
 
 from __future__ import annotations
@@ -233,30 +235,52 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     return tuple(nodes)
 
 
-def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -> mp.mpf:
-    """Integrate f over [a, b] by tanh-sinh with level doubling.
+@lru_cache(maxsize=128)
+def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple:
+    """Raw h values at the abscissas new at ``level`` on panel k, in
+    ``_ts_panel``'s order: h(c), then h(c + d x_j), h(c - d x_j) for each
+    j > 0 at level 3 and each odd j above it.  h does not depend on t, so
+    every call of ``laplace_reconstruct`` at this precision shares them."""
+    with mp.workprec(prec):
+        d = mp.mpf(QUAD_PANEL_WIDTH) / 2
+        c = QUAD_PANEL_WIDTH * k + d
+        abscissas = [c] if level == 3 else []
+        for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
+            abscissas += [c + d * x, c - d * x]
+        return tuple(kernel_h(0, s, policy)._mpf_ for s in abscissas)
+
+
+def _ts_panel(
+    tv: mp.mpf, k: int, tol: mp.mpf, max_level: int, prec: int, policy: PrecisionPolicy
+) -> mp.mpf:
+    """Integrate h(s) e^(-tv s) over panel k, [4k, 4k + 4], by tanh-sinh
+    with level doubling.
 
     The levels are nested: node 2i of level L+1 has the abscissa of node i
     of level L, because u = 2i 2^-(L+1) = i 2^-L is exact in binary.  Each
-    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j).
-    The nodes stop where x rounds to 1 and x grows with u, so level L+1 has
-    2N - 1 or 2N nodes for level L's N, and each even j > 0 reuses value
-    j/2: f runs once per abscissa, and the sum runs in j order.
+    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j),
+    f(s) = h(s) e^(-tv s).  The nodes stop where x rounds to 1 and x grows
+    with u, so level L+1 has 2N - 1 or 2N nodes for level L's N, and each
+    even j > 0 reuses value j/2; h of the odd j comes from ``_panel_kernel``.
     """
     with mp.workprec(prec):
-        c = (a + b) / 2
-        d = (b - a) / 2
+        d = mp.mpf(QUAD_PANEL_WIDTH) / 2
+        c = QUAD_PANEL_WIDTH * k + d
         pairs: list[mp.mpf] = []
         previous = None
         for level in range(3, max_level + 1):
             h = mp.mpf(2) ** (-level)
             reused, pairs = pairs, []
+            fresh = map(mp.make_mpf, _panel_kernel(k, level, prec, policy))
             total = mp.mpf(0)
             for j, (x, w) in enumerate(_ts_nodes(level, prec)):
                 if reused and j % 2 == 0:
                     pair = reused[j // 2]
+                elif j:
+                    pair = next(fresh) * mp.exp(-tv * (c + d * x))
+                    pair += next(fresh) * mp.exp(-tv * (c - d * x))
                 else:
-                    pair = f(c + d * x) + f(c - d * x) if j else f(c)
+                    pair = next(fresh) * mp.exp(-tv * c)
                 pairs.append(pair)
                 total += w * pair
             value = total * h * d
@@ -265,7 +289,7 @@ def _ts_panel(f, a: mp.mpf, b: mp.mpf, tol: mp.mpf, max_level: int, prec: int) -
             previous = value
         raise QuadratureNotConverged(
             f"tanh-sinh failed to reach tolerance {mp.nstr(tol, 3)} on "
-            f"[{mp.nstr(a, 6)}, {mp.nstr(b, 6)}] within level {max_level}"
+            f"[{mp.nstr(c - d, 6)}, {mp.nstr(c + d, 6)}] within level {max_level}"
         )
 
 
@@ -286,8 +310,9 @@ def laplace_reconstruct(
 
     The integral is split at a point A where the proven envelope
     h(s) <= 2 s^4 (s >= 1) makes the discarded tail smaller than half the
-    tolerance; the finite part is integrated by per-panel tanh-sinh
-    quadrature with level doubling.
+    tolerance, then rounded up to whole panels (the bound decreases in A).
+    Each panel is integrated by tanh-sinh quadrature with level doubling,
+    reading h from a memo per (panel, level) shared by every t.
     """
     if not tolerance > 0:
         raise InvalidSpec(f"tolerance must be positive, got {tolerance!r}")
@@ -306,16 +331,9 @@ def laplace_reconstruct(
         A = max(mp.mpf(1), 40 / tv)
         while _tail_bound(A, tv) > tol / 2:
             A *= mp.mpf(5) / 4
-
-        def f(s: mp.mpf) -> mp.mpf:
-            return kernel_h(0, s, policy) * mp.exp(-tv * s)
-
-        edges = [mp.mpf(0)]
-        while edges[-1] + QUAD_PANEL_WIDTH < A:
-            edges.append(edges[-1] + QUAD_PANEL_WIDTH)
-        edges.append(A)
-        panel_tol = (tol / 2) / len(edges)
+        panels = int(mp.ceil(A / QUAD_PANEL_WIDTH))
+        panel_tol = (tol / 2) / (panels + 1)
         total = mp.mpf(0)
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += _ts_panel(f, a, b, panel_tol, QUAD_MAX_LEVEL, prec)
+        for k in range(panels):
+            total += _ts_panel(tv, k, panel_tol, QUAD_MAX_LEVEL, prec, policy)
     return total

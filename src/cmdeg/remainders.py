@@ -325,8 +325,6 @@ def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
 
 def q_derivative(j: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """j-th derivative of Q = phi_{2,2}, read off the family."""
-    if not isinstance(j, int) or j < 0:
-        raise InvalidIndex(f"derivative order must be a nonnegative integer, got {j!r}")
     return phi_derivatives(RemainderSpec(special="Q"), t, j, policy)[j]
 
 

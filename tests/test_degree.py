@@ -578,3 +578,16 @@ def test_per_cell_errors_are_recorded(monkeypatch):
     assert by[(0, 1)].contains_conjectured is None
     assert by[(0, 0)].error is None
     assert by[(0, 0)].bracket is not None
+
+
+def test_t_to_the_19_over_4_times_q_is_not_cm():
+    # a high-order witness the default scan never reaches: order 100 at
+    # t = 16 weights the Laplace kernel near s = 6, where the kernel of
+    # t^(19/4) Q dips below zero.  The value is the same to 9 digits at
+    # 768 and 1536 bits, so the sign is not a rounding artefact.
+    values = [
+        signed_derivative(Q, Fraction(19, 4), 100, 16, PrecisionPolicy(working_bits=bits))
+        for bits in (768, 1536)
+    ]
+    assert all(v < 0 for v in values)
+    assert [mp.nstr(v, 9) for v in values] == ["-1.37244007e+31"] * 2

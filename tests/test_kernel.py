@@ -312,15 +312,17 @@ def _reference_panel(f, a, b, tol, max_level, prec):
 
 
 @pytest.mark.parametrize(
-    "a, b, t, bits, tol",
+    "k, t, bits, tol",
     [
-        (0, 4, "0.3", 128, "1e-24"),
-        (4, 8, "2", 64, "1e-24"),
-        (36, 40, "1.5", 256, "1e-40"),
-        (0, 4, "40", 128, "1e-62"),
+        (0, "0.3", 128, "1e-24"),
+        (1, "2", 64, "1e-24"),
+        (9, "1.5", 256, "1e-40"),
+        (0, "40", 128, "1e-62"),
     ],
 )
-def test_panel_reuses_each_abscissa_exactly(a, b, t, bits, tol):
+def test_panel_reuses_each_abscissa_exactly(monkeypatch, k, t, bits, tol):
+    # panel k is [4k, 4k + 4]; on a cold memo h runs once per abscissa of
+    # the converged level, and the value is the re-evaluating reference's
     policy = PrecisionPolicy(working_bits=bits)
     prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
     with mp.workprec(prec):
@@ -332,12 +334,78 @@ def test_panel_reuses_each_abscissa_exactly(a, b, t, bits, tol):
 
     abscissas = []
 
-    def counted(s):
+    def counted(j, s, p=None):
         abscissas.append(s)
-        return f(s)
+        return kernel_h(j, s, p)
 
-    a, b = mp.mpf(a), mp.mpf(b)
-    value = kernel_module._ts_panel(counted, a, b, tolv, 12, prec)
+    kernel_module._panel_kernel.cache_clear()
+    monkeypatch.setattr(kernel_module, "kernel_h", counted)
+    value = kernel_module._ts_panel(tv, k, tolv, 12, prec, policy)
+    monkeypatch.undo()
+    a, b = mp.mpf(4 * k), mp.mpf(4 * k + 4)
     expected, level = _reference_panel(f, a, b, tolv, 12, prec)
     assert (value.man, value.exp) == (expected.man, expected.exp)
     assert len(abscissas) == 2 * len(kernel_module._ts_nodes(level, prec)) - 1
+    # c + d x may round to b when x is within an ulp of 1; h is finite there
+    assert all(a < s <= b for s in abscissas)
+
+
+def _cold_memos():
+    kernel_module._panel_kernel.cache_clear()
+    kernel_module._ts_nodes.cache_clear()
+
+
+@pytest.mark.parametrize("order", [(1, 5, "17.6"), ("17.6", 5, 1)])
+def test_shared_kernel_memo_gives_cold_bits(order):
+    # the h memo is shared across t: a value read after other t filled it
+    # is the value a cold process computes
+    cold = {}
+    for t in order:
+        _cold_memos()
+        value = laplace_reconstruct(t, POLICY)
+        cold[t] = (value.man, value.exp)
+    _cold_memos()
+    for t in order:
+        value = laplace_reconstruct(t, POLICY)
+        assert (value.man, value.exp) == cold[t], t
+
+
+def test_kernel_runs_once_per_abscissa_across_t(monkeypatch):
+    # twelve t, one per twelfth of log t over [1, 20] (the shape of the
+    # laplace benchmark job): every abscissa's h is computed exactly once
+    seen = []
+
+    def counted(j, s, p=None):
+        seen.append((s.man, s.exp))
+        return kernel_h(j, s, p)
+
+    _cold_memos()
+    monkeypatch.setattr(kernel_module, "kernel_h", counted)
+    for i in range(12):
+        laplace_reconstruct(mp.mpf(20) ** ((i + mp.mpf(1) / 2) / 12), POLICY)
+    assert len(seen) == len(set(seen)) > 2000
+    info = kernel_module._panel_kernel.cache_info()
+    assert info.currsize == info.misses  # nothing was evicted
+
+
+@pytest.mark.parametrize("t", ["0.5", 1, "1.13", 5, "17.6", 40])
+def test_panels_are_whole_and_the_tail_still_fits(monkeypatch, t):
+    # A is rounded up to whole panels: panels k = 0 .. n-1 with one shared
+    # per-panel tolerance, and the tail beyond 4n stays below tol/2
+    tolerance = 1e-22
+    calls = []
+    real = kernel_module._ts_panel
+
+    def spy(tv, k, tol, max_level, prec, policy):
+        calls.append((k, tol))
+        return real(tv, k, tol, max_level, prec, policy)
+
+    monkeypatch.setattr(kernel_module, "_ts_panel", spy)
+    laplace_reconstruct(t, POLICY, tolerance)
+    n = len(calls)
+    assert [k for k, _ in calls] == list(range(n))
+    with mp.workprec(200):
+        tol = mp.mpf(tolerance)
+        assert len({panel_tol for _, panel_tol in calls}) == 1
+        assert abs(calls[0][1] - (tol / 2) / (n + 1)) <= tol * mp.mpf(2) ** -150
+        assert kernel_module._tail_bound(mp.mpf(4 * n), mp.mpf(t)) <= tol / 2
