@@ -312,17 +312,19 @@ def _reference_panel(f, a, b, tol, max_level, prec):
 
 
 @pytest.mark.parametrize(
-    "k, t, bits, tol",
+    "a, b, t, bits, tol",
     [
-        (0, "0.3", 128, "1e-24"),
-        (1, "2", 64, "1e-24"),
-        (9, "1.5", 256, "1e-40"),
-        (0, "40", 128, "1e-62"),
+        (0, 4, "0.3", 128, "1e-24"),
+        (4, 8, "2", 64, "1e-24"),
+        (36, 40, "1.5", 256, "1e-40"),
+        (0, 4, "40", 128, "1e-62"),
     ],
 )
-def test_panel_reuses_each_abscissa_exactly(monkeypatch, k, t, bits, tol):
-    # panel k is [4k, 4k + 4]; on a cold memo h runs once per abscissa of
+def test_panel_reuses_each_abscissa_exactly(monkeypatch, a, b, t, bits, tol):
+    # [a, b] is panel k = a/4; on a cold memo h runs once per abscissa of
     # the converged level, and the value is the re-evaluating reference's
+    k = a // kernel_module.QUAD_PANEL_WIDTH
+    assert (k + 1) * kernel_module.QUAD_PANEL_WIDTH == b
     policy = PrecisionPolicy(working_bits=bits)
     prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
     with mp.workprec(prec):
@@ -342,7 +344,7 @@ def test_panel_reuses_each_abscissa_exactly(monkeypatch, k, t, bits, tol):
     monkeypatch.setattr(kernel_module, "kernel_h", counted)
     value = kernel_module._ts_panel(tv, k, tolv, 12, prec, policy)
     monkeypatch.undo()
-    a, b = mp.mpf(4 * k), mp.mpf(4 * k + 4)
+    a, b = mp.mpf(a), mp.mpf(b)
     expected, level = _reference_panel(f, a, b, tolv, 12, prec)
     assert (value.man, value.exp) == (expected.man, expected.exp)
     assert len(abscissas) == 2 * len(kernel_module._ts_nodes(level, prec)) - 1
