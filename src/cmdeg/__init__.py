@@ -37,7 +37,6 @@ from .errors import (
 )
 from .kernel import (
     KERNEL_SERIES_CROSSOVER,
-    KernelCoefficient,
     PositivityScanReport,
     h4_positivity_scan,
     h4_series_coefficient,
@@ -52,15 +51,11 @@ from .remainders import (
     SPECIAL_NAMES,
     ElementaryForm,
     RemainderSpec,
-    asymptotic_partial_sum,
     differentiate,
-    evaluate_form,
     form_for,
     phi_derivatives,
     pole_order,
-    q_derivative,
     q_value,
-    remainder_value,
 )
 
 __version__ = "0.1.0"
@@ -92,16 +87,11 @@ __all__ = [
     "ElementaryForm",
     "differentiate",
     "form_for",
-    "evaluate_form",
-    "remainder_value",
     "phi_derivatives",
     "q_value",
-    "q_derivative",
-    "asymptotic_partial_sum",
     "pole_order",
     # Laplace kernel
     "KERNEL_SERIES_CROSSOVER",
-    "KernelCoefficient",
     "kernel_h",
     "h4_series_coefficient",
     "PositivityScanReport",

@@ -135,17 +135,16 @@ def _run_bernoulli(args) -> tuple[dict, list[list[str]]]:
 def _run_kernel(args) -> tuple[dict, list[list[str]]]:
     bits = args.policy.working_bits
     if args.kernel_cmd == "coeffs":
-        coeffs = [h4_series_coefficient(k) for k in range(args.from_k, args.to_k + 1)]
+        coeffs = {k: h4_series_coefficient(k) for k in range(args.from_k, args.to_k + 1)}
         record = {
             "from": args.from_k,
             "to": args.to_k,
             "coefficients": [
-                {"k": c.k, "value": str(c.value), "doubled": str(2 * c.value)}
-                for c in coeffs
+                {"k": k, "value": str(c), "doubled": str(2 * c)} for k, c in coeffs.items()
             ],
         }
         rows = [["k", "numerator", "denominator"]] + [
-            [str(c.k), str(c.value.numerator), str(c.value.denominator)] for c in coeffs
+            [str(k), str(c.numerator), str(c.denominator)] for k, c in coeffs.items()
         ]
         return record, rows
     if args.kernel_cmd == "scan":

@@ -276,7 +276,10 @@ def cm_check(
 class DegreeBracket:
     """Evidence interval for a CM degree.
 
-    lower: largest lattice exponent whose scan passed.
+    lower: the largest integer exponent, at or below the largest passing
+        lattice exponent, whose own scan passed.  A passing scan at a
+        fractional exponent is no evidence: t^(19/4) Q passes the default
+        scan, yet (-1)^100 [t^(19/4) Q]^(100)(16) < 0.
     upper: the pole order p (inclusive), or the smallest lattice exponent
         r_v <= p with a scan violation (exclusive: the degree lies below r_v).
     """
@@ -307,7 +310,8 @@ def degree_bracket(
     """Bracket the CM degree by lattice bisection below the pole order.
 
     Inconclusive lattice points are excluded from both endpoints, widening
-    the bracket conservatively.
+    the bracket conservatively.  A fractional passing end is moved down to
+    the largest integer exponent whose scan passes.
     """
     step = _as_rational(r_lattice_step)
     if not 0 < step <= 1:
@@ -349,6 +353,16 @@ def degree_bracket(
                 lo, lo_rep = max(passes), sweep[max(passes)]
             break
 
+    lower = step * lo
+    if lower.denominator != 1:
+        for r in range(int(lower), 0, -1):
+            rep = cm_check(spec, r, max_order, grid, policy)
+            if rep.verdict == "pass":
+                lower, lo_rep = Fraction(r), rep
+                break
+        else:
+            lower, lo_rep = Fraction(0), rep0
+
     if top_rep.verdict == "violation":
         upper = as_mpf(step * top, policy.working_bits)
         method, violation_r, violation_rep = "scan_violation", step * top, top_rep
@@ -358,7 +372,7 @@ def degree_bracket(
     return DegreeBracket(
         spec=spec,
         step=step,
-        lower=step * lo,
+        lower=lower,
         upper=upper,
         lower_evidence=lo_rep,
         upper_method=method,

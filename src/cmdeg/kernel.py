@@ -20,8 +20,11 @@ The fourth derivative expands as
 
     h^(4)(s) = 1/(30 (e^s - 1)^5) * sum_{k>=7} c_k s^k
 
-with exactly known positive rational c_k; their positivity is the heart
-of the lower-bound argument for the monotonic degree of Q.
+with exactly known rational c_k; their positivity is the heart of the
+lower-bound argument for the monotonic degree of Q.  Every c_k (k >= 7) is
+positive: from k = 17 on each term of the numerator of
+``h4_series_coefficient`` is positive, and k = 7..16 are checked exactly by
+``h4_positivity_scan``.
 
 ``laplace_reconstruct`` integrates h(s) e^(-ts) by tanh-sinh over whole
 panels [4k, 4k + 4] whose refinement levels are nested: every abscissa of one
@@ -41,7 +44,6 @@ import mpmath as mp
 
 from .bernoulli import bernoulli
 from .errors import (
-    CmdegError,
     InvalidIndex,
     InvalidSpec,
     NonPositiveArgument,
@@ -51,7 +53,6 @@ from .precision import PrecisionPolicy, as_mpf
 
 __all__ = [
     "KERNEL_SERIES_CROSSOVER",
-    "KernelCoefficient",
     "PositivityScanReport",
     "kernel_h",
     "h4_series_coefficient",
@@ -153,23 +154,8 @@ def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
     return _h_closed(j, sv, prec)
 
 
-@dataclass(frozen=True)
-class KernelCoefficient:
-    """Coefficient c_k in the expansion 30 (e^s - 1)^5 h^(4)(s) = sum c_k s^k."""
-
-    k: int
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise CmdegError(
-                f"kernel coefficient c_{self.k} = {self.value} is not positive; "
-                "this contradicts the positivity underlying the lower bound"
-            )
-
-
-def h4_series_coefficient(k: int) -> KernelCoefficient:
-    """Exact c_k for k >= 7:
+def h4_series_coefficient(k: int) -> Fraction:
+    """Exact c_k in 30 (e^s - 1)^5 h^(4)(s) = sum_{k>=7} c_k s^k:
     c_k = [5^k + (110k-350) 3^k + 5(3k-50) 2^(2k-1) + (165k+350) 2^k + 30k + 125] / k!.
     """
     if not isinstance(k, int) or k < 7:
@@ -182,7 +168,7 @@ def h4_series_coefficient(k: int) -> KernelCoefficient:
         + 30 * k
         + 125
     )
-    return KernelCoefficient(k, Fraction(num, factorial(k)))
+    return Fraction(num, factorial(k))
 
 
 @dataclass(frozen=True)
@@ -200,12 +186,7 @@ def h4_positivity_scan(k_max: int) -> PositivityScanReport:
     """Exact positivity check of the expansion coefficients up to k_max."""
     if not isinstance(k_max, int) or k_max < 7:
         raise InvalidIndex(f"k_max must be at least 7, got {k_max!r}")
-    failures = []
-    for k in range(7, k_max + 1):
-        try:
-            h4_series_coefficient(k)
-        except CmdegError:
-            failures.append(k)
+    failures = [k for k in range(7, k_max + 1) if h4_series_coefficient(k) <= 0]
     return PositivityScanReport(
         k_min=7,
         k_max=k_max,
@@ -235,12 +216,15 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     return tuple(nodes)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple:
     """Raw h values at the abscissas new at ``level`` on panel k, in
     ``_ts_panel``'s order: h(c), then h(c + d x_j), h(c - d x_j) for each
     j > 0 at level 3 and each odd j above it.  h does not depend on t, so
-    every call of ``laplace_reconstruct`` at this precision shares them."""
+    every call of ``laplace_reconstruct`` at this precision shares them.
+    The memo is unbounded: a call walks its keys in the same order every
+    time, so an LRU smaller than one call's keys would evict each entry
+    before its reuse."""
     with mp.workprec(prec):
         d = mp.mpf(QUAD_PANEL_WIDTH) / 2
         c = QUAD_PANEL_WIDTH * k + d

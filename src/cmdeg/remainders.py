@@ -44,12 +44,8 @@ __all__ = [
     "ElementaryForm",
     "differentiate",
     "form_for",
-    "evaluate_form",
-    "remainder_value",
     "phi_derivatives",
     "q_value",
-    "q_derivative",
-    "asymptotic_partial_sum",
     "pole_order",
 ]
 
@@ -157,31 +153,21 @@ def differentiate(form: ElementaryForm) -> ElementaryForm:
 
 
 @lru_cache(maxsize=None)
-def _partial_sum_form(n: int, m: int) -> ElementaryForm:
-    """d^m S_n where S_n is the Stirling partial sum approximating ln Gamma."""
-    form = ElementaryForm(
-        tlog=Fraction(1),
-        log=Fraction(-1, 2),
-        powers={1: Fraction(-1)},
-        log2pi=Fraction(1, 2),
-        cancel_gap=2 * n + m + 4,
-    )
-    for k in range(1, n + 1):
-        coeff = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-        p = 1 - 2 * k
-        form.powers[p] = form.powers.get(p, _ZERO) + coeff
-    for _ in range(m):
-        form = differentiate(form)
-    return form
-
-
-@lru_cache(maxsize=None)
 def _phi_form(n: int, m: int) -> ElementaryForm:
     """phi_{n,0} = R_n = (-1)^n (ln Gamma - S_n), and phi_{n,m} = -d/dt
     phi_{n,m-1} for m >= 1, so phi_{n,m}^(i) = (-1)^i phi_{n,m+i}."""
     if m == 0:
-        form = _partial_sum_form(n, 0).scaled(Fraction((-1) ** (n + 1)))
-        form.loggamma = Fraction((-1) ** n)
+        sign = Fraction((-1) ** n)
+        form = ElementaryForm(
+            loggamma=sign,
+            tlog=-sign,
+            log=sign / 2,
+            powers={1: sign},
+            log2pi=-sign / 2,
+            cancel_gap=2 * n + 4,
+        )
+        for k in range(1, n + 1):
+            form.powers[1 - 2 * k] = -sign * bernoulli(2 * k) / (2 * k * (2 * k - 1))
         return form
     for k in range(m):  # bottom-up, so each call recurses one level at most
         previous = _phi_form(n, k)
@@ -270,37 +256,23 @@ def _pieces_for(
     return pieces
 
 
-def _evaluate(forms: list[ElementaryForm], t, policy: PrecisionPolicy | None) -> list[mp.mpf]:
-    """Values of ``forms`` at t > 0, sharing one set of elementary pieces;
-    the large-t elevation is that of forms[0]."""
-    policy = policy or PrecisionPolicy()
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
-    pol = _elevated(policy, forms[0].cancel_gap, mag_bits(tv))
-    pieces = _pieces_for(forms, tv, pol)
-    return [_assemble(f, pieces, pol.working_bits) for f in forms]
-
-
-def evaluate_form(form: ElementaryForm, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """Numerical value of an ElementaryForm at t > 0."""
-    return _evaluate([form], t, policy)[0]
-
-
-def remainder_value(spec: RemainderSpec, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """Value of the selected remainder-family member at t > 0."""
-    return evaluate_form(form_for(spec), t, policy)
-
-
 def phi_derivatives(
     spec: RemainderSpec, t, i_max: int, policy: PrecisionPolicy | None = None
 ) -> list[mp.mpf]:
     """Derivatives phi^(0..i_max) of the selected member at t > 0, read off
-    the family as phi_{n,m}^(i) = (-1)^i phi_{n,m+i}."""
+    the family as phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.  Every member shares
+    one set of elementary pieces; the large-t elevation is phi's own."""
     if not isinstance(i_max, int) or i_max < 0:
         raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
+    policy = policy or PrecisionPolicy()
+    tv = as_mpf(t, policy.internal_bits())
+    if not tv > 0:
+        raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
     n, m = spec.family_indices
-    values = _evaluate([_phi_form(n, m + i) for i in range(i_max + 1)], t, policy)
+    forms = [_phi_form(n, m + i) for i in range(i_max + 1)]
+    pol = _elevated(policy, forms[0].cancel_gap, mag_bits(tv))
+    pieces = _pieces_for(forms, tv, pol)
+    values = [_assemble(f, pieces, pol.working_bits) for f in forms]
     return [mp.fneg(v, exact=True) if i % 2 else v for i, v in enumerate(values)]
 
 
@@ -321,20 +293,6 @@ def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
         inv3 = inv2 * inv
         inv5 = inv3 * inv2
         return psi1 - inv - inv2 / 2 - inv3 / 6 + inv5 / 30
-
-
-def q_derivative(j: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """j-th derivative of Q = phi_{2,2}, read off the family."""
-    return phi_derivatives(RemainderSpec(special="Q"), t, j, policy)[j]
-
-
-def asymptotic_partial_sum(n: int, m: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """m-th derivative of the n-term Stirling partial sum at t > 0."""
-    if not isinstance(n, int) or not 0 <= n <= PHI_N_MAX:
-        raise InvalidSpec(f"n={n!r} outside supported range 0..{PHI_N_MAX}")
-    if not isinstance(m, int) or not 0 <= m <= PHI_M_MAX:
-        raise InvalidSpec(f"m={m!r} outside supported range 0..{PHI_M_MAX}")
-    return evaluate_form(_partial_sum_form(n, m), t, policy)
 
 
 def pole_order(spec: RemainderSpec) -> int:

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -42,7 +43,6 @@ from cmdeg import (
     phi_derivatives,
     pole_order,
     q_value,
-    remainder_value,
     signed_derivative,
 )
 
@@ -156,7 +156,7 @@ def test_order_zero_is_the_scaled_member(r):
     rv = Fraction(r)
     with mp.workprec(300):
         t = mp.mpf(1) / 3
-        phi = remainder_value(Q, t, POLICY)
+        phi = phi_derivatives(Q, t, 0, POLICY)[0]
         expected = t ** (mp.mpf(rv.numerator) / rv.denominator) * phi
         got = signed_derivative(Q, rv, 0, t, POLICY)
         assert abs(got - expected) < mp.mpf(2) ** -100 * (1 + abs(expected))
@@ -427,16 +427,64 @@ def test_phi00_brackets_degree_zero():
 def test_refining_the_lattice_tightens_the_q_bracket():
     br = degree_bracket(Q, Fraction(1, 20), max_order=8, grid=GRID60, policy=POLICY)
     assert br.step == Fraction(1, 20)
-    assert (br.lower * 20).denominator == 1
-    assert br.lower == Fraction(24, 5)
+    # the bisection passes at 24/5, which is no evidence (t^(19/4) Q is not
+    # CM), so the lower end moves down to the integer 4 and its own scan
+    assert br.lower == 4
+    assert br.lower_evidence.verdict == "pass" and br.lower_evidence.r == 4
     assert br.upper_method == "scan_violation"
-    assert br.scan_violation_r == Fraction(97, 20) == br.lower + br.step
+    assert br.scan_violation_r == Fraction(97, 20)
     assert br.upper == as_mpf(Fraction(97, 20), POLICY.working_bits)
-    assert not br.contains(4)  # the fine lattice excludes the coarse lower endpoint
+    assert br.contains(4) and br.contains(Fraction(24, 5))
     assert not br.contains(Fraction(97, 20))
     coarse = degree_bracket(Q, 1, max_order=8, grid=GRID60, policy=POLICY)
-    assert coarse.lower < br.lower
+    assert coarse.lower == br.lower
     assert br.scan_violation_r < coarse.scan_violation_r
+
+
+def _synthetic_scans(monkeypatch, passes):
+    """Replace cm_check by a member whose scan at r passes when passes(r);
+    returns the list of scanned exponents."""
+    calls = []
+
+    def fake(spec, r, max_order=12, grid=None, policy=None):
+        r = degree_module._as_rational(r)
+        calls.append(r)
+        return SimpleNamespace(r=r, verdict="pass" if passes(r) else "violation")
+
+    monkeypatch.setattr(degree_module, "cm_check", fake)
+    return calls
+
+
+_QUARTERS = [Fraction(x) for x in ("0", "5", "5/2", "15/4", "17/4", "9/2", "19/4")]
+
+
+@pytest.mark.parametrize(
+    "step, passes, calls, lower",
+    [
+        (Fraction(1, 4), lambda r: r <= Fraction(19, 4), _QUARTERS + [4], 4),
+        (
+            Fraction(1, 4),
+            lambda r: r <= Fraction(19, 4) and r not in (3, 4),
+            _QUARTERS + [4, 3, 2],
+            2,
+        ),
+        (
+            Fraction(1, 4),
+            lambda r: r == 0 or r <= Fraction(19, 4) and r.denominator > 1,
+            _QUARTERS + [4, 3, 2, 1],  # r = 0 is not scanned twice
+            0,
+        ),
+        (1, lambda r: r <= Fraction(17, 4), [0, 5, 2, 3, 4], 4),
+    ],
+    ids=["floor", "lower-integer", "zero", "integer-lattice-no-extra-scan"],
+)
+def test_lower_end_is_a_passing_integer(monkeypatch, step, passes, calls, lower):
+    scanned = _synthetic_scans(monkeypatch, passes)
+    br = degree_bracket(Q, step, max_order=2, grid=TINY_GRID, policy=POLICY)
+    assert scanned == calls
+    assert br.lower == lower and br.lower.denominator == 1
+    assert br.lower_evidence.r == lower and br.lower_evidence.verdict == "pass"
+    assert br.scan_violation_r == 5
 
 
 @pytest.mark.parametrize("n", range(PHI_N_MAX + 1))

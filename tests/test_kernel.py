@@ -11,10 +11,8 @@ import pytest
 kernel_module = importlib.import_module("cmdeg.kernel")
 
 from cmdeg import (
-    CmdegError,
     InvalidIndex,
     InvalidSpec,
-    KernelCoefficient,
     NonPositiveArgument,
     PrecisionPolicy,
     QuadratureNotConverged,
@@ -40,9 +38,7 @@ DOUBLED_COEFFS = {
 
 @pytest.mark.parametrize("k, doubled", sorted(DOUBLED_COEFFS.items()))
 def test_known_coefficients_exact(k, doubled):
-    c = h4_series_coefficient(k)
-    assert c.k == k
-    assert 2 * c.value == doubled
+    assert 2 * h4_series_coefficient(k) == doubled
 
 
 @pytest.mark.parametrize("k", [6, 0, -3, 2.5, "7"])
@@ -76,13 +72,13 @@ def test_coefficients_match_independent_convolution():
     conv = _convolution_coefficients(20)
     assert all(conv[i] == 0 for i in range(7))
     for k in range(7, 21):
-        assert h4_series_coefficient(k).value == conv[k]
+        assert h4_series_coefficient(k) == conv[k]
 
 
 def test_coefficient_bracket_bound():
     # the closed numerator is bounded by 2 * 5^k, so c_k <= 2 * 5^k / k!
     for k in range(7, 1001):
-        assert 0 < h4_series_coefficient(k).value * factorial(k) <= 2 * 5**k
+        assert 0 < h4_series_coefficient(k) * factorial(k) <= 2 * 5**k
 
 
 def test_positivity_scan_report():
@@ -99,11 +95,17 @@ def test_positivity_scan_validation():
         h4_positivity_scan(6)
 
 
-def test_nonpositive_coefficient_is_hard_error():
-    with pytest.raises(CmdegError):
-        KernelCoefficient(9, Fraction(-1, 3))
-    with pytest.raises(CmdegError):
-        KernelCoefficient(9, Fraction(0))
+def test_positivity_scan_reports_nonpositive_coefficients(monkeypatch):
+    # the scan compares each coefficient with 0; a zero counts as a failure
+    exact = kernel_module.h4_series_coefficient
+    bad = {9: Fraction(-1, 3), 12: Fraction(0)}
+    monkeypatch.setattr(
+        kernel_module, "h4_series_coefficient", lambda k: bad.get(k, exact(k))
+    )
+    rep = h4_positivity_scan(20)
+    assert rep.checked == 14
+    assert not rep.all_positive
+    assert rep.failures == (9, 12)
 
 
 def test_kernel_value_at_one_frozen():
@@ -151,7 +153,7 @@ def test_h4_closed_form_matches_coefficient_series_with_exact_tail(s):
         lhs = 30 * (mp.exp(sv) - 1) ** 5 * kernel_h(4, s, POLICY)
         partial = mp.mpf(0)
         for k in range(7, K + 1):
-            c = h4_series_coefficient(k).value
+            c = h4_series_coefficient(k)
             partial += mp.mpf(c.numerator) / c.denominator * sv**k
         x = 5 * sv
         tail_bound = 2 * x ** (K + 1) / factorial(K + 1) / (1 - x / (K + 2))
@@ -388,6 +390,20 @@ def test_kernel_runs_once_per_abscissa_across_t(monkeypatch):
     assert len(seen) == len(set(seen)) > 2000
     info = kernel_module._panel_kernel.cache_info()
     assert info.currsize == info.misses  # nothing was evicted
+
+
+def test_warm_call_below_t_0_3_misses_nothing():
+    # at t = 0.3 one call needs more than 128 (panel, level) entries, walked
+    # in the same order every call: a warm call must still hit every one
+    _cold_memos()
+    cold = laplace_reconstruct("0.3", POLICY)
+    filled = kernel_module._panel_kernel.cache_info()
+    assert filled.currsize == filled.misses > 128
+    warm = laplace_reconstruct("0.3", POLICY)
+    info = kernel_module._panel_kernel.cache_info()
+    assert info.misses == filled.misses
+    assert info.hits - filled.hits == filled.currsize
+    assert (warm.man, warm.exp) == (cold.man, cold.exp)
 
 
 @pytest.mark.parametrize("t", ["0.5", 1, "1.13", 5, "17.6", 40])

@@ -20,17 +20,13 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     RemainderSpec,
-    asymptotic_partial_sum,
     bernoulli,
     differentiate,
-    evaluate_form,
     form_for,
     log_gamma,
     phi_derivatives,
     pole_order,
-    q_derivative,
     q_value,
-    remainder_value,
 )
 
 remainders_module = importlib.import_module("cmdeg.remainders")
@@ -49,6 +45,20 @@ def mpf_frac(q):
     return mp.mpf(q.numerator) / q.denominator
 
 
+def phi(spec, t):
+    return phi_derivatives(spec, t, 0, POLICY)[0]
+
+
+def stirling_partial_sum(n, t):
+    """S_n(t) = (t - 1/2) ln t - t + ln(2 pi)/2 + sum_{k=1}^{n} B_2k / (2k(2k-1) t^(2k-1)),
+    from the Bernoulli numbers and mpmath at the working precision in force."""
+    tv = mpf_frac(t)
+    s_n = (tv - mp.mpf(1) / 2) * mp.log(tv) - tv + mp.log(2 * mp.pi) / 2
+    for k in range(1, n + 1):
+        s_n += mpf_frac(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * tv ** (1 - 2 * k)
+    return s_n
+
+
 def test_q_at_one_equals_pi_squared_over_six_minus_49_30():
     with mp.workprec(200):
         expected = mp.pi**2 / 6 - mpf_frac(Fraction(49, 30))
@@ -61,20 +71,20 @@ def test_q_derivative_at_one_uses_apery_constant():
     # Q'(1) = psi''(1) + 7/3 = -2 zeta(3) + 7/3
     with mp.workprec(200):
         expected = -2 * mp.mpf(ZETA3_50) + mpf_frac(Fraction(7, 3))
-        assert abs(q_derivative(1, 1, POLICY) - expected) < TOL
+        assert abs(phi_derivatives(Q, 1, 1, POLICY)[1] - expected) < TOL
 
 
 @pytest.mark.parametrize("t", ["0.25", 1, 7])
 def test_q_derivative_order_zero_matches_q_value(t):
     with mp.workprec(200):
-        assert abs(q_derivative(0, t, POLICY) - q_value(t, POLICY)) < 2 * TOL
+        assert abs(phi(Q, t) - q_value(t, POLICY)) < 2 * TOL
 
 
 @pytest.mark.parametrize("t", ["0.001", "0.5", 1, 10, 10000])
 def test_phi_2_2_is_q(t):
     # the (n, m) = (2, 2) member coincides with Q
     with mp.workprec(300):
-        family = remainder_value(RemainderSpec(n=2, m=2), t, POLICY)
+        family = phi(RemainderSpec(n=2, m=2), t)
         direct = q_value(t, POLICY)
         assert abs(family - direct) < mp.mpf(2) ** (-120)
 
@@ -136,14 +146,12 @@ def test_family_is_closed_under_differentiation(n):
 def test_deep_members_build_without_recursion_error():
     # each cold member is built from the one below it, one level at a time
     remainders_module._phi_form.cache_clear()
-    remainders_module._partial_sum_form.cache_clear()
     try:
         form = remainders_module._phi_form(0, 1200)
         assert form.psi == {1199: Fraction(1)} and form.loggamma == 0
-        assert remainders_module._partial_sum_form(0, 1200).powers[-1200]
+        assert form.powers[-1200]
     finally:
         remainders_module._phi_form.cache_clear()
-        remainders_module._partial_sum_form.cache_clear()
 
 
 def test_warm_phi_derivatives_do_no_symbolic_work(monkeypatch):
@@ -187,13 +195,8 @@ def test_phi_derivatives_golden_bits():
 def test_remainder_against_direct_stirling_difference(n, t):
     # R_n = (-1)^n [ln Gamma(t) - S_n(t)] assembled here from scratch
     with mp.workprec(300):
-        tv = mpf_frac(t)
-        s_n = (tv - mp.mpf(1) / 2) * mp.log(tv) - tv + mp.log(2 * mp.pi) / 2
-        for k in range(1, n + 1):
-            coeff = bernoulli(2 * k) / (2 * k * (2 * k - 1))
-            s_n += mpf_frac(coeff) * tv ** (1 - 2 * k)
-        expected = (-1) ** n * (mp.loggamma(tv) - s_n)
-        value = remainder_value(RemainderSpec(n=n, m=0), t, POLICY)
+        expected = (-1) ** n * (mp.loggamma(mpf_frac(t)) - stirling_partial_sum(n, t))
+        value = phi(RemainderSpec(n=n, m=0), t)
         assert abs(value - expected) < 16 * TOL
 
 
@@ -202,9 +205,7 @@ def test_remainder_against_direct_stirling_difference(n, t):
 def test_telescoping_identity(n, t):
     # R_n(t) + R_{n+1}(t) = (-1)^n B_{2n+2} / ((2n+2)(2n+1) t^(2n+1))
     with mp.workprec(300):
-        lhs = remainder_value(RemainderSpec(n=n, m=0), t, POLICY) + remainder_value(
-            RemainderSpec(n=n + 1, m=0), t, POLICY
-        )
+        lhs = phi(RemainderSpec(n=n, m=0), t) + phi(RemainderSpec(n=n + 1, m=0), t)
         rhs = (-1) ** n * bernoulli(2 * n + 2) / (
             (2 * n + 2) * (2 * n + 1) * Fraction(t) ** (2 * n + 1)
         )
@@ -214,15 +215,13 @@ def test_telescoping_identity(n, t):
 def test_telescoping_specific_value():
     # n = 1, t = 2: R_1(2) + R_2(2) = 1/2880
     with mp.workprec(200):
-        total = remainder_value(RemainderSpec(n=1, m=0), 2, POLICY) + remainder_value(
-            RemainderSpec(n=2, m=0), 2, POLICY
-        )
+        total = phi(RemainderSpec(n=1, m=0), 2) + phi(RemainderSpec(n=2, m=0), 2)
         assert abs(total - mpf_frac(Fraction(1, 2880))) < 8 * TOL
 
 
 def test_r0_at_50_below_classical_bound():
     # 0 < R_0(t) < 1/(12 t)
-    value = remainder_value(RemainderSpec(n=0, m=0), 50, POLICY)
+    value = phi(RemainderSpec(n=0, m=0), 50)
     assert 0 < value < mpf_frac(Fraction(1, 600))
 
 
@@ -243,7 +242,7 @@ def test_scaled_decay_stays_bounded(n, m):
         limit *= 2 * n + 1 + i
     with mp.workprec(300):
         for t in (10, 100, 10000):
-            scaled = abs(remainder_value(spec, t, POLICY)) * mp.mpf(t) ** (2 * n + m + 1)
+            scaled = abs(phi(spec, t)) * mp.mpf(t) ** (2 * n + m + 1)
             assert 0 < scaled < 2 * mpf_frac(limit)
 
 
@@ -251,35 +250,34 @@ def test_scaled_decay_stays_bounded(n, m):
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("t", ["0.01", 1, 100])
 def test_members_positive_on_samples(n, m, t):
-    assert remainder_value(RemainderSpec(n=n, m=m), t, POLICY) > 0
+    assert phi(RemainderSpec(n=n, m=m), t) > 0
 
 
 @pytest.mark.parametrize("name", ["Q", "PsiGap", "TrigammaGap3"])
 @pytest.mark.parametrize("t", ["0.01", 1, 100])
 def test_specials_positive_on_samples(name, t):
-    assert remainder_value(RemainderSpec(special=name), t, POLICY) > 0
+    assert phi(RemainderSpec(special=name), t) > 0
 
 
 def test_partial_sum_values():
+    # exact partial-sum values, seen through phi_{n,m} = (-1)^(n+m) d^m (ln Gamma - S_n)
     with mp.workprec(200):
-        # S_0(1) = -1 + ln(2 pi)/2
-        s0 = asymptotic_partial_sum(0, 0, 1, POLICY)
-        assert abs(s0 - (mp.log(2 * mp.pi) / 2 - 1)) < TOL
-        # S_2''(1) = 1 + 1/2 + 1/6 - 1/30 = 49/30
-        s2 = asymptotic_partial_sum(2, 2, 1, POLICY)
-        assert abs(s2 - mpf_frac(Fraction(49, 30))) < TOL
-        # S_1'(2) = ln 2 - 13/48
-        s1 = asymptotic_partial_sum(1, 1, 2, POLICY)
-        assert abs(s1 - (mp.log(2) - mpf_frac(Fraction(13, 48)))) < TOL
+        # S_0(1) = -1 + ln(2 pi)/2 and ln Gamma(1) = 0
+        r0 = phi(RemainderSpec(n=0, m=0), 1)
+        assert abs(r0 - (1 - mp.log(2 * mp.pi) / 2)) < TOL
+        # S_2''(1) = 1 + 1/2 + 1/6 - 1/30 = 49/30 and psi'(1) = pi^2/6
+        q1 = phi(RemainderSpec(n=2, m=2), 1)
+        assert abs(q1 - (mp.pi**2 / 6 - mpf_frac(Fraction(49, 30)))) < TOL
+        # S_1'(2) = ln 2 - 13/48 and psi(2) = 1 - euler
+        p11 = phi(RemainderSpec(n=1, m=1), 2)
+        assert abs(p11 - (1 - mp.euler - mp.log(2) + mpf_frac(Fraction(13, 48)))) < TOL
 
 
 def test_partial_sum_plus_remainder_reconstructs_log_gamma():
     with mp.workprec(300):
         for n in (0, 2, 5):
             for t in (Fraction(1, 4), 2, 40):
-                total = asymptotic_partial_sum(n, 0, t, POLICY) + (
-                    -1
-                ) ** n * remainder_value(RemainderSpec(n=n, m=0), t, POLICY)
+                total = stirling_partial_sum(n, t) + (-1) ** n * phi(RemainderSpec(n=n, m=0), t)
                 assert abs(total - log_gamma(t, POLICY)) < 16 * TOL
 
 
@@ -292,17 +290,21 @@ def test_partial_sum_plus_remainder_reconstructs_log_gamma():
 @settings(max_examples=20, deadline=None)
 def test_partial_sum_plus_remainder_property(n, t):
     with mp.workprec(300):
-        total = asymptotic_partial_sum(n, 0, t, POLICY) + (-1) ** n * remainder_value(
-            RemainderSpec(n=n, m=0), t, POLICY
-        )
+        total = stirling_partial_sum(n, t) + (-1) ** n * phi(RemainderSpec(n=n, m=0), t)
         assert abs(total - log_gamma(t, POLICY)) < 16 * TOL
 
 
 def test_phi_derivatives_match_q_derivatives():
-    ders = phi_derivatives(RemainderSpec(n=2, m=2), 1, 3, POLICY)
-    with mp.workprec(200):
+    # Q^(j) = psi^(j+1) - d^j [t^-1 + t^-2/2 + t^-3/6 - t^-5/30], from mpmath
+    powers = {-1: Fraction(1), -2: Fraction(1, 2), -3: Fraction(1, 6), -5: Fraction(-1, 30)}
+    ders = phi_derivatives(RemainderSpec(n=2, m=2), "1.5", 6, POLICY)
+    with mp.workprec(256):
+        t = mp.mpf("1.5")
         for j, value in enumerate(ders):
-            assert abs(value - q_derivative(j, 1, POLICY)) < mp.mpf(2) ** (-118)
+            expected = mp.psi(j + 1, t) - sum(
+                mpf_frac(c) * mp.ff(p, j) * t ** (p - j) for p, c in powers.items()
+            )
+            assert abs(value - expected) < TOL * max(1, abs(expected))
 
 
 def test_pole_orders():
@@ -348,20 +350,15 @@ def test_invalid_specs_rejected(kwargs):
 @pytest.mark.parametrize("t", [0, -1, "-2.5"])
 def test_nonpositive_argument_rejected(t):
     with pytest.raises(NonPositiveArgument):
-        remainder_value(Q, t, POLICY)
+        phi_derivatives(Q, t, 0, POLICY)
     with pytest.raises(NonPositiveArgument):
         q_value(t, POLICY)
 
 
 def test_invalid_derivative_indices_rejected():
-    with pytest.raises(InvalidIndex):
-        phi_derivatives(Q, 1, -1, POLICY)
-    with pytest.raises(InvalidIndex):
-        q_derivative(-1, 1, POLICY)
-    with pytest.raises(InvalidSpec):
-        asymptotic_partial_sum(9, 0, 1, POLICY)
-    with pytest.raises(InvalidSpec):
-        asymptotic_partial_sum(0, 7, 1, POLICY)
+    for i_max in (-1, 1.5, "2", None):
+        with pytest.raises(InvalidIndex):
+            phi_derivatives(Q, 1, i_max, POLICY)
 
 
 def test_differentiate_power_and_log_rules():
@@ -380,10 +377,3 @@ def test_differentiate_gamma_tower():
     assert d1.psi == {0: Fraction(1)} and d1.loggamma == 0
     d2 = differentiate(d1)
     assert d2.psi == {1: Fraction(1)}
-
-
-def test_evaluate_pure_rational_form():
-    form = ElementaryForm(powers={-2: Fraction(3, 7)})
-    value = evaluate_form(form, Fraction(1, 2), POLICY)
-    with mp.workprec(200):
-        assert abs(value - mpf_frac(Fraction(12, 7))) < TOL
