@@ -11,6 +11,14 @@ over finite grids and derivative orders.  Each grid point gets one row of
 these sums covering every order at once: the coefficients r(r-1)...(r-j+1)
 t^(r-j) are formed once per point and shared by all k.
 
+The rows run on Python integers.  The coefficients are rounded once, at
+working_bits + 64 bits; each coefficient and each phi^(i) is then read as
+its exact mantissa and exponent, so every product-rule term is an exact
+integer product and every sum is exact.  A row is a list of integer pairs
+(signed value, largest |term|) at one exponent, and ``classify_sign``
+compares such a pair exactly.  Only the values a report keeps are rounded
+back to mpf, at working_bits + 64 bits.
+
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree
 lies below r), while an all-pass scan is supporting evidence that the
@@ -33,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from operator import add, mul
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import CmdegError, InvalidIndex, InvalidSpec
 from .precision import PrecisionPolicy, as_mpf
@@ -131,41 +140,79 @@ def _phi_ders_cached(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: Precisi
     return phi_derivatives(spec, t, i_max, policy)
 
 
+def _man_exp(raw: tuple) -> tuple[int, int]:
+    """A raw mpf tuple (sign, man, exp, bc) as an exact signed (mantissa,
+    exponent) pair."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+@lru_cache(maxsize=1024)
+def _falling_factorials(r: Fraction, max_order: int, prec: int) -> tuple:
+    """r(r-1)...(r-j+1) for j = 0..max_order as raw mpf tuples at ``prec``,
+    up to the first zero (they are exact when r is an integer)."""
+    out = []
+    falling = Fraction(1)
+    with mp.workprec(prec):
+        for j in range(max_order + 1):
+            if falling == 0:
+                break
+            out.append((mp.mpf(falling.numerator) / falling.denominator)._mpf_)
+            falling *= r - j
+    return tuple(out)
+
+
+def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Signed (mantissa, exponent) pairs as integers at their smallest
+    nonzero exponent: (mantissas, exponent)."""
+    exp = min((e for m, e in pairs if m), default=0)
+    return [m << (e - exp) if m else 0 for m, e in pairs], exp
+
+
 def _signed_row(
     r: Fraction,
     max_order: int,
     t: mp.mpf,
     ders: list[mp.mpf],
     policy: PrecisionPolicy,
-) -> list[tuple[mp.mpf, mp.mpf]]:
-    """(value, scale) for k = 0..max_order: the signed derivative
-    (-1)^k [t^r phi]^(k)(t) and the largest |term| of its product-rule sum.
+) -> tuple[int, list[tuple[int, int]]]:
+    """(exp, [(value, scale) for k = 0..max_order]), all exact integers:
+    the signed derivative (-1)^k [t^r phi]^(k)(t) is value * 2^exp, and the
+    largest |term| of its product-rule sum is scale * 2^exp.
 
-    The coefficients r(r-1)...(r-j+1) t^(r-j) are shared by every order:
-    the falling factorials are built exactly, once, and the powers come
-    from one exp(r ln t) and repeated multiplication by 1/t.
+    The coefficients C_j = r(r-1)...(r-j+1) t^(r-j) are shared by every
+    order and rounded at working_bits + _SUM_GUARD_BITS: the falling
+    factorials come from a memo per (r, max_order, precision), and the
+    powers from one exp(r ln t) and repeated multiplication by 1/t.  Each
+    C_j and each phi^(i) is then read as its exact (mantissa, exponent),
+    and the C_j and the phi^(i) are each aligned at one exponent, so every
+    term C(k,j) C_j phi^(k-j) of every order is an exact integer at the
+    same exponent and the sums do not round.
     """
-    with mp.workprec(policy.working_bits + _SUM_GUARD_BITS):
-        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))
-        inv_t = 1 / t
-        coeffs = []  # r^(j) t^(r-j), up to the first zero falling factorial
-        falling = Fraction(1)
-        for j in range(max_order + 1):
-            if falling == 0:
-                break
-            coeffs.append(mp.mpf(falling.numerator) / falling.denominator * power)
-            falling *= r - j
-            power *= inv_t
-        row = []
-        for k in range(max_order + 1):
-            total = mp.mpf(0)
-            scale = mp.mpf(0)
-            for j in range(min(k + 1, len(coeffs))):
-                term = comb(k, j) * coeffs[j] * ders[k - j]
-                total += term
-                scale = max(scale, abs(term))
-            row.append((-total if k % 2 else total, scale))
-    return row
+    prec = policy.working_bits + _SUM_GUARD_BITS
+    with mp.workprec(prec):
+        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))._mpf_
+        inv_t = (1 / t)._mpf_
+    coeffs = []
+    for falling in _falling_factorials(r, max_order, prec):
+        coeffs.append(_man_exp(libmp.mpf_mul(falling, power, prec, libmp.round_nearest)))
+        power = libmp.mpf_mul(power, inv_t, prec, libmp.round_nearest)
+    coeffs, c_exp = _aligned(coeffs)
+    ders, d_exp = _aligned([_man_exp(d._mpf_) for d in ders])
+    row = []
+    binomials = [1]  # C(k, j) for j = 0..k
+    for k in range(max_order + 1):
+        terms = list(map(mul, binomials, map(mul, coeffs, ders[k::-1])))
+        total = sum(terms)
+        row.append((-total if k % 2 else total, max(map(abs, terms))))
+        binomials = [1, *map(add, binomials, binomials[1:]), 1]
+    return c_exp + d_exp, row
+
+
+def _report_value(value: int, exp: int, policy: PrecisionPolicy) -> mp.mpf:
+    """value * 2^exp rounded to the row's working_bits + _SUM_GUARD_BITS."""
+    prec = policy.working_bits + _SUM_GUARD_BITS
+    return mp.make_mpf(libmp.from_man_exp(value, exp, prec, libmp.round_nearest))
 
 
 def signed_derivative(
@@ -182,18 +229,24 @@ def signed_derivative(
     rv = _as_rational(r)
     tv = as_mpf(t, policy.internal_bits())
     ders = _phi_ders_cached(spec, tv, k, policy)
-    value, _ = _signed_row(rv, k, tv, ders, policy)[k]
-    return value
+    exp, row = _signed_row(rv, k, tv, ders, policy)
+    return _report_value(row[k][0], exp, policy)
 
 
 def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
     """'pass' / 'violation' / 'borderline' relative to the guard band.
 
-    The guard band is 2^(-working_bits/2) of the local term scale, so the
-    classification is invariant under scaling phi by a positive constant.
+    value and scale are either two integers at one common exponent (as in a
+    row of ``_signed_row``) or two mpf values; either way the comparison is
+    exact.  The value is borderline when |value| * 2^(working_bits/2) is at
+    most the local term scale, so the classification is invariant under
+    scaling phi by a positive constant.
     """
-    guard = mp.mpf(2) ** (-(policy.working_bits // 2)) * scale
-    if abs(value) <= guard:
+    if isinstance(value, mp.mpf):
+        (value, v_exp), (scale, s_exp) = _man_exp(value._mpf_), _man_exp(scale._mpf_)
+        exp = min(v_exp, s_exp)
+        value, scale = value << (v_exp - exp), scale << (s_exp - exp)
+    if abs(value) << (policy.working_bits // 2) <= scale:
         return "borderline"
     return "pass" if value > 0 else "violation"
 
@@ -237,22 +290,23 @@ def cm_check(
     all_values = []
     for tv in grid.values(policy.internal_bits()):
         ders = _phi_ders_cached(spec, tv, max_order, policy)
-        row = _signed_row(rv, max_order, tv, ders, policy)
+        exp, row = _signed_row(rv, max_order, tv, ders, policy)
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
             ders = _phi_ders_cached(spec, tv, max_order, doubled)
-            row2 = _signed_row(rv, max_order, tv, ders, doubled)
-        for k, ((value, scale), cls) in enumerate(zip(row, classes)):
+            exp2, row2 = _signed_row(rv, max_order, tv, ders, doubled)
+        for k, ((value, _), cls) in enumerate(zip(row, classes)):
+            entry_exp, entry_policy = exp, policy
             if cls == "borderline":
                 value, scale = row2[k]
+                entry_exp, entry_policy = exp2, doubled
                 cls = classify_sign(value, scale, doubled)
-                if cls == "borderline":
-                    inconclusive.append((tv, k))
-                    all_values.append((tv, k, value))
-                    continue
-            all_values.append((tv, k, value))
-            if cls == "violation":
-                violations.append((tv, k, value))
+            entry = (tv, k, _report_value(value, entry_exp, entry_policy))
+            all_values.append(entry)
+            if cls == "borderline":
+                inconclusive.append((tv, k))
+            elif cls == "violation":
+                violations.append(entry)
     if violations:
         verdict = "violation"
     elif inconclusive:

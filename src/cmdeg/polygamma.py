@@ -26,12 +26,19 @@ rounding.  The representation and the reasons for each part:
   1/(t+j) costs one integer division.
 * Every other quantity is an integer X standing for X / 2^scale.  The
   internal precision P0 = working_bits + PAD_BITS + compensation sets the
-  absolute truncation target 2^(8-P0).  The scale is wider:
-  scale = P0 + (k_max+1) * bitlen(floor w), with k_max = 0 for ln Gamma.
-  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k), and an absolute
-  2^(-P0) would keep only P0 - k bitlen(w) of its bits; the widening makes
-  w^-(k_max+1) still carry P0 significant bits, so the block is accurate
-  relative to its own size.
+  absolute truncation target 2^(8-P0).  For a block the compensation is
+  bitlen(k_max!) + 4, the size of the recurrence term k!/t^(k+1) at t = 1.
+  The scale is wider:
+  scale = P0 + widen + (k_max+1) * bitlen(floor w), with k_max = 0 for
+  ln Gamma.  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k), and an
+  absolute 2^(-P0) would keep only P0 - k bitlen(w) of its bits; the
+  bitlen(w) term makes w^-(k_max+1) still carry P0 significant bits, so
+  the block is accurate relative to its own size.  At t < 1 the recurrence
+  terms grow by (k_max+1) |log2 t| bits, and ``widen`` adds those bits to
+  the scale for the unshift.  They do not tighten the target: the series
+  runs at w >= 10, where no term is that large, and a target tightened by
+  them only forces more shifts (five or six at t = 1e-300).  ln Gamma has
+  widen = 0; its compensation is 6 + |log2 t| for t < 1.
 * w^(-2i) underflows at any fixed scale while |B_2i| grows past 2^400 (512
   working bits, w ~ 171), so B_2i w^(-2i) at 2^scale alone would be only
   2^(-scale) * |B_2i| accurate.  It is therefore held as v / 2^e with
@@ -84,11 +91,12 @@ def _shift_target(working_bits: int) -> int:
     return max(10, -(-working_bits // 3))
 
 
-def _magnitude_compensation(k: int, t: mp.mpf) -> int:
-    """log2 bound on the largest intermediate term (recurrence term k!/t^(k+1))."""
+def _magnitude_compensation(k: int, t: mp.mpf) -> tuple[int, int]:
+    """log2 bound on the largest intermediate term (recurrence term
+    k!/t^(k+1)), split as (bits at t = 1, bits that t < 1 adds)."""
     neg_log_t = max(0, -mag_bits(t))
     fact_bits = factorial(k).bit_length() if k > 1 else 1
-    return fact_bits + (k + 1) * neg_log_t + 4
+    return fact_bits + 4, (k + 1) * neg_log_t
 
 
 def _exact(t: mp.mpf) -> tuple[int, int]:
@@ -218,7 +226,14 @@ def _stirling_series(w: int, sh: int, scale: int, target: int) -> int | None:
 
 
 def _shift_and_sum(
-    t: mp.mpf, working_bits: int, comp: int, orders: int, series, unshift, what: str
+    t: mp.mpf,
+    working_bits: int,
+    comp: int,
+    widen: int,
+    orders: int,
+    series,
+    unshift,
+    what: str,
 ):
     """The shift-and-series scheme at internal precision P0 = the policy's
     internal bits for ``working_bits`` plus ``comp`` compensation bits.
@@ -227,9 +242,10 @@ def _shift_and_sum(
     converges at the shifted point w / 2^sh, raising the shift target each
     time it does not, and returns ``(unshift(tail, num, sh, steps, scale),
     scale)`` where ``steps`` = w - t and every value is an integer at
-    2^scale, scale = P0 + orders * bitlen(floor w), target = 2^(8-P0).
-    Raises PrecisionUnreachable once the extra shifts exceed
-    ``MAX_EXTRA_SHIFTS``.
+    2^scale, scale = P0 + widen + orders * bitlen(floor w), target =
+    2^(8-P0).  ``widen`` bits serve the unshift only, so they do not
+    tighten the series target.  Raises PrecisionUnreachable once the extra
+    shifts exceed ``MAX_EXTRA_SHIFTS``.
     """
     p0 = PrecisionPolicy(working_bits).internal_bits(comp)
     num, sh = _exact(t)
@@ -239,7 +255,7 @@ def _shift_and_sum(
         # fewest steps with t + steps >= base + extra
         steps = max(0, -((num - ((base + extra) << sh)) >> sh))
         w = num + (steps << sh)
-        scale = p0 + orders * (w >> sh).bit_length()
+        scale = p0 + widen + orders * (w >> sh).bit_length()
         tail = series(w, sh, scale, 1 << (scale - p0 + 8))
         if tail is not None:
             return unshift(tail, num, sh, steps, scale), scale
@@ -296,7 +312,7 @@ def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
     results, scale = _shift_and_sum(
         tv,
         working_bits,
-        _magnitude_compensation(k_max, tv),
+        *_magnitude_compensation(k_max, tv),
         k_max + 1,
         lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target),
         unshift,
@@ -321,7 +337,7 @@ def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> 
 def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
     comp = 6 + max(0, -mag_bits(t))  # |ln t| grows only logarithmically
     result, scale = _shift_and_sum(
-        t, working_bits, comp, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
+        t, working_bits, comp, 0, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
     )
     return _from_fixed(result, scale, working_bits)
 

@@ -241,18 +241,39 @@ def _per_term_row(r, max_order, t, ders, bits):
     return out
 
 
-@pytest.mark.parametrize("r", [Fraction(2), Fraction(21, 20), Fraction(61, 20), Fraction(9, 2)])
-@pytest.mark.parametrize("t", ["1e-3", 1, 10000])
-def test_product_rule_row_matches_per_term_sum(r, t):
-    # r = 2 has zero falling factorials from j = 3 on
-    tv = as_mpf(t, POLICY.internal_bits())
-    ders = phi_derivatives(Q, tv, 12, POLICY)
-    row = degree_module._signed_row(r, 12, tv, ders, POLICY)
-    ref = _per_term_row(r, 12, tv, ders, 2 * POLICY.working_bits)
+PHI33 = RemainderSpec(n=3, m=3)
+DOUBLED = PrecisionPolicy(working_bits=2 * POLICY.working_bits)
+ROW_TS = ["1e-3", 1, 10000]
+# the twelve Q cases keep the ids "<t>-r<index>"
+ROW_CASES = [
+    pytest.param(Q, r, t, POLICY, id=f"{t}-r{i}")
+    for t in ROW_TS
+    for i, r in enumerate([Fraction(2), Fraction(21, 20), Fraction(61, 20), Fraction(9, 2)])
+] + [
+    pytest.param(spec, r, t, policy, id=f"{name}-{t}")
+    for name, spec, r, policy in [
+        ("PsiGap-r1.05", PSIGAP, Fraction(21, 20), POLICY),
+        ("TrigammaGap3-r3.05", TRIGAP, Fraction(61, 20), POLICY),
+        ("phi33-r7", PHI33, Fraction(7), POLICY),
+        ("Q-r0", Q, Fraction(0), POLICY),
+        ("Q-r3.05-doubled", Q, Fraction(61, 20), DOUBLED),
+    ]
+    for t in ROW_TS
+]
+
+
+@pytest.mark.parametrize("spec, r, t, policy", ROW_CASES)
+def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
+    # r = 2 has zero falling factorials from j = 3 on; r = 0 keeps only j = 0
+    tv = as_mpf(t, policy.internal_bits())
+    ders = phi_derivatives(spec, tv, 12, policy)
+    exp, row = degree_module._signed_row(r, 12, tv, ders, policy)
+    ref = _per_term_row(r, 12, tv, ders, 2 * policy.working_bits)
     assert len(row) == 13
-    with mp.workprec(2 * POLICY.working_bits):
+    with mp.workprec(2 * policy.working_bits):
         for (value, scale), (ref_value, ref_scale) in zip(row, ref):
-            tol = mp.mpf(2) ** -POLICY.working_bits * ref_scale
+            value, scale = mp.ldexp(mp.mpf(value), exp), mp.ldexp(mp.mpf(scale), exp)
+            tol = mp.mpf(2) ** -policy.working_bits * ref_scale
             assert abs(value - ref_value) <= tol
             assert abs(scale - ref_scale) <= tol
 
@@ -272,6 +293,15 @@ def test_classification_bands():
     assert classify_sign(mp.mpf(2) ** -64, one, POLICY) == "borderline"
     assert classify_sign(mp.mpf(2) ** -60, one, POLICY) == "pass"
     assert classify_sign(mp.mpf(0), mp.mpf(0), POLICY) == "borderline"
+    # integer pairs at one exponent: borderline while |value| * 2^64 <= scale
+    scale = 3 << (POLICY.working_bits // 2)
+    assert classify_sign(3, scale, POLICY) == "borderline"  # exactly at the guard
+    assert classify_sign(-3, scale, POLICY) == "borderline"
+    assert classify_sign(4, scale, POLICY) == "pass"  # one unit above
+    assert classify_sign(-4, scale, POLICY) == "violation"
+    assert classify_sign(4, 4 * scale // 3 - 1, POLICY) == "pass"
+    assert classify_sign(4, 4 * scale // 3, POLICY) == "borderline"
+    assert classify_sign(0, 0, POLICY) == "borderline"
 
 
 @given(
@@ -329,6 +359,39 @@ def test_all_borderline_scan_is_inconclusive(monkeypatch):
     assert len(rep.inconclusive) == 12 * 4
     assert len(rep.values) == 12 * 4
     _assert_report_integrity(rep)
+
+
+def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
+    # the tracer's degree.classify counts rest on this call pattern
+    calls = []
+    classify = degree_module.classify_sign
+    real = degree_module._phi_ders_cached
+
+    def counting(value, scale, policy):
+        result = classify(value, scale, policy)
+        calls.append((policy.working_bits, result))
+        return result
+
+    def provider(spec, t, i_max, pol):
+        # zero even orders at the first pass below t = 1: with r = 0 those
+        # rows are 0, borderline, and pass when re-run at doubled precision
+        ders = real(spec, t, i_max, pol)
+        if pol == POLICY and t < 1:
+            ders = [mp.mpf(0) if i % 2 == 0 else d for i, d in enumerate(ders)]
+        return ders
+
+    monkeypatch.setattr(degree_module, "classify_sign", counting)
+    monkeypatch.setattr(degree_module, "_phi_ders_cached", provider)
+    rep = cm_check(Q, 0, max_order=3, grid=TINY_GRID, policy=POLICY)
+    low_points = sum(1 for t in TINY_GRID.values(POLICY.internal_bits()) if t < 1)
+    assert low_points == 4
+    first = [result for bits, result in calls if bits == POLICY.working_bits]
+    reruns = [result for bits, result in calls if bits == DOUBLED.working_bits]
+    assert len(first) == TINY_GRID.points * (3 + 1)
+    assert first.count("borderline") == low_points * 2  # orders 0 and 2
+    assert reruns == ["pass"] * (low_points * 2)
+    assert len(calls) == len(first) + len(reruns)
+    assert rep.verdict == "pass"
 
 
 def clear_memos():

@@ -258,6 +258,23 @@ def test_shift_budget_exhaustion_raises(monkeypatch):
         log_gamma(1, policy)
 
 
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
+    # the (k+1)|log2 t| compensation bits widen the scale only; were they
+    # to tighten the series target too, t = 1e-300 would shift 5-6 times
+    polygamma_module._block.cache_clear()
+    calls = []
+    series = polygamma_module._psi_series
+
+    def counting(*args):
+        calls.append(args[0])
+        return series(*args)
+
+    monkeypatch.setattr(polygamma_module, "_psi_series", counting)
+    polygamma_block(k_max, "1e-300", POLICY)
+    assert calls == [k_max]
+
+
 # ---------------------------------------------------------------------------
 # per-process memo of blocks and ln Gamma values
 
