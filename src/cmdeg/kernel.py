@@ -199,7 +199,11 @@ def h4_positivity_scan(k_max: int) -> PositivityScanReport:
 @lru_cache(maxsize=64)
 def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     """tanh-sinh abscissas/weights for j >= 0 at step 2^-level, up to the
-    first node whose abscissa rounds to 1 (it would land on a panel end)."""
+    first node whose abscissa rounds to 1.  The last nodes kept have x < 1,
+    but c + d x can still round to the panel end: at the default 224 bits
+    the last level-12 node has 1 - x = 3.7e-68 and 2 + 2x == 4.  That is
+    harmless here, since h is finite there and the node's weight is
+    2.9e-66."""
     with mp.workprec(prec):
         h = mp.mpf(2) ** (-level)
         nodes = []

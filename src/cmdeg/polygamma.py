@@ -186,16 +186,12 @@ def _psi_series(
     return [x if k % 2 or k == 0 else -x for k, x in enumerate(totals)]
 
 
-def _round_out(x: mp.mpf, working_bits: int) -> mp.mpf:
-    """Canonical output rounding: keep the absolute-error contract even for
-    values much larger than 1 by retaining magnitude bits."""
-    with mp.workprec(working_bits + max(0, mag_bits(x)) + 8):
-        return +x
-
-
 def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
-    """The integer x at 2^scale, exactly as an mpf, then ``_round_out``."""
-    return _round_out(mp.make_mpf(libmp.from_man_exp(x, -scale)), working_bits)
+    """The integer x at 2^scale as an mpf, rounded to nearest once at
+    working_bits + 8 bits plus its magnitude above 1: the absolute-error
+    contract holds even for values much larger than 1."""
+    prec = working_bits + max(0, abs(x).bit_length() - scale) + 8
+    return mp.make_mpf(libmp.from_man_exp(x, -scale, prec, libmp.round_nearest))
 
 
 def _stirling_series(w: int, sh: int, scale: int, target: int) -> int | None:

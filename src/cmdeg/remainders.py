@@ -16,6 +16,10 @@ That combination is represented symbolically by :class:`ElementaryForm`
 with Fraction coefficients, differentiated exactly, and only evaluated
 numerically at the end -- no numerical differentiation anywhere.
 
+Pieces and sums are raw ``libmp`` tuples, formed by the libmp operations
+that mpf arithmetic under ``workprec`` performs, at the same precision and
+rounding: the same bits without an mpf object per operation.
+
 Named specials are labels for family members:
 
     Q            = phi_{2,2} = psi'(t) - 1/t - 1/(2t^2) - 1/(6t^3) + 1/(30t^5)
@@ -30,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath import libmp
 
 from .bernoulli import bernoulli
 from .errors import InvalidIndex, InvalidSpec, NonPositiveArgument
@@ -180,14 +185,6 @@ def form_for(spec: RemainderSpec) -> ElementaryForm:
     return _phi_form(*spec.family_indices)
 
 
-def _coeff_bits(c: Fraction) -> int:
-    return c.numerator.bit_length() - c.denominator.bit_length() + 1
-
-
-def _frac_mpf(c: Fraction) -> mp.mpf:
-    return mp.mpf(c.numerator) / c.denominator
-
-
 def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> PrecisionPolicy:
     """Policy with enough extra working bits to survive large-t cancellation."""
     if t_bits <= 0:
@@ -195,19 +192,31 @@ def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> Precisio
     return PrecisionPolicy(policy.working_bits + cancel_gap * t_bits + 16)
 
 
-def _assemble(form: ElementaryForm, pieces: dict, base_bits: int) -> mp.mpf:
-    """Combine precomputed elementary pieces; precision follows the largest term."""
+def _assemble(terms: tuple, pieces: dict, base_bits: int) -> tuple:
+    """Sum c * piece over ``terms`` as a raw mpf tuple at a precision set by
+    the largest term: the bits of mpf(num) / den * piece summed under
+    ``workprec``, each step rounded to nearest."""
     max_bits = 0
-    for c, key in _iter_terms(form):
-        piece = pieces[key]
-        if piece:
-            max_bits = max(max_bits, _coeff_bits(c) + mag_bits(piece))
-    prec = base_bits + 32 + max(0, max_bits)
-    with mp.workprec(prec):
-        total = mp.mpf(0)
-        for c, key in _iter_terms(form):
-            total += _frac_mpf(c) * pieces[key]
+    for _, _, c_bits, key in terms:
+        _, man, exp, bc = pieces[key]
+        if man:
+            max_bits = max(max_bits, c_bits + exp + bc)
+    prec = base_bits + 32 + max_bits
+    rnd = libmp.round_nearest
+    total = libmp.fzero
+    for num, den, _, key in terms:
+        c = libmp.mpf_div(libmp.from_int(num, prec, rnd), libmp.from_int(den), prec, rnd)
+        total = libmp.mpf_add(total, libmp.mpf_mul(c, pieces[key], prec, rnd), prec, rnd)
     return total
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(n: int, m: int) -> tuple:
+    """(num, den, coefficient bits, piece key) of phi_{n,m}'s terms, in order."""
+    return tuple(
+        (c.numerator, c.denominator, c.numerator.bit_length() - c.denominator.bit_length() + 1, key)
+        for c, key in _iter_terms(_phi_form(n, m))
+    )
 
 
 def _iter_terms(form: ElementaryForm):
@@ -230,29 +239,31 @@ def _iter_terms(form: ElementaryForm):
 def _pieces_for(
     forms: list[ElementaryForm], tv: mp.mpf, policy: PrecisionPolicy
 ) -> dict:
-    """Evaluate every elementary piece needed by ``forms`` once."""
+    """Evaluate every elementary piece needed by ``forms`` once, as raw mpf
+    tuples; powers and logs are rounded at one internal precision."""
     need_loggamma = any(f.loggamma for f in forms)
     psi_orders = sorted({i for f in forms for i in f.psi})
     power_exps = sorted({p for f in forms for p in f.powers})
     need_log = any(f.log for f in forms) or any(f.tlog for f in forms)
     need_log2pi = any(f.log2pi for f in forms)
 
-    pieces: dict = {"const": mp.mpf(1)}
+    pieces: dict = {"const": libmp.fone}
     if psi_orders:
         block = polygamma_block(psi_orders[-1], tv, policy)
         for i in psi_orders:
-            pieces[("psi", i)] = block[i]
+            pieces[("psi", i)] = block[i]._mpf_
     if need_loggamma:
-        pieces["loggamma"] = log_gamma(tv, policy)
-    with mp.workprec(policy.internal_bits(abs(mag_bits(tv)) + 8)):
-        for p in power_exps:
-            pieces[("pow", p)] = tv**p
-        if need_log:
-            lt = mp.log(tv)
-            pieces["log"] = lt
-            pieces["tlog"] = tv * lt
-        if need_log2pi:
-            pieces["log2pi"] = mp.log(2 * mp.pi)
+        pieces["loggamma"] = log_gamma(tv, policy)._mpf_
+    prec, rnd = policy.internal_bits(abs(mag_bits(tv)) + 8), libmp.round_nearest
+    t = tv._mpf_
+    for p in power_exps:
+        pieces[("pow", p)] = libmp.mpf_pow_int(t, p, prec, rnd)
+    if need_log:
+        pieces["log"] = lt = libmp.mpf_log(t, prec, rnd)
+        pieces["tlog"] = libmp.mpf_mul(t, lt, prec, rnd)
+    if need_log2pi:
+        two_pi = libmp.mpf_shift(libmp.mpf_pi(prec, rnd), 1)
+        pieces["log2pi"] = libmp.mpf_log(two_pi, prec, rnd)
     return pieces
 
 
@@ -272,8 +283,8 @@ def phi_derivatives(
     forms = [_phi_form(n, m + i) for i in range(i_max + 1)]
     pol = _elevated(policy, forms[0].cancel_gap, mag_bits(tv))
     pieces = _pieces_for(forms, tv, pol)
-    values = [_assemble(f, pieces, pol.working_bits) for f in forms]
-    return [mp.fneg(v, exact=True) if i % 2 else v for i, v in enumerate(values)]
+    values = [_assemble(_phi_terms(n, m + i), pieces, pol.working_bits) for i in range(i_max + 1)]
+    return [mp.make_mpf(libmp.mpf_neg(v) if i % 2 else v) for i, v in enumerate(values)]
 
 
 def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:

@@ -20,12 +20,14 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     RemainderSpec,
+    as_mpf,
     bernoulli,
     differentiate,
     form_for,
     log_gamma,
     phi_derivatives,
     pole_order,
+    polygamma_block,
     q_value,
 )
 
@@ -171,8 +173,9 @@ def test_warm_phi_derivatives_do_no_symbolic_work(monkeypatch):
 
 
 def test_phi_derivatives_golden_bits():
-    # pins the (man, exp) of every value at 128, 256 and 512 bits: any
-    # moved bit changes the digest
+    # pins the (sign, man, exp) of every value at 128, 256 and 512 bits:
+    # any moved bit or flipped sign changes the digest (mpf.man is unsigned,
+    # so the sign is read from _mpf_)
     ts = (Fraction(1, 1000), "0.37", 2, "37.5", 9000)
     cases = [(n, m, t, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1) for t in ts]
     cases += [
@@ -184,10 +187,66 @@ def test_phi_derivatives_golden_bits():
     digest = hashlib.sha256()
     for n, m, t, bits in cases:
         for v in phi_derivatives(RemainderSpec(n=n, m=m), t, 12, PrecisionPolicy(bits)):
-            digest.update(f"{v.man}p{v.exp};".encode())
+            sign, man, exp = v._mpf_[:3]
+            digest.update(f"{sign}:{man}p{exp};".encode())
     assert digest.hexdigest() == (
-        "705e82c2dc7fe821d7b6457c755b4d993a417e654fa941b5988bc4a8742adb2e"
+        "1799c4d973dd3727b49be578351d7933b110f31164c790be3c7f7ef18165218e"
     )
+
+
+def _mpf_pieces_for(forms, tv, policy):
+    """Reference for the elementary pieces: mpf arithmetic under workprec."""
+    pieces = {"const": mp.mpf(1)}
+    psi_orders = sorted({i for f in forms for i in f.psi})
+    if psi_orders:
+        block = polygamma_block(psi_orders[-1], tv, policy)
+        for i in psi_orders:
+            pieces[("psi", i)] = block[i]
+    if any(f.loggamma for f in forms):
+        pieces["loggamma"] = log_gamma(tv, policy)
+    with mp.workprec(policy.internal_bits(abs(int(mp.mag(tv))) + 8)):
+        for p in sorted({p for f in forms for p in f.powers}):
+            pieces[("pow", p)] = tv**p
+        lt = mp.log(tv)
+        pieces["log"] = lt
+        pieces["tlog"] = tv * lt
+        pieces["log2pi"] = mp.log(2 * mp.pi)
+    return pieces
+
+
+def _mpf_assemble(form, pieces, base_bits):
+    """Reference for the assembly: each term c * piece formed and summed as
+    mpf values under workprec, at the precision of the largest term."""
+    terms = list(remainders_module._iter_terms(form))
+    max_bits = 0
+    for c, key in terms:
+        if pieces[key]:
+            coeff_bits = c.numerator.bit_length() - c.denominator.bit_length() + 1
+            max_bits = max(max_bits, coeff_bits + int(mp.mag(pieces[key])))
+    with mp.workprec(base_bits + 32 + max_bits):
+        total = mp.mpf(0)
+        for c, key in terms:
+            total += mp.mpf(c.numerator) / c.denominator * pieces[key]
+    return total
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_raw_assembly_matches_mpf_reference(bits):
+    # the raw-tuple pieces and sums give every value the same (sign, man,
+    # exp) as mpf arithmetic does, with no tolerance
+    policy = PrecisionPolicy(bits)
+    for t in ("1e-12", "1e-3", "0.37", "2", "37.5", "9000", "1e8"):
+        tv = as_mpf(t, policy.internal_bits())
+        for n in range(PHI_N_MAX + 1):
+            for m in range(PHI_M_MAX + 1):
+                forms = [remainders_module._phi_form(n, m + i) for i in range(13)]
+                pol = remainders_module._elevated(policy, forms[0].cancel_gap, int(mp.mag(tv)))
+                pieces = _mpf_pieces_for(forms, tv, pol)
+                values = phi_derivatives(RemainderSpec(n=n, m=m), t, 12, policy)
+                for i, (form, value) in enumerate(zip(forms, values)):
+                    ref = _mpf_assemble(form, pieces, pol.working_bits)
+                    ref = mp.fneg(ref, exact=True) if i % 2 else ref
+                    assert value._mpf_[:3] == ref._mpf_[:3], (t, n, m, i)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
