@@ -19,6 +19,12 @@ integer product and every sum is exact.  A row is a list of integer pairs
 compares such a pair exactly.  Only the values a report keeps are rounded
 back to mpf, at working_bits + 64 bits.
 
+Each scan reads phi^(0..max_order)(t) from a scope that its caller passes.
+Standalone scans read the member's own ``phi_derivatives`` row, while
+``conjecture_scan`` evaluates all its cells once per (t, policy), at the
+largest large-t elevation among them: a cell's phi^(i) can then differ from
+its standalone bits in the last places, far inside the guard band.
+
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree
 lies below r), while an all-pass scan is supporting evidence that the
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from operator import add, mul
 
 import mpmath as mp
@@ -48,7 +55,7 @@ from mpmath import libmp
 
 from .errors import CmdegError, InvalidIndex, InvalidSpec
 from .precision import PrecisionPolicy, as_mpf
-from .remainders import RemainderSpec, phi_derivatives, pole_order
+from .remainders import PHI_M_MAX, PHI_N_MAX, RemainderSpec, _phi_rows, phi_derivatives, pole_order
 
 __all__ = [
     "Grid",
@@ -133,11 +140,24 @@ def _as_rational(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# derivative cache shared by scans (same spec/t/policy across lattice points)
+# derivative scopes: where a scan reads phi^(0..i_max)(t).  The one-cell
+# scope memoises each member's own row, shared by its lattice exponents.
 
 @lru_cache(maxsize=200_000)
 def _phi_ders_cached(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: PrecisionPolicy):
     return phi_derivatives(spec, t, i_max, policy)
+
+
+def _table_scope(cells: dict):
+    """Scope of a table: every cell (n, m): i_max evaluated once per (t, policy)."""
+    rows = {}
+
+    def ders(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: PrecisionPolicy):
+        if (t, policy) not in rows:
+            rows[t, policy] = _phi_rows(cells, t, policy)
+        return rows[t, policy][spec.family_indices][: i_max + 1]
+
+    return ders
 
 
 def _man_exp(raw: tuple) -> tuple[int, int]:
@@ -279,6 +299,11 @@ def cm_check(
     precision; if still indistinguishable from zero they are reported as
     inconclusive rather than silently counted as passes or violations.
     """
+    return _cm_check(spec, r, max_order, grid, policy, ders=_phi_ders_cached)
+
+
+def _cm_check(spec, r, max_order, grid, policy, ders) -> CmCheckReport:
+    """cm_check reading its rows from the scope ``ders``."""
     if not isinstance(max_order, int) or max_order < 0:
         raise InvalidIndex(f"max_order must be a nonnegative integer, got {max_order!r}")
     policy = policy or PrecisionPolicy()
@@ -289,12 +314,11 @@ def cm_check(
     inconclusive = []
     all_values = []
     for tv in grid.values(policy.internal_bits()):
-        ders = _phi_ders_cached(spec, tv, max_order, policy)
-        exp, row = _signed_row(rv, max_order, tv, ders, policy)
+        exp, row = _signed_row(rv, max_order, tv, ders(spec, tv, max_order, policy), policy)
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
-            ders = _phi_ders_cached(spec, tv, max_order, doubled)
-            exp2, row2 = _signed_row(rv, max_order, tv, ders, doubled)
+            row_ders = ders(spec, tv, max_order, doubled)
+            exp2, row2 = _signed_row(rv, max_order, tv, row_ders, doubled)
         for k, ((value, _), cls) in enumerate(zip(row, classes)):
             entry_exp, entry_policy = exp, policy
             if cls == "borderline":
@@ -367,16 +391,21 @@ def degree_bracket(
     the bracket conservatively.  A fractional passing end is moved down to
     the largest integer exponent whose scan passes.
     """
+    return _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check=cm_check)
+
+
+def _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check) -> DegreeBracket:
+    """degree_bracket making its scans with ``check``, called as cm_check."""
     step = _as_rational(r_lattice_step)
     if not 0 < step <= 1:
         raise InvalidSpec(f"lattice step must lie in (0, 1], got {step}")
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
 
-    def check(idx: int) -> CmCheckReport:
-        return cm_check(spec, step * idx, max_order, grid, policy)
+    def scan(idx: int) -> CmCheckReport:
+        return check(spec, step * idx, max_order, grid, policy)
 
-    rep0 = check(0)
+    rep0 = scan(0)
     if rep0.verdict != "pass":
         raise CmdegError(
             f"scan at r = 0 did not pass for {spec.label}; "
@@ -385,12 +414,12 @@ def degree_bracket(
     pole = pole_order(spec)
     lo, lo_rep = 0, rep0
     top = int(pole / step)
-    top_rep = check(top) if top > 0 else rep0
+    top_rep = scan(top) if top > 0 else rep0
     if top_rep.verdict == "pass":
         lo, lo_rep = top, top_rep
     while top - lo > 1:
         mid = (lo + top) // 2
-        rep = check(mid)
+        rep = scan(mid)
         if rep.verdict == "pass":
             lo, lo_rep = mid, rep
         elif rep.verdict == "violation":
@@ -398,7 +427,7 @@ def degree_bracket(
         else:
             # inconclusive midpoint: fall back to a linear sweep and
             # keep the widest consistent bracket
-            sweep = {idx: check(idx) for idx in range(lo + 1, top)}
+            sweep = {idx: scan(idx) for idx in range(lo + 1, top)}
             viols = [i for i, rp in sweep.items() if rp.verdict == "violation"]
             if viols:
                 top, top_rep = min(viols), sweep[min(viols)]
@@ -410,7 +439,7 @@ def degree_bracket(
     lower = step * lo
     if lower.denominator != 1:
         for r in range(int(lower), 0, -1):
-            rep = cm_check(spec, r, max_order, grid, policy)
+            rep = check(spec, r, max_order, grid, policy)
             if rep.verdict == "pass":
                 lower, lo_rep = Fraction(r), rep
                 break
@@ -497,6 +526,8 @@ def conjecture_scan(
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     step = _as_rational(lattice_step)
+    members = range(min(n_max, PHI_N_MAX) + 1), range(min(m_max, PHI_M_MAX) + 1)
+    check = partial(_cm_check, ders=_table_scope({nm: max_order for nm in product(*members)}))
     cells = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -509,8 +540,8 @@ def conjecture_scan(
             contains = None
             error = None
             try:
-                bracket = degree_bracket(
-                    RemainderSpec(n=n, m=m), step, max_order, grid, policy
+                bracket = _degree_bracket(
+                    RemainderSpec(n=n, m=m), step, max_order, grid, policy, check=check
                 )
                 contains = bracket.contains(conj)
             except CmdegError as exc:

@@ -267,24 +267,33 @@ def _pieces_for(
     return pieces
 
 
-def phi_derivatives(
-    spec: RemainderSpec, t, i_max: int, policy: PrecisionPolicy | None = None
-) -> list[mp.mpf]:
-    """Derivatives phi^(0..i_max) of the selected member at t > 0, read off
-    the family as phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.  Every member shares
-    one set of elementary pieces; the large-t elevation is phi's own."""
-    if not isinstance(i_max, int) or i_max < 0:
-        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
-    policy = policy or PrecisionPolicy()
+def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
+    """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max, as
+    phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.  One set of pieces, at the largest
+    elevation among the cells, and one assembly per distinct phi_{n,j}."""
     tv = as_mpf(t, policy.internal_bits())
     if not tv > 0:
         raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
-    n, m = spec.family_indices
-    forms = [_phi_form(n, m + i) for i in range(i_max + 1)]
-    pol = _elevated(policy, forms[0].cancel_gap, mag_bits(tv))
-    pieces = _pieces_for(forms, tv, pol)
-    values = [_assemble(_phi_terms(n, m + i), pieces, pol.working_bits) for i in range(i_max + 1)]
-    return [mp.make_mpf(libmp.mpf_neg(v) if i % 2 else v) for i, v in enumerate(values)]
+    members = sorted({(n, m + i) for (n, m), i_max in cells.items() for i in range(i_max + 1)})
+    pol = _elevated(policy, max(_phi_form(*nm).cancel_gap for nm in cells), mag_bits(tv))
+    pieces = _pieces_for([_phi_form(*nj) for nj in members], tv, pol)
+    values = {nj: _assemble(_phi_terms(*nj), pieces, pol.working_bits) for nj in members}
+    rows = {}
+    for (n, m), i_max in cells.items():
+        row = [values[n, m + i] for i in range(i_max + 1)]
+        rows[n, m] = [mp.make_mpf(libmp.mpf_neg(v) if i % 2 else v) for i, v in enumerate(row)]
+    return rows
+
+
+def phi_derivatives(
+    spec: RemainderSpec, t, i_max: int, policy: PrecisionPolicy | None = None
+) -> list[mp.mpf]:
+    """Derivatives phi^(0..i_max) of the selected member at t > 0: the
+    one-cell case of ``_phi_rows``, so the large-t elevation is phi's own."""
+    if not isinstance(i_max, int) or i_max < 0:
+        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
+    nm = spec.family_indices
+    return _phi_rows({nm: i_max}, t, policy or PrecisionPolicy())[nm]
 
 
 def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:

@@ -7,6 +7,7 @@ elsewhere against 50-digit constants), h(1) against its closed form, and the
 expansion coefficients against their published exact values.
 """
 
+import hashlib
 import json
 
 import mpmath as mp
@@ -415,6 +416,27 @@ def test_conjectures_csv(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("0,0,0.0,")
     assert lines[2].startswith("0,1,1.0,")
+
+
+# sha256 of the `conjectures` JSON for the 4x4 table at order 12 on an
+# 8-point grid, recorded before the cells shared one evaluation per grid
+# point: every bracket, upper_method and contains_conjectured stays as it was
+TABLE_ARGV = ["conjectures", "--n-max", "3", "--m-max", "3", "--max-order", "12",
+              "--grid", "log:1e-3:1e4:8"]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "ee59afa526bf73d73866d2d784cb1455a32c496a4300b22c5c31cbff5f2ab003"),
+        (["--step", "1/2"], "f972630e10d812c2392ceff9b34caf3efbc45612b880a16cb6f2912ddbe38390"),
+    ],
+    ids=["step-1", "step-1/2"],
+)
+def test_conjectures_table_golden_bytes(extra, digest, capsys):
+    code, out = run_cli(TABLE_ARGV + extra, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -674,14 +674,14 @@ def test_scan_reports_refutations_honestly():
 
 
 def test_per_cell_errors_are_recorded(monkeypatch):
-    real = degree_module.degree_bracket
+    real = degree_module._degree_bracket
 
-    def flaky(spec, step=Fraction(1), max_order=12, grid=None, policy=None):
+    def flaky(spec, *args, **kwargs):
         if (spec.n, spec.m) == (0, 1):
             raise CmdegError("synthetic cell failure")
-        return real(spec, step, max_order, grid, policy)
+        return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(degree_module, "degree_bracket", flaky)
+    monkeypatch.setattr(degree_module, "_degree_bracket", flaky)
     rep = conjecture_scan(0, 1, max_order=4, grid=TINY_GRID, policy=POLICY)
     by = {(c.n, c.m): c for c in rep.cells}
     assert by[(0, 1)].error == "CmdegError: synthetic cell failure"
@@ -689,6 +689,47 @@ def test_per_cell_errors_are_recorded(monkeypatch):
     assert by[(0, 1)].contains_conjectured is None
     assert by[(0, 0)].error is None
     assert by[(0, 0)].bracket is not None
+
+
+# reaches t = 1e-3, where some points of the 3x3 table rerun at doubled bits
+RERUN_GRID = Grid(Fraction(1, 1000), Fraction(100), 12)
+
+
+@pytest.mark.parametrize("step", [1, Fraction(1, 2)], ids=["step-1", "step-1/2"])
+def test_table_cells_match_standalone_brackets(step):
+    # the table scope evaluates every cell at the largest elevation among
+    # them; each cell's bracket is still the one its own scans give
+    rep = conjecture_scan(2, 2, max_order=8, grid=RERUN_GRID, policy=POLICY, lattice_step=step)
+    assert len(rep.cells) == 9
+    for cell in rep.cells:
+        alone = degree_bracket(RemainderSpec(n=cell.n, m=cell.m), step, 8, RERUN_GRID, POLICY)
+        assert cell.error is None
+        assert (cell.bracket.lower, cell.bracket.upper, cell.bracket.upper_method) == (
+            alone.lower,
+            alone.upper,
+            alone.upper_method,
+        ), (cell.n, cell.m)
+
+
+def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
+    evaluations = []
+    real = degree_module._phi_rows
+
+    def counted(cells, t, policy):
+        evaluations.append((t, policy))
+        return real(cells, t, policy)
+
+    def one_cell(*args):
+        raise AssertionError("a table scan read the one-cell scope")
+
+    monkeypatch.setattr(degree_module, "_phi_rows", counted)
+    monkeypatch.setattr(degree_module, "phi_derivatives", one_cell)
+    conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
+    base = [t for t, policy in evaluations if policy == POLICY]
+    assert base == RERUN_GRID.values(POLICY.internal_bits())
+    reruns = [t for t, policy in evaluations if policy == DOUBLED]
+    assert reruns and len(set(reruns)) == len(reruns)
+    assert len(base) + len(reruns) == len(evaluations)
 
 
 def test_t_to_the_19_over_4_times_q_is_not_cm():

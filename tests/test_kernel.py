@@ -275,7 +275,7 @@ def test_node_memo_is_clearable_and_exact():
 
 @pytest.mark.parametrize("level", [3, 6, 12])
 @pytest.mark.parametrize("prec", [64, 208, 400])
-def test_no_node_lands_on_a_panel_end(level, prec):
+def test_every_abscissa_is_below_one(level, prec):
     # a node whose abscissa rounds to 1 would evaluate f at a or b
     nodes = kernel_module._ts_nodes(level, prec)
     assert all(x < 1 for x, _ in nodes)

@@ -31,6 +31,8 @@ from cmdeg import (
     q_value,
 )
 
+degree_module = importlib.import_module("cmdeg.degree")
+precision_module = importlib.import_module("cmdeg.precision")
 remainders_module = importlib.import_module("cmdeg.remainders")
 
 POLICY = PrecisionPolicy(working_bits=128)
@@ -247,6 +249,39 @@ def test_raw_assembly_matches_mpf_reference(bits):
                     ref = _mpf_assemble(form, pieces, pol.working_bits)
                     ref = mp.fneg(ref, exact=True) if i % 2 else ref
                     assert value._mpf_[:3] == ref._mpf_[:3], (t, n, m, i)
+
+
+def _oracle_value(form, tv, lg, psi, lt, l2pi):
+    """An ElementaryForm at tv from mpmath's lnGamma(tv), psi^(k)(tv), ln tv
+    and ln(2 pi), at the working precision in force."""
+    total = form.const + form.loggamma * lg + form.log2pi * l2pi + (form.log + form.tlog * tv) * lt
+    total += sum(mpf_frac(c) * psi[i] for i, c in form.psi.items())
+    return total + sum(mpf_frac(c) * tv**p for p, c in form.powers.items())
+
+
+def test_family_relative_accuracy_against_mpmath():
+    # the precision contract, read as a relative bound, for every sampled
+    # member and order at extreme t: on the one-cell path and in a table
+    # scope, which evaluates all cells at the largest elevation among them
+    policy = PrecisionPolicy(working_bits=128)
+    bound = mp.mpf(2) ** (precision_module.GUARD_BITS - policy.working_bits)
+    cells = {(n, m): 12 for n in (0, 2, 4, 6, 8) for m in (0, 3, 6)}
+    for t in ("1e-12", "1e-3", "0.37", "2", "37.5", "1e4", "1e8"):
+        tv = as_mpf(t, policy.internal_bits())  # the t both paths see
+        table = degree_module._table_scope(cells)
+        with mp.workprec(4 * policy.working_bits + 40 * abs(int(mp.mag(tv))) + 400):
+            pieces = mp.loggamma(tv), [mp.psi(k, tv) for k in range(18)], mp.log(tv)
+            pieces += (mp.log(2 * mp.pi),)
+            for n, m in cells:
+                spec = RemainderSpec(n=n, m=m)
+                one_cell = phi_derivatives(spec, tv, 12, policy)
+                in_table = table(spec, tv, 12, policy)
+                form = form_for(spec)
+                for i in range(13):
+                    want = _oracle_value(form, tv, *pieces)
+                    for got in (one_cell[i], in_table[i]):
+                        assert abs(got - want) <= bound * abs(want), (t, n, m, i)
+                    form = differentiate(form)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
