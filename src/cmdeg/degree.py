@@ -80,8 +80,8 @@ _SUM_GUARD_BITS = 64  # extra bits for the product-rule sums
 class Grid:
     """Deterministic evaluation grid on (0, infinity).
 
-    Endpoints are exact rationals; points are generated at a requested
-    binary precision, identically on every run.
+    Endpoints are exact rationals; points are computed 16 bits above a
+    requested binary precision and rounded to it, identically on every run.
     """
 
     t_min: Fraction
@@ -114,13 +114,13 @@ class Grid:
             lo = as_mpf(self.t_min, prec + 16)
             hi = as_mpf(self.t_max, prec + 16)
             if self.points == 1:
-                return [lo]
+                return [as_mpf(lo, prec)]
             if self.spacing == "linear":
                 step = (hi - lo) / (self.points - 1)
-                return [lo + i * step for i in range(self.points)]
+                return [as_mpf(lo + i * step, prec) for i in range(self.points)]
             la, lb = mp.log(lo), mp.log(hi)
             step = (lb - la) / (self.points - 1)
-            return [mp.exp(la + i * step) for i in range(self.points)]
+            return [as_mpf(mp.exp(la + i * step), prec) for i in range(self.points)]
 
 
 def default_grid() -> Grid:

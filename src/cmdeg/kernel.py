@@ -28,9 +28,10 @@ positive: from k = 17 on each term of the numerator of
 
 ``laplace_reconstruct`` integrates h(s) e^(-ts) by tanh-sinh over whole
 panels [4k, 4k + 4] whose refinement levels are nested: every abscissa of one
-level is an abscissa of the next.  h does not depend on t, so its values are
-memoised per (panel, level, precision) and shared by every t: each abscissa
-is evaluated once per process.
+level is an abscissa of the next.  h does not depend on t, so its values (not
+the abscissas) are memoised per (panel, level, precision) and shared by every
+t: each abscissa is evaluated once per process.  The closed form and the node
+loop run on raw libmp tuples, rounded exactly as mpf arithmetic rounds.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
+from mpmath import libmp
 
 from .bernoulli import bernoulli
 from .errors import (
@@ -62,7 +64,7 @@ __all__ = [
 
 #: Below this |s| the Maclaurin series is used instead of the closed forms.
 KERNEL_SERIES_CROSSOVER = Fraction(1, 4)
-_CROSSOVER = float(KERNEL_SERIES_CROSSOVER)
+_CROSSOVER = mp.mpf(float(KERNEL_SERIES_CROSSOVER))
 
 #: Guard bits absorbing closed-form cancellation near the crossover plus
 #: quadrature summation rounding.  At s = 1/4 the largest term of
@@ -105,37 +107,37 @@ def _h_series(j: int, s: mp.mpf, prec: int) -> mp.mpf:
 
 @lru_cache(maxsize=64)
 def _closed_coefficients(j: int, prec: int) -> tuple[tuple, tuple, tuple]:
-    """Leading-first coefficients of Y_j(y)/y, j Y_{j-1}(y)/y and P_j(s)."""
+    """Raw leading-first coefficients of Y_j(y)/y, j Y_{j-1}(y)/y and P_j(s)."""
     ys = [[1]]  # ys[i][m] is the coefficient of y^(m+1) in Y_i
     for _ in range(j):
         a = [0] + ys[-1] + [0]
         ys.append([-(m + 1) * a[m + 1] - m * a[m] for m in range(len(a) - 1)])
-    with mp.workprec(prec):
-        y_j = tuple(mp.mpf(c) for c in reversed(ys[j]))
-        y_prev = tuple(mp.mpf(j * c) for c in reversed(ys[j - 1])) if j else ()
-    p_j = tuple(_h_coefficient(n, j, prec) for n in range(4, j - 1, -1))
+    rnd = libmp.round_nearest
+    y_j = tuple(libmp.from_int(c, prec, rnd) for c in reversed(ys[j]))
+    y_prev = tuple(libmp.from_int(j * c, prec, rnd) for c in reversed(ys[j - 1])) if j else ()
+    p_j = tuple(_h_coefficient(n, j, prec)._mpf_ for n in range(4, j - 1, -1))
     return y_j, y_prev, p_j
 
 
-def _horner(coefficients: tuple, x: mp.mpf) -> mp.mpf:
-    """The polynomial with these leading-first coefficients, at x."""
+def _horner(coefficients: tuple, x: tuple, prec: int) -> tuple:
+    """The polynomial with these raw leading-first coefficients, at raw x."""
     total = coefficients[0]
     for c in coefficients[1:]:
-        total *= x
-        if c:
-            total += c
+        total = libmp.mpf_mul(total, x, prec, libmp.round_nearest)
+        total = libmp.mpf_add(total, c, prec, libmp.round_nearest)  # exact for c = 0
     return total
 
 
 def _h_closed(j: int, s: mp.mpf, prec: int) -> mp.mpf:
-    """h^(j)(s) = s Y_j(y) + j Y_{j-1}(y) - P_j(s) with y = 1/(e^s - 1)."""
+    """h^(j)(s) = s Y_j(y) + j Y_{j-1}(y) - P_j(s) with y = 1/(e^s - 1), on
+    raw tuples rounded at prec exactly as mpf arithmetic under workprec."""
     y_j, y_prev, p_j = _closed_coefficients(j, prec)
-    with mp.workprec(prec):
-        y = 1 / (mp.exp(s) - 1)
-        inner = s * _horner(y_j, y)
-        if j:
-            inner += _horner(y_prev, y)
-        return y * inner - _horner(p_j, s)
+    mul, sub, rnd, s = libmp.mpf_mul, libmp.mpf_sub, libmp.round_nearest, s._mpf_
+    y = libmp.mpf_rdiv_int(1, sub(libmp.mpf_exp(s, prec, rnd), libmp.fone, prec, rnd), prec, rnd)
+    inner = mul(s, _horner(y_j, y, prec), prec, rnd)
+    if j:
+        inner = libmp.mpf_add(inner, _horner(y_prev, y, prec), prec, rnd)
+    return mp.make_mpf(sub(mul(y, inner, prec, rnd), _horner(p_j, s, prec), prec, rnd))
 
 
 def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -145,13 +147,11 @@ def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
     policy = policy or PrecisionPolicy()
     prec = policy.internal_bits(_KERNEL_GUARD_BITS)
     sv = as_mpf(s, prec)
+    if sv >= _CROSSOVER:
+        return _h_closed(j, sv, prec)
     if sv < 0:
         raise NonPositiveArgument(f"kernel argument must be s >= 0, got {s!r}")
-    if sv == 0:
-        return mp.mpf(0)
-    if sv < _CROSSOVER:
-        return _h_series(j, sv, prec)
-    return _h_closed(j, sv, prec)
+    return _h_series(j, sv, prec) if sv else mp.mpf(0)
 
 
 def h4_series_coefficient(k: int) -> Fraction:
@@ -220,22 +220,31 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     return tuple(nodes)
 
 
+@lru_cache(maxsize=64)
+def _ts_offsets(level: int, prec: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Raw (d x, w) of ``_ts_nodes`` for the panel half-width d: d x is
+    rounded at prec as mpf arithmetic rounds it, exactly for d = 2."""
+    d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, libmp.round_nearest)
+    nodes = _ts_nodes(level, prec)
+    return tuple((libmp.mpf_mul(d, x._mpf_, prec, libmp.round_nearest), w._mpf_) for x, w in nodes)
+
+
 @lru_cache(maxsize=None)
 def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple:
     """Raw h values at the abscissas new at ``level`` on panel k, in
     ``_ts_panel``'s order: h(c), then h(c + d x_j), h(c - d x_j) for each
     j > 0 at level 3 and each odd j above it.  h does not depend on t, so
     every call of ``laplace_reconstruct`` at this precision shares them.
-    The memo is unbounded: a call walks its keys in the same order every
-    time, so an LRU smaller than one call's keys would evict each entry
-    before its reuse."""
-    with mp.workprec(prec):
-        d = mp.mpf(QUAD_PANEL_WIDTH) / 2
-        c = QUAD_PANEL_WIDTH * k + d
-        abscissas = [c] if level == 3 else []
-        for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
-            abscissas += [c + d * x, c - d * x]
-        return tuple(kernel_h(0, s, policy)._mpf_ for s in abscissas)
+    Only h is memoised, not the abscissas: ``_ts_panel`` forms c +- d x
+    again for each t.  The memo is unbounded: a call walks its keys in the
+    same order every time, so an LRU smaller than one call's keys would
+    evict each entry before its reuse."""
+    rnd = libmp.round_nearest
+    c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
+    abscissas = [c] if level == 3 else []
+    for dx, _ in _ts_offsets(level, prec)[1 :: 1 if level == 3 else 2]:
+        abscissas += [libmp.mpf_add(c, dx, prec, rnd), libmp.mpf_sub(c, dx, prec, rnd)]
+    return tuple(kernel_h(0, mp.make_mpf(s), policy)._mpf_ for s in abscissas)
 
 
 def _ts_panel(
@@ -250,35 +259,40 @@ def _ts_panel(
     f(s) = h(s) e^(-tv s).  The nodes stop where x rounds to 1 and x grows
     with u, so level L+1 has 2N - 1 or 2N nodes for level L's N, and each
     even j > 0 reuses value j/2; h of the odd j comes from ``_panel_kernel``.
+    The loop runs on raw libmp tuples, each step the libmp call of the mpf
+    operator at prec with round-to-nearest, so its bits are the mpf loop's.
     """
-    with mp.workprec(prec):
-        d = mp.mpf(QUAD_PANEL_WIDTH) / 2
-        c = QUAD_PANEL_WIDTH * k + d
-        pairs: list[mp.mpf] = []
-        previous = None
-        for level in range(3, max_level + 1):
-            h = mp.mpf(2) ** (-level)
-            reused, pairs = pairs, []
-            fresh = map(mp.make_mpf, _panel_kernel(k, level, prec, policy))
-            total = mp.mpf(0)
-            for j, (x, w) in enumerate(_ts_nodes(level, prec)):
-                if reused and j % 2 == 0:
-                    pair = reused[j // 2]
-                elif j:
-                    pair = next(fresh) * mp.exp(-tv * (c + d * x))
-                    pair += next(fresh) * mp.exp(-tv * (c - d * x))
-                else:
-                    pair = next(fresh) * mp.exp(-tv * c)
-                pairs.append(pair)
-                total += w * pair
-            value = total * h * d
-            if previous is not None and abs(value - previous) <= tol:
-                return value
-            previous = value
-        raise QuadratureNotConverged(
-            f"tanh-sinh failed to reach tolerance {mp.nstr(tol, 3)} on "
-            f"[{mp.nstr(c - d, 6)}, {mp.nstr(c + d, 6)}] within level {max_level}"
-        )
+    mul, add, sub, exp = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub, libmp.mpf_exp
+    rnd = libmp.round_nearest
+    c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
+    d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
+    neg_t = libmp.mpf_neg(tv._mpf_, prec, rnd)
+    pairs: list[tuple] = []
+    previous = None
+    for level in range(3, max_level + 1):
+        reused, pairs = pairs, []
+        fresh = iter(_panel_kernel(k, level, prec, policy))
+        total = libmp.fzero
+        for j, (dx, w) in enumerate(_ts_offsets(level, prec)):
+            if reused and j % 2 == 0:
+                pair = reused[j // 2]
+            elif j:
+                e = exp(mul(neg_t, add(c, dx, prec, rnd), prec, rnd), prec, rnd)
+                pair = mul(next(fresh), e, prec, rnd)
+                e = exp(mul(neg_t, sub(c, dx, prec, rnd), prec, rnd), prec, rnd)
+                pair = add(pair, mul(next(fresh), e, prec, rnd), prec, rnd)
+            else:
+                pair = mul(next(fresh), exp(mul(neg_t, c, prec, rnd), prec, rnd), prec, rnd)
+            pairs.append(pair)
+            total = add(total, mul(w, pair, prec, rnd), prec, rnd)
+        value = mul(mul(total, libmp.from_man_exp(1, -level), prec, rnd), d, prec, rnd)
+        if previous and libmp.mpf_le(libmp.mpf_abs(sub(value, previous, prec, rnd)), tol._mpf_):
+            return mp.make_mpf(value)
+        previous = value
+    raise QuadratureNotConverged(
+        f"tanh-sinh failed to reach tolerance {mp.nstr(tol, 3)} on [{QUAD_PANEL_WIDTH * k}, "
+        f"{QUAD_PANEL_WIDTH * (k + 1)}] within level {max_level}"
+    )
 
 
 def _tail_bound(A: mp.mpf, t: mp.mpf) -> mp.mpf:
@@ -302,10 +316,8 @@ def laplace_reconstruct(
     Each panel is integrated by tanh-sinh quadrature with level doubling,
     reading h from a memo per (panel, level) shared by every t.
     """
-    if not tolerance > 0:
+    if not as_mpf(tolerance, 53) > 0:  # as_mpf rejects nan and +-inf
         raise InvalidSpec(f"tolerance must be positive, got {tolerance!r}")
-    if not mp.isfinite(tolerance):
-        raise InvalidSpec(f"tolerance must be finite, got {tolerance!r}")
     policy = policy or PrecisionPolicy()
     prec = max(
         policy.internal_bits(_KERNEL_GUARD_BITS),

@@ -64,17 +64,20 @@ def as_mpf(x, prec: int) -> mp.mpf:
 
     Decimal strings and Fractions are converted with correct rounding at the
     target precision, so callers can pass exact inputs without a lossy
-    float round-trip.  A string mpmath cannot read raises InvalidSpec.
+    float round-trip.  Unreadable strings, nan and +-inf raise InvalidSpec.
     """
-    with mp.workprec(prec):
-        if isinstance(x, Fraction):
+    if isinstance(x, Fraction):
+        with mp.workprec(prec):
             return mp.mpf(x.numerator) / x.denominator
-        try:
-            return +mp.mpf(x)
-        except (ValueError, ZeroDivisionError):
-            if isinstance(x, str):
-                raise InvalidSpec(f"cannot read {x!r} as a real number") from None
-            raise
+    try:
+        value = mp.mpf(x, prec=prec)  # the bits of mp.mpf(x) under workprec(prec)
+    except (ValueError, ZeroDivisionError):
+        if isinstance(x, str):
+            raise InvalidSpec(f"cannot read {x!r} as a real number") from None
+        raise
+    if not mp.isfinite(value):
+        raise InvalidSpec(f"expected a finite real number, got {x!r}")
+    return value
 
 
 def mag_bits(x) -> int:

@@ -527,6 +527,12 @@ def test_unknown_family_indices_are_a_structured_error(capsys):
         (["cmcheck", "--special", "Q", "--r", "abc"], "InvalidSpec"),
         (["cmcheck", "--special", "Q", "--r", "1/0"], "InvalidSpec"),
         (["kernel", "laplace", "--t", "1", "--tol", "inf"], "InvalidSpec"),
+        (["eval", "--special", "Q", "--t", "inf"], "InvalidSpec"),
+        (["eval", "--special", "Q", "--t", "nan"], "InvalidSpec"),
+        (["kernel", "--order", "0", "--s", "nan"], "InvalidSpec"),
+        (["kernel", "--order", "0", "--s", "inf"], "InvalidSpec"),
+        (["kernel", "laplace", "--t", "nan"], "InvalidSpec"),
+        (["kernel", "laplace", "--t", "inf"], "InvalidSpec"),
     ],
 )
 def test_malformed_numbers_are_structured_errors(argv, error_type, capsys):

@@ -103,6 +103,28 @@ def test_single_point_grid():
         assert abs(vals[0] - mp.mpf(3) / 7) < mp.mpf(2) ** -90
 
 
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_grid_points_are_rounded_to_the_requested_precision(spacing):
+    # the points are computed 16 bits higher and rounded back
+    values = Grid(Fraction(1, 1000), Fraction(10000), 40, spacing).values(160)
+    assert all(v._mpf_[3] <= 160 and as_mpf(v, 160)._mpf_ == v._mpf_ for v in values)
+
+
+def test_cm_check_gives_phi_and_the_signed_sums_one_t(monkeypatch):
+    # phi rounds t to internal_bits; t^r in the signed sums must see that t
+    seen = []
+    real = degree_module._signed_row
+
+    def spy(r, max_order, tv, ders, policy):
+        seen.append((tv, policy))
+        return real(r, max_order, tv, ders, policy)
+
+    monkeypatch.setattr(degree_module, "_signed_row", spy)
+    cm_check(Q, 4, 4, Grid.parse("log:1e-3:1e4:12"), POLICY)
+    assert len(seen) >= 12
+    assert all(as_mpf(t, POLICY.internal_bits())._mpf_ == t._mpf_ for t, _ in seen)
+
+
 def test_grid_values_deterministic_across_instances():
     a = Grid(Fraction(1, 1000), Fraction(10000), 40).values(128)
     b = Grid(Fraction(1, 1000), Fraction(10000), 40).values(128)

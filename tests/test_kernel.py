@@ -1,8 +1,10 @@
 """Laplace kernel h and its derivatives: exact coefficients, series/closed
 consistency, boundary limits, positivity, and the integral reconstruction."""
 
+import hashlib
 import importlib
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import mpmath as mp
@@ -16,6 +18,7 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     QuadratureNotConverged,
+    as_mpf,
     bernoulli,
     h4_positivity_scan,
     h4_series_coefficient,
@@ -427,3 +430,144 @@ def test_panels_are_whole_and_the_tail_still_fits(monkeypatch, t):
         assert len({panel_tol for _, panel_tol in calls}) == 1
         assert abs(calls[0][1] - (tol / 2) / (n + 1)) <= tol * mp.mpf(2) ** -150
         assert kernel_module._tail_bound(mp.mpf(4 * n), mp.mpf(t)) <= tol / 2
+
+
+# ---------------------------------------------------------------------------
+# the raw-tuple closed form and node loop against their mpf arithmetic
+
+
+def _mpf_horner(coefficients, x):
+    """Reference for ``_horner``: mpf arithmetic under the caller's workprec."""
+    total = coefficients[0]
+    for c in coefficients[1:]:
+        total *= x
+        if c:
+            total += c
+    return total
+
+
+def _mpf_h_closed(j, s, prec):
+    """Reference for ``_h_closed``: the same steps in mpf arithmetic."""
+    raw = kernel_module._closed_coefficients(j, prec)
+    y_j, y_prev, p_j = (tuple(mp.make_mpf(c) for c in cs) for cs in raw)
+    with mp.workprec(prec):
+        y = 1 / (mp.exp(s) - 1)
+        inner = s * _mpf_horner(y_j, y)
+        if j:
+            inner += _mpf_horner(y_prev, y)
+        return y * inner - _mpf_horner(p_j, s)
+
+
+def _mpf_kernel_h(j, s, policy):
+    prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    with mp.workprec(prec):
+        sv = +mp.mpf(s)
+    if sv == 0:
+        return mp.mpf(0)
+    if sv < mp.mpf(1) / 4:
+        return kernel_module._h_series(j, sv, prec)
+    return _mpf_h_closed(j, sv, prec)
+
+
+def _mpf_ts_panel(tv, k, tol, max_level, prec, policy):
+    """Reference for ``_ts_panel``: its node loop in mpf arithmetic under
+    workprec, reading h from the same ``_panel_kernel`` memo."""
+    with mp.workprec(prec):
+        d = mp.mpf(kernel_module.QUAD_PANEL_WIDTH) / 2
+        c = kernel_module.QUAD_PANEL_WIDTH * k + d
+        pairs = []
+        previous = None
+        for level in range(3, max_level + 1):
+            h = mp.mpf(2) ** (-level)
+            reused, pairs = pairs, []
+            fresh = map(mp.make_mpf, kernel_module._panel_kernel(k, level, prec, policy))
+            total = mp.mpf(0)
+            for j, (x, w) in enumerate(kernel_module._ts_nodes(level, prec)):
+                if reused and j % 2 == 0:
+                    pair = reused[j // 2]
+                elif j:
+                    pair = next(fresh) * mp.exp(-tv * (c + d * x))
+                    pair += next(fresh) * mp.exp(-tv * (c - d * x))
+                else:
+                    pair = next(fresh) * mp.exp(-tv * c)
+                pairs.append(pair)
+                total += w * pair
+            value = total * h * d
+            if previous is not None and abs(value - previous) <= tol:
+                return value
+            previous = value
+    raise AssertionError("reference quadrature did not converge")
+
+
+def _mpf_panel_kernel(k, level, prec, policy):
+    """Reference for ``_panel_kernel``: mpf abscissas, mpf closed form."""
+    with mp.workprec(prec):
+        d = mp.mpf(kernel_module.QUAD_PANEL_WIDTH) / 2
+        c = kernel_module.QUAD_PANEL_WIDTH * k + d
+        abscissas = [c] if level == 3 else []
+        for x, _ in kernel_module._ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
+            abscissas += [c + d * x, c - d * x]
+    return tuple(_mpf_kernel_h(0, s, policy)._mpf_ for s in abscissas)
+
+
+RAW_KERNEL_S = ("0.0625", "0.2", "0.25", "0.3", 1, "7.5", 40)
+RAW_KERNEL_BITS = (64, 128, 256, 512)
+# the twelve t of the laplace benchmark's shape, then small, mid and large t
+RAW_LAPLACE_T = [mp.mpf(20) ** ((i + mp.mpf(1) / 2) / 12) for i in range(12)]
+RAW_LAPLACE_T += ["0.05", "0.3", 40]
+RAW_LAPLACE_CASES = ((128, 1e-22), (256, 1e-30))
+
+
+def _kernel_cases():
+    for bits in RAW_KERNEL_BITS:
+        for j in range(5):
+            for s in RAW_KERNEL_S:
+                yield j, s, PrecisionPolicy(bits)
+
+
+def _laplace_cases():
+    for bits, tolerance in RAW_LAPLACE_CASES:
+        for t in RAW_LAPLACE_T:
+            yield t, PrecisionPolicy(bits), tolerance
+
+
+@lru_cache(maxsize=1)
+def _raw_laplace_values():
+    """The laplace values of ``_laplace_cases``, shared by the two tests
+    below: each costs seconds at t = 0.05."""
+    return tuple(laplace_reconstruct(t, p, tol)._mpf_ for t, p, tol in _laplace_cases())
+
+
+def test_raw_kernel_h_matches_mpf_reference():
+    # every step of the raw closed form is the libmp call mpf arithmetic
+    # makes, so each value has the reference's sign, mantissa and exponent
+    for j, s, policy in _kernel_cases():
+        assert kernel_h(j, s, policy)._mpf_ == _mpf_kernel_h(j, s, policy)._mpf_, (j, s, policy)
+
+
+def test_raw_laplace_matches_mpf_reference(monkeypatch):
+    # the raw node loop against the mpf loop, and the h memo's first levels
+    # on the first panels against mpf abscissas and the mpf closed form,
+    # with no tolerance
+    values = _raw_laplace_values()
+    for bits, _ in RAW_LAPLACE_CASES:
+        policy = PrecisionPolicy(bits)
+        prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+        for key in [(k, level, prec, policy) for k in (0, 1) for level in (3, 4, 5)]:
+            assert kernel_module._panel_kernel(*key) == _mpf_panel_kernel(*key), key
+    monkeypatch.setattr(kernel_module, "_ts_panel", _mpf_ts_panel)
+    for value, (t, policy, tol) in zip(values, _laplace_cases()):
+        assert value == laplace_reconstruct(t, policy, tol)._mpf_, (t, policy, tol)
+
+
+def test_kernel_and_laplace_golden_bits():
+    # pins the (sign, man, exp) of every kernel_h and laplace_reconstruct
+    # value of the two tests above; the digest was recorded with the mpf
+    # loop and closed form, before they moved to raw tuples
+    digest = hashlib.sha256()
+    values = [kernel_h(j, s, p)._mpf_ for j, s, p in _kernel_cases()]
+    for sign, man, exp, _ in values + list(_raw_laplace_values()):
+        digest.update(f"{sign}:{man}p{exp};".encode())
+    assert digest.hexdigest() == (
+        "601384fbe4ce86f3be4338054799805a992e887d373947c8ab7af2447bd53483"
+    )

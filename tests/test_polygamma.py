@@ -242,6 +242,24 @@ def test_as_mpf_rejects_unreadable_strings(text):
         as_mpf(text, 64)
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf", float("nan"), float("-inf"), mp.inf, mp.nan])
+def test_as_mpf_rejects_non_finite_values(x):
+    with pytest.raises(InvalidSpec):
+        as_mpf(x, 64)
+
+
+@pytest.mark.parametrize("prec", [24, 64, 160, 300])
+def test_as_mpf_rounds_as_workprec_does(prec):
+    # as_mpf converts without entering workprec; the bits must be those of
+    # +mp.mpf(x) under workprec(prec), for every input type it reads
+    with mp.workprec(400):
+        wide = mp.mpf(1) / 3
+    for x in (7, -(2**400 + 1), 0.1, "0.1", "-2.5e-300", wide, -wide, mp.mpf(0)):
+        with mp.workprec(prec):
+            expected = +mp.mpf(x)
+        assert as_mpf(x, prec)._mpf_ == expected._mpf_, (x, prec)
+
+
 def test_shift_budget_exhaustion_raises(monkeypatch):
     # both users of the shared shift loop; a memoised value would bypass
     # the patched series
