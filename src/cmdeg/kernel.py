@@ -220,15 +220,6 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     return tuple(nodes)
 
 
-@lru_cache(maxsize=64)
-def _ts_offsets(level: int, prec: int) -> tuple[tuple[tuple, tuple], ...]:
-    """Raw (d x, w) of ``_ts_nodes`` for the panel half-width d: d x is
-    rounded at prec as mpf arithmetic rounds it, exactly for d = 2."""
-    d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, libmp.round_nearest)
-    nodes = _ts_nodes(level, prec)
-    return tuple((libmp.mpf_mul(d, x._mpf_, prec, libmp.round_nearest), w._mpf_) for x, w in nodes)
-
-
 @lru_cache(maxsize=None)
 def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple:
     """Raw h values at the abscissas new at ``level`` on panel k, in
@@ -241,8 +232,10 @@ def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tup
     evict each entry before its reuse."""
     rnd = libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
+    d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
     abscissas = [c] if level == 3 else []
-    for dx, _ in _ts_offsets(level, prec)[1 :: 1 if level == 3 else 2]:
+    for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
+        dx = libmp.mpf_mul(d, x._mpf_, prec, rnd)
         abscissas += [libmp.mpf_add(c, dx, prec, rnd), libmp.mpf_sub(c, dx, prec, rnd)]
     return tuple(kernel_h(0, mp.make_mpf(s), policy)._mpf_ for s in abscissas)
 
@@ -259,8 +252,9 @@ def _ts_panel(
     f(s) = h(s) e^(-tv s).  The nodes stop where x rounds to 1 and x grows
     with u, so level L+1 has 2N - 1 or 2N nodes for level L's N, and each
     even j > 0 reuses value j/2; h of the odd j comes from ``_panel_kernel``.
-    The loop runs on raw libmp tuples, each step the libmp call of the mpf
-    operator at prec with round-to-nearest, so its bits are the mpf loop's.
+    The loop runs on the raw libmp tuples of the nodes and of h, each step
+    the libmp call of the mpf operator at prec with round-to-nearest, so
+    its bits are the mpf loop's.
     """
     mul, add, sub, exp = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub, libmp.mpf_exp
     rnd = libmp.round_nearest
@@ -273,10 +267,11 @@ def _ts_panel(
         reused, pairs = pairs, []
         fresh = iter(_panel_kernel(k, level, prec, policy))
         total = libmp.fzero
-        for j, (dx, w) in enumerate(_ts_offsets(level, prec)):
+        for j, (x, w) in enumerate(_ts_nodes(level, prec)):
             if reused and j % 2 == 0:
                 pair = reused[j // 2]
             elif j:
+                dx = mul(d, x._mpf_, prec, rnd)
                 e = exp(mul(neg_t, add(c, dx, prec, rnd), prec, rnd), prec, rnd)
                 pair = mul(next(fresh), e, prec, rnd)
                 e = exp(mul(neg_t, sub(c, dx, prec, rnd), prec, rnd), prec, rnd)
@@ -284,7 +279,7 @@ def _ts_panel(
             else:
                 pair = mul(next(fresh), exp(mul(neg_t, c, prec, rnd), prec, rnd), prec, rnd)
             pairs.append(pair)
-            total = add(total, mul(w, pair, prec, rnd), prec, rnd)
+            total = add(total, mul(w._mpf_, pair, prec, rnd), prec, rnd)
         value = mul(mul(total, libmp.from_man_exp(1, -level), prec, rnd), d, prec, rnd)
         if previous and libmp.mpf_le(libmp.mpf_abs(sub(value, previous, prec, rnd)), tol._mpf_):
             return mp.make_mpf(value)
