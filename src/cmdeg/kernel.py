@@ -124,7 +124,7 @@ def _horner(coefficients: tuple, x: tuple, prec: int) -> tuple:
     total = coefficients[0]
     for c in coefficients[1:]:
         total = libmp.mpf_mul(total, x, prec, libmp.round_nearest)
-        total = libmp.mpf_add(total, c, prec, libmp.round_nearest)  # exact for c = 0
+        total = libmp.mpf_add(total, c, prec, libmp.round_nearest)  # c = 0 leaves total as is
     return total
 
 

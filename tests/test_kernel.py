@@ -18,7 +18,6 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     QuadratureNotConverged,
-    as_mpf,
     bernoulli,
     h4_positivity_scan,
     h4_series_coefficient,
