@@ -315,6 +315,21 @@ def test_cmcheck_csv_has_one_row_per_grid_point_and_order(capsys):
     assert len(lines) == 1 + 10 * 5
 
 
+# sha256 of a `cmcheck` CSV that prints every (t, k) value row, recorded
+# while the report still rounded each value when it was built: values
+# rounded only when read must print the same bytes
+CMCHECK_CSV_ARGV = ["cmcheck", "--spec", "0,3", "--r", "3", "--max-order", "12",
+                    "--grid", "log:1e-3:1e4:30", "--format", "csv"]  # fmt: skip
+CMCHECK_CSV_DIGEST = "07a08c62ff595d74065c6813f6201c492d94883e70d406e7eb6ee684f36e4946"
+
+
+def test_cmcheck_csv_golden_bytes(capsys):
+    code, out = run_cli(CMCHECK_CSV_ARGV, capsys)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 30 * 13
+    assert hashlib.sha256(out.encode()).hexdigest() == CMCHECK_CSV_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # degree and conjectures
 
