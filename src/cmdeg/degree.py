@@ -16,8 +16,9 @@ working_bits + 64 bits; each coefficient and each phi^(i) is then read as
 its exact mantissa and exponent, so every product-rule term is an exact
 integer product and every sum is exact.  A row is a list of integer pairs
 (signed value, largest |term|) at one exponent, and ``classify_sign``
-compares such a pair exactly.  Only the values a report keeps are rounded
-back to mpf, at working_bits + 64 bits.
+compares such a pair exactly.  A report keeps these exact rows and rounds
+a value back to mpf, at working_bits + 64 bits, only when its ``values``
+are read; the few violation entries are rounded at once.
 
 Each scan reads phi^(0..max_order)(t) from a scope that its caller passes.
 Standalone scans read the member's own ``phi_derivatives`` row, while
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from operator import add, mul
 
@@ -110,17 +111,22 @@ class Grid:
             raise InvalidSpec(f"bad grid {text!r}: {exc}") from None
 
     def values(self, prec: int) -> list[mp.mpf]:
+        """The points at ``prec`` bits, computed once per (grid, prec), in a new list."""
+        return list(self._points(prec))
+
+    @lru_cache(maxsize=64)
+    def _points(self, prec: int) -> tuple:
         with mp.workprec(prec + 16):
             lo = as_mpf(self.t_min, prec + 16)
             hi = as_mpf(self.t_max, prec + 16)
             if self.points == 1:
-                return [as_mpf(lo, prec)]
+                return (as_mpf(lo, prec),)
             if self.spacing == "linear":
                 step = (hi - lo) / (self.points - 1)
-                return [as_mpf(lo + i * step, prec) for i in range(self.points)]
+                return tuple(as_mpf(lo + i * step, prec) for i in range(self.points))
             la, lb = mp.log(lo), mp.log(hi)
             step = (lb - la) / (self.points - 1)
-            return [as_mpf(mp.exp(la + i * step), prec) for i in range(self.points)]
+            return tuple(as_mpf(mp.exp(la + i * step), prec) for i in range(self.points))
 
 
 def default_grid() -> Grid:
@@ -167,26 +173,32 @@ def _man_exp(raw: tuple) -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
-@lru_cache(maxsize=1024)
-def _falling_factorials(r: Fraction, max_order: int, prec: int) -> tuple:
-    """r(r-1)...(r-j+1) for j = 0..max_order as raw mpf tuples at ``prec``,
-    up to the first zero (they are exact when r is an integer)."""
-    out = []
+@lru_cache(maxsize=4096)
+def _coefficients(r: Fraction, max_order: int, t: mp.mpf, prec: int) -> tuple[tuple, int]:
+    """C_j = r(r-1)...(r-j+1) t^(r-j) for j = 0..max_order, up to the first
+    zero falling factorial, rounded at ``prec`` and aligned: (mantissas,
+    exponent).  The falling factorials are exact when r is an integer; the
+    powers come from one exp(r ln t) and repeated multiplication by 1/t."""
+    coeffs = []
     falling = Fraction(1)
     with mp.workprec(prec):
+        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))._mpf_
+        inv_t = (1 / t)._mpf_
         for j in range(max_order + 1):
             if falling == 0:
                 break
-            out.append((mp.mpf(falling.numerator) / falling.denominator)._mpf_)
+            falling_raw = (mp.mpf(falling.numerator) / falling.denominator)._mpf_
+            coeffs.append(_man_exp(libmp.mpf_mul(falling_raw, power, prec, libmp.round_nearest)))
+            power = libmp.mpf_mul(power, inv_t, prec, libmp.round_nearest)
             falling *= r - j
-    return tuple(out)
+    return _aligned(coeffs)
 
 
-def _aligned(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+def _aligned(pairs: list[tuple[int, int]]) -> tuple[tuple, int]:
     """Signed (mantissa, exponent) pairs as integers at their smallest
     nonzero exponent: (mantissas, exponent)."""
     exp = min((e for m, e in pairs if m), default=0)
-    return [m << (e - exp) if m else 0 for m, e in pairs], exp
+    return tuple(m << (e - exp) if m else 0 for m, e in pairs), exp
 
 
 def _signed_row(
@@ -201,23 +213,14 @@ def _signed_row(
     largest |term| of its product-rule sum is scale * 2^exp.
 
     The coefficients C_j = r(r-1)...(r-j+1) t^(r-j) are shared by every
-    order and rounded at working_bits + _SUM_GUARD_BITS: the falling
-    factorials come from a memo per (r, max_order, precision), and the
-    powers from one exp(r ln t) and repeated multiplication by 1/t.  Each
-    C_j and each phi^(i) is then read as its exact (mantissa, exponent),
-    and the C_j and the phi^(i) are each aligned at one exponent, so every
-    term C(k,j) C_j phi^(k-j) of every order is an exact integer at the
-    same exponent and the sums do not round.
+    order and every member, rounded at working_bits + _SUM_GUARD_BITS and
+    memoised per (r, max_order, t, precision).  Each C_j and each phi^(i)
+    is read as its exact (mantissa, exponent), and the C_j and the phi^(i)
+    are each aligned at one exponent, so every term C(k,j) C_j phi^(k-j)
+    of every order is an exact integer at the same exponent and the sums
+    do not round.
     """
-    prec = policy.working_bits + _SUM_GUARD_BITS
-    with mp.workprec(prec):
-        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))._mpf_
-        inv_t = (1 / t)._mpf_
-    coeffs = []
-    for falling in _falling_factorials(r, max_order, prec):
-        coeffs.append(_man_exp(libmp.mpf_mul(falling, power, prec, libmp.round_nearest)))
-        power = libmp.mpf_mul(power, inv_t, prec, libmp.round_nearest)
-    coeffs, c_exp = _aligned(coeffs)
+    coeffs, c_exp = _coefficients(r, max_order, t, policy.working_bits + _SUM_GUARD_BITS)
     ders, d_exp = _aligned([_man_exp(d._mpf_) for d in ders])
     row = []
     binomials = [1]  # C(k, j) for j = 0..k
@@ -229,9 +232,9 @@ def _signed_row(
     return c_exp + d_exp, row
 
 
-def _report_value(value: int, exp: int, policy: PrecisionPolicy) -> mp.mpf:
+def _report_value(value: int, exp: int, working_bits: int) -> mp.mpf:
     """value * 2^exp rounded to the row's working_bits + _SUM_GUARD_BITS."""
-    prec = policy.working_bits + _SUM_GUARD_BITS
+    prec = working_bits + _SUM_GUARD_BITS
     return mp.make_mpf(libmp.from_man_exp(value, exp, prec, libmp.round_nearest))
 
 
@@ -250,7 +253,7 @@ def signed_derivative(
     tv = as_mpf(t, policy.internal_bits())
     ders = _phi_ders_cached(spec, tv, k, policy)
     exp, row = _signed_row(rv, k, tv, ders, policy)
-    return _report_value(row[k][0], exp, policy)
+    return _report_value(row[k][0], exp, policy.working_bits)
 
 
 def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
@@ -283,7 +286,14 @@ class CmCheckReport:
     verdict: str  # "pass" | "violation" | "inconclusive"
     violations: tuple  # (t, k, value), ordered by (t, k)
     inconclusive: tuple  # (t, k)
-    values: tuple  # every (t, k, value), ordered by (t, k)
+    # every exact (t, k, value, scale, exp, bits), ordered by (t, k): a row
+    # of ``_signed_row`` at ``bits`` working bits, as classify_sign read it
+    rows: tuple
+
+    @cached_property
+    def values(self) -> tuple:
+        """Every (t, k, value), ordered by (t, k), rounded when first read."""
+        return tuple((t, k, _report_value(v, exp, bits)) for t, k, v, _, exp, bits in self.rows)
 
 
 def cm_check(
@@ -312,25 +322,24 @@ def _cm_check(spec, r, max_order, grid, policy, ders) -> CmCheckReport:
     doubled = PrecisionPolicy(2 * policy.working_bits)
     violations = []
     inconclusive = []
-    all_values = []
+    rows = []
     for tv in grid.values(policy.internal_bits()):
         exp, row = _signed_row(rv, max_order, tv, ders(spec, tv, max_order, policy), policy)
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
             row_ders = ders(spec, tv, max_order, doubled)
             exp2, row2 = _signed_row(rv, max_order, tv, row_ders, doubled)
-        for k, ((value, _), cls) in enumerate(zip(row, classes)):
-            entry_exp, entry_policy = exp, policy
+        for k, ((value, scale), cls) in enumerate(zip(row, classes)):
+            entry_exp, bits = exp, policy.working_bits
             if cls == "borderline":
                 value, scale = row2[k]
-                entry_exp, entry_policy = exp2, doubled
+                entry_exp, bits = exp2, doubled.working_bits
                 cls = classify_sign(value, scale, doubled)
-            entry = (tv, k, _report_value(value, entry_exp, entry_policy))
-            all_values.append(entry)
+            rows.append((tv, k, value, scale, entry_exp, bits))
             if cls == "borderline":
                 inconclusive.append((tv, k))
             elif cls == "violation":
-                violations.append(entry)
+                violations.append((tv, k, _report_value(value, entry_exp, bits)))
     if violations:
         verdict = "violation"
     elif inconclusive:
@@ -346,7 +355,7 @@ def _cm_check(spec, r, max_order, grid, policy, ders) -> CmCheckReport:
         verdict=verdict,
         violations=tuple(violations),
         inconclusive=tuple(inconclusive),
-        values=tuple(all_values),
+        rows=tuple(rows),
     )
 
 

@@ -131,6 +131,36 @@ def test_grid_values_deterministic_across_instances():
     assert a == b
 
 
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_grid_points_are_computed_once_per_grid_and_precision(spacing, monkeypatch):
+    conversions = []
+    real = degree_module.as_mpf
+
+    def counted(x, prec):
+        conversions.append(prec)
+        return real(x, prec)
+
+    monkeypatch.setattr(degree_module, "as_mpf", counted)
+    Grid._points.cache_clear()
+    first = Grid(Fraction(1, 7), Fraction(7), 9, spacing).values(96)
+    per_grid = len(conversions)  # the two ends at 112 bits, then the 9 points
+    assert per_grid == 2 + 9
+    assert Grid(Fraction(1, 7), Fraction(7), 9, spacing).values(96) == first
+    assert len(conversions) == per_grid
+    Grid(Fraction(1, 7), Fraction(7), 9, spacing).values(112)
+    assert len(conversions) == 2 * per_grid
+
+
+def test_mutating_grid_values_leaves_the_next_call_unchanged():
+    grid = Grid(Fraction(1, 7), Fraction(7), 9)
+    first = grid.values(96)
+    expected = list(first)
+    first[0] = mp.mpf(-1)
+    first.reverse()
+    first.append(mp.mpf(0))
+    assert grid.values(96) == expected
+
+
 @given(
     num=st.integers(min_value=1, max_value=1000),
     span=st.integers(min_value=2, max_value=100000),
@@ -418,8 +448,35 @@ def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
 
 def clear_memos():
     degree_module._phi_ders_cached.cache_clear()
+    degree_module._coefficients.cache_clear()
+    Grid._points.cache_clear()
     polygamma_module._block.cache_clear()
     polygamma_module._log_gamma_raw.cache_clear()
+
+
+def test_report_values_are_rounded_from_the_exact_rows_when_read():
+    # a violating scan whose grid reaches t = 1e-3, where three points rerun
+    rep = cm_check(PHI03, 3, max_order=8, grid=RERUN_GRID, policy=POLICY)
+    assert rep.violations
+    assert {bits for *_, bits in rep.rows} == {POLICY.working_bits, DOUBLED.working_bits}
+    assert "values" not in vars(rep)  # nothing has read them yet
+    eager = tuple(
+        (t, k, degree_module._report_value(value, exp, bits))
+        for t, k, value, _, exp, bits in rep.rows
+    )
+    assert [(t, k, v._mpf_) for t, k, v in rep.values] == [(t, k, v._mpf_) for t, k, v in eager]
+    by_point = {(t, k): v for t, k, v in rep.values}
+    assert all(by_point[t, k]._mpf_ == v._mpf_ for t, k, v in rep.violations)
+    classes = {
+        (t, k): classify_sign(value, scale, PrecisionPolicy(bits))
+        for t, k, value, scale, _, bits in rep.rows
+    }
+    assert [tk for tk, cls in classes.items() if cls == "violation"] == [
+        (t, k) for t, k, _ in rep.violations
+    ]
+    assert [tk for tk, cls in classes.items() if cls == "borderline"] == list(rep.inconclusive)
+    assert rep.verdict == "violation"
+    _assert_report_integrity(rep)
 
 
 def test_scan_reports_are_deterministic():
@@ -752,6 +809,22 @@ def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
     reruns = [t for t, policy in evaluations if policy == DOUBLED]
     assert reruns and len(set(reruns)) == len(reruns)
     assert len(base) + len(reruns) == len(evaluations)
+
+
+def test_table_builds_one_coefficient_row_per_exponent_point_and_precision(monkeypatch):
+    keys = []
+    real = degree_module._signed_row
+
+    def spy(r, max_order, tv, ders, policy):
+        keys.append((r, max_order, tv, policy.working_bits))
+        return real(r, max_order, tv, ders, policy)
+
+    monkeypatch.setattr(degree_module, "_signed_row", spy)
+    degree_module._coefficients.cache_clear()
+    conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
+    assert DOUBLED.working_bits in {bits for *_, bits in keys}
+    assert len(keys) > len(set(keys))  # the cells share exponents and points
+    assert degree_module._coefficients.cache_info().misses == len(set(keys))
 
 
 def test_t_to_the_19_over_4_times_q_is_not_cm():
