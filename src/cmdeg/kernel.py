@@ -30,8 +30,10 @@ positive: from k = 17 on each term of the numerator of
 panels [4k, 4k + 4] whose refinement levels are nested: every abscissa of one
 level is an abscissa of the next.  h does not depend on t, so its values (not
 the abscissas) are memoised per (panel, level, precision) and shared by every
-t: each abscissa is evaluated once per process.  The closed form and the node
-loop run on raw libmp tuples, rounded exactly as mpf arithmetic rounds.
+t: each abscissa is evaluated once per process.  e^(-t (c +- d x_j)) is
+e^(-t c) e^(-+t d x_j), so a call forms e^(-t d x_j) once per node for all
+its panels and e^(-t c) once per panel.  The closed form and the node loop
+run on raw libmp tuples, rounded exactly as mpf arithmetic rounds.
 """
 
 from __future__ import annotations
@@ -226,10 +228,9 @@ def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tup
     ``_ts_panel``'s order: h(c), then h(c + d x_j), h(c - d x_j) for each
     j > 0 at level 3 and each odd j above it.  h does not depend on t, so
     every call of ``laplace_reconstruct`` at this precision shares them.
-    Only h is memoised, not the abscissas: ``_ts_panel`` forms c +- d x
-    again for each t.  The memo is unbounded: a call walks its keys in the
-    same order every time, so an LRU smaller than one call's keys would
-    evict each entry before its reuse."""
+    The memo is unbounded: a call walks its keys in the same order every
+    time, so an LRU smaller than one call's keys would evict each entry
+    before its reuse."""
     rnd = libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
     d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
@@ -240,6 +241,21 @@ def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tup
     return tuple(kernel_h(0, mp.make_mpf(s), policy)._mpf_ for s in abscissas)
 
 
+@lru_cache(maxsize=QUAD_MAX_LEVEL - 2)
+def _node_exponentials(level: int, t: tuple, prec: int) -> tuple:
+    """Raw (E_j, 1/E_j), E_j = e^(-t d x_j), for the nodes new at ``level``
+    in ``_panel_kernel``'s order: e^(-t (c +- d x_j)) = e^(-t c) E_j^(+-1),
+    so every panel of a call at raw t shares them.  maxsize is the
+    QUAD_MAX_LEVEL - 2 levels of one call, which never evicts its own."""
+    rnd = libmp.round_nearest
+    neg_td = libmp.mpf_mul(libmp.mpf_neg(t), libmp.from_int(QUAD_PANEL_WIDTH // 2), prec, rnd)
+    table = []
+    for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
+        e = libmp.mpf_exp(libmp.mpf_mul(neg_td, x._mpf_, prec, rnd), prec, rnd)
+        table.append((e, libmp.mpf_rdiv_int(1, e, prec, rnd)))
+    return tuple(table)
+
+
 def _ts_panel(
     tv: mp.mpf, k: int, tol: mp.mpf, max_level: int, prec: int, policy: PrecisionPolicy
 ) -> mp.mpf:
@@ -248,39 +264,38 @@ def _ts_panel(
 
     The levels are nested: node 2i of level L+1 has the abscissa of node i
     of level L, because u = 2i 2^-(L+1) = i 2^-L is exact in binary.  Each
-    level keeps its per-node values f(c) and f(c + d x_j) + f(c - d x_j),
-    f(s) = h(s) e^(-tv s).  The nodes stop where x rounds to 1 and x grows
-    with u, so level L+1 has 2N - 1 or 2N nodes for level L's N, and each
-    even j > 0 reuses value j/2; h of the odd j comes from ``_panel_kernel``.
-    The loop runs on the raw libmp tuples of the nodes and of h, each step
-    the libmp call of the mpf operator at prec with round-to-nearest, so
-    its bits are the mpf loop's.
+    level keeps its per-node values h(c) and h(c + d x_j) E_j + h(c - d x_j)/E_j
+    with E_j = e^(-tv d x_j), and scales its sum by e^(-tv c) d once; every
+    term is positive, so nothing cancels.  The nodes stop where x rounds to
+    1 and x grows with u, so level L+1 has 2N - 1 or 2N nodes for level L's
+    N, and each even j > 0 reuses value j/2; h and E of the odd j come from
+    ``_panel_kernel`` and ``_node_exponentials``.  The loop runs on raw
+    libmp tuples, each step the libmp call of the mpf operator at prec with
+    round-to-nearest, so its bits are the mpf loop's.
     """
-    mul, add, sub, exp = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub, libmp.mpf_exp
-    rnd = libmp.round_nearest
+    mul, add, sub, rnd = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub, libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
     d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
-    neg_t = libmp.mpf_neg(tv._mpf_, prec, rnd)
+    scale = mul(libmp.mpf_exp(mul(libmp.mpf_neg(tv._mpf_), c, prec, rnd), prec, rnd), d, prec, rnd)
     pairs: list[tuple] = []
     previous = None
     for level in range(3, max_level + 1):
         reused, pairs = pairs, []
         fresh = iter(_panel_kernel(k, level, prec, policy))
+        exponentials = iter(_node_exponentials(level, tv._mpf_, prec))
         total = libmp.fzero
-        for j, (x, w) in enumerate(_ts_nodes(level, prec)):
+        for j, (_, w) in enumerate(_ts_nodes(level, prec)):
             if reused and j % 2 == 0:
                 pair = reused[j // 2]
             elif j:
-                dx = mul(d, x._mpf_, prec, rnd)
-                e = exp(mul(neg_t, add(c, dx, prec, rnd), prec, rnd), prec, rnd)
+                e, inverse = next(exponentials)
                 pair = mul(next(fresh), e, prec, rnd)
-                e = exp(mul(neg_t, sub(c, dx, prec, rnd), prec, rnd), prec, rnd)
-                pair = add(pair, mul(next(fresh), e, prec, rnd), prec, rnd)
+                pair = add(pair, mul(next(fresh), inverse, prec, rnd), prec, rnd)
             else:
-                pair = mul(next(fresh), exp(mul(neg_t, c, prec, rnd), prec, rnd), prec, rnd)
+                pair = next(fresh)
             pairs.append(pair)
             total = add(total, mul(w._mpf_, pair, prec, rnd), prec, rnd)
-        value = mul(mul(total, libmp.from_man_exp(1, -level), prec, rnd), d, prec, rnd)
+        value = mul(mul(total, scale, prec, rnd), libmp.from_man_exp(1, -level), prec, rnd)
         if previous and libmp.mpf_le(libmp.mpf_abs(sub(value, previous, prec, rnd)), tol._mpf_):
             return mp.make_mpf(value)
         previous = value

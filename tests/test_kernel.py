@@ -262,16 +262,23 @@ def test_determinism():
 
 
 def test_node_memo_is_clearable_and_exact():
-    # the tanh-sinh nodes are an lru_cache: a hit is the tuple a cold call
-    # builds, and laplace_reconstruct gives the same bits warm and cold
+    # the tanh-sinh nodes and their exponentials are lru_caches: a hit is
+    # the tuple a cold call builds, and laplace_reconstruct gives the same
+    # bits warm and cold
     warm_value = laplace_reconstruct(5, POLICY)
     warm_nodes = kernel_module._ts_nodes(5, 200)
+    t5 = mp.mpf(5)._mpf_
+    warm_exponentials = kernel_module._node_exponentials(5, t5, 200)
     kernel_module._ts_nodes.cache_clear()
+    kernel_module._node_exponentials.cache_clear()
     assert kernel_module._ts_nodes.cache_info().currsize == 0
+    assert kernel_module._node_exponentials.cache_info().currsize == 0
     cold_nodes = kernel_module._ts_nodes(5, 200)
     assert isinstance(cold_nodes, tuple)
     assert cold_nodes == warm_nodes
+    assert kernel_module._node_exponentials(5, t5, 200) == warm_exponentials
     kernel_module._ts_nodes.cache_clear()
+    kernel_module._node_exponentials.cache_clear()
     assert laplace_reconstruct(5, POLICY) == warm_value
 
 
@@ -293,10 +300,37 @@ def test_each_level_doubles_the_previous_nodes(prec):
         assert len(kernel_module._ts_nodes(level, prec)) in (2 * n - 1, 2 * n), level
 
 
-def _reference_panel(f, a, b, tol, max_level, prec):
-    """tanh-sinh over [a, b] re-evaluating every node at every level --
-    the reference for the nested-level reuse in ``_ts_panel``.  Returns
-    the value and the level it converged at."""
+def _reference_panel(h, tv, a, b, tol, max_level, prec):
+    """tanh-sinh of h(s) e^(-tv s) over [a, b] in ``_ts_panel``'s factored
+    form, h(c + d x) E + h(c - d x)/E with E = e^(-tv d x) and each level's
+    sum scaled by e^(-tv c) d, but re-evaluating every node at every level
+    -- the reference for the nested-level reuse and the shared
+    exponentials.  Returns the value and the level it converged at."""
+    with mp.workprec(prec):
+        c = (a + b) / 2
+        d = (b - a) / 2
+        scale = mp.exp(-tv * c) * d
+        previous = None
+        for level in range(3, max_level + 1):
+            total = mp.mpf(0)
+            for j, (x, w) in enumerate(kernel_module._ts_nodes(level, prec)):
+                if j == 0:
+                    total += w * h(c)
+                else:
+                    e = mp.exp(-tv * d * x)
+                    total += w * (h(c + d * x) * e + h(c - d * x) * (1 / e))
+            value = total * scale * mp.mpf(2) ** (-level)
+            if previous is not None and abs(value - previous) <= tol:
+                return value, level
+            previous = value
+    raise AssertionError("reference quadrature did not converge")
+
+
+def _direct_panel(f, a, b, tol, max_level, prec):
+    """tanh-sinh of f over [a, b] with f(s) = h(s) e^(-t s) formed at each
+    node, re-evaluating every node at every level -- the loop before the
+    exponentials were factored.  Returns the value and the level it
+    converged at."""
     with mp.workprec(prec):
         c = (a + b) / 2
         d = (b - a) / 2
@@ -312,7 +346,7 @@ def _reference_panel(f, a, b, tol, max_level, prec):
             if previous is not None and abs(value - previous) <= tol:
                 return value, level
             previous = value
-    raise AssertionError("reference quadrature did not converge")
+    raise AssertionError("direct quadrature did not converge")
 
 
 @pytest.mark.parametrize(
@@ -335,9 +369,6 @@ def test_panel_reuses_each_abscissa_exactly(monkeypatch, a, b, t, bits, tol):
         tv = mp.mpf(t)
         tolv = mp.mpf(tol)
 
-    def f(s):
-        return kernel_h(0, s, policy) * mp.exp(-tv * s)
-
     abscissas = []
 
     def counted(j, s, p=None):
@@ -345,11 +376,12 @@ def test_panel_reuses_each_abscissa_exactly(monkeypatch, a, b, t, bits, tol):
         return kernel_h(j, s, p)
 
     kernel_module._panel_kernel.cache_clear()
+    kernel_module._node_exponentials.cache_clear()
     monkeypatch.setattr(kernel_module, "kernel_h", counted)
     value = kernel_module._ts_panel(tv, k, tolv, 12, prec, policy)
     monkeypatch.undo()
     a, b = mp.mpf(a), mp.mpf(b)
-    expected, level = _reference_panel(f, a, b, tolv, 12, prec)
+    expected, level = _reference_panel(lambda s: kernel_h(0, s, policy), tv, a, b, tolv, 12, prec)
     assert (value.man, value.exp) == (expected.man, expected.exp)
     assert len(abscissas) == 2 * len(kernel_module._ts_nodes(level, prec)) - 1
     # c + d x may round to b when x is within an ulp of 1; h is finite there
@@ -358,6 +390,7 @@ def test_panel_reuses_each_abscissa_exactly(monkeypatch, a, b, t, bits, tol):
 
 def _cold_memos():
     kernel_module._panel_kernel.cache_clear()
+    kernel_module._node_exponentials.cache_clear()
     kernel_module._ts_nodes.cache_clear()
 
 
@@ -470,10 +503,12 @@ def _mpf_kernel_h(j, s, policy):
 
 def _mpf_ts_panel(tv, k, tol, max_level, prec, policy):
     """Reference for ``_ts_panel``: its node loop in mpf arithmetic under
-    workprec, reading h from the same ``_panel_kernel`` memo."""
+    workprec, reading h from the same ``_panel_kernel`` memo but forming
+    each exponential itself."""
     with mp.workprec(prec):
         d = mp.mpf(kernel_module.QUAD_PANEL_WIDTH) / 2
         c = kernel_module.QUAD_PANEL_WIDTH * k + d
+        scale = mp.exp(-tv * c) * d
         pairs = []
         previous = None
         for level in range(3, max_level + 1):
@@ -485,13 +520,14 @@ def _mpf_ts_panel(tv, k, tol, max_level, prec, policy):
                 if reused and j % 2 == 0:
                     pair = reused[j // 2]
                 elif j:
-                    pair = next(fresh) * mp.exp(-tv * (c + d * x))
-                    pair += next(fresh) * mp.exp(-tv * (c - d * x))
+                    e = mp.exp(-tv * d * x)
+                    pair = next(fresh) * e
+                    pair += next(fresh) * (1 / e)
                 else:
-                    pair = next(fresh) * mp.exp(-tv * c)
+                    pair = next(fresh)
                 pairs.append(pair)
                 total += w * pair
-            value = total * h * d
+            value = total * scale * h
             if previous is not None and abs(value - previous) <= tol:
                 return value
             previous = value
@@ -559,14 +595,95 @@ def test_raw_laplace_matches_mpf_reference(monkeypatch):
         assert value == laplace_reconstruct(t, policy, tol)._mpf_, (t, policy, tol)
 
 
-def test_kernel_and_laplace_golden_bits():
-    # pins the (sign, man, exp) of every kernel_h and laplace_reconstruct
-    # value of the two tests above; the digest was recorded with the mpf
-    # loop and closed form, before they moved to raw tuples
+def _bits_digest(values):
+    """sha256 of the (sign, man, exp) of raw values, in order."""
     digest = hashlib.sha256()
-    values = [kernel_h(j, s, p)._mpf_ for j, s, p in _kernel_cases()]
-    for sign, man, exp, _ in values + list(_raw_laplace_values()):
+    for sign, man, exp, _ in values:
         digest.update(f"{sign}:{man}p{exp};".encode())
-    assert digest.hexdigest() == (
-        "601384fbe4ce86f3be4338054799805a992e887d373947c8ab7af2447bd53483"
+    return digest.hexdigest()
+
+
+def test_kernel_h_golden_bits():
+    # pins the (sign, man, exp) of every kernel_h value of the raw
+    # closed-form test above; recorded with the mpf closed form, before it
+    # moved to raw tuples, and unchanged since
+    values = [kernel_h(j, s, p)._mpf_ for j, s, p in _kernel_cases()]
+    assert _bits_digest(values) == (
+        "1fad3e8038e9f9ff0a7a36055c40889f6aeac4c36438580603dd7041599a6090"
     )
+
+
+def test_laplace_golden_bits():
+    # pins every laplace_reconstruct value of the raw node-loop test above;
+    # recorded with the factored exponentials e^(-t c) e^(-+t d x_j)
+    assert _bits_digest(_raw_laplace_values()) == (
+        "cb3eaa7075ee8257c9f77b1e941ef2c2636cf4ef0dec47048674c4b42adad38a"
+    )
+
+
+@pytest.mark.parametrize("bits, tolerance", RAW_LAPLACE_CASES)
+@pytest.mark.parametrize("t", ["0.05", 1, 40])
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_factored_panel_matches_direct_exponentials(k, t, bits, tolerance):
+    # e^(-t c) E_j^(+-1) against e^(-t s) formed at each node: every term is
+    # positive, so each panel agrees within a relative 2^(16 - prec)
+    policy = PrecisionPolicy(bits)
+    prec = max(
+        policy.internal_bits(kernel_module._KERNEL_GUARD_BITS),
+        int(-mp.log(mp.mpf(tolerance), 2)) + 80,
+    )
+    with mp.workprec(prec):
+        tv = mp.mpf(t)
+        tol = mp.mpf(tolerance) / 64
+    width = kernel_module.QUAD_PANEL_WIDTH
+    value = kernel_module._ts_panel(tv, k, tol, 12, prec, policy)
+
+    def f(s):
+        return kernel_h(0, s, policy) * mp.exp(-tv * s)
+
+    direct, _ = _direct_panel(f, mp.mpf(width * k), mp.mpf(width * (k + 1)), tol, 12, prec)
+    with mp.workprec(2 * prec):
+        assert value > 0
+        assert abs(value - direct) <= value * mp.mpf(2) ** (16 - prec), (k, t, bits)
+
+
+def _counted_call(monkeypatch, t):
+    """laplace_reconstruct(t) with its mpf_exp calls counted; returns the
+    value, the count, and (nodes new up to the deepest level) + panels."""
+    levels = {}
+    calls = []
+    panel_kernel, exp = kernel_module._panel_kernel, kernel_module.libmp.mpf_exp
+
+    def spy(k, level, prec, policy):
+        levels[k] = max(level, levels.get(k, 0))
+        return panel_kernel(k, level, prec, policy)
+
+    def counted(*args):
+        calls.append(args)
+        return exp(*args)
+
+    monkeypatch.setattr(kernel_module, "_panel_kernel", spy)
+    monkeypatch.setattr(kernel_module.libmp, "mpf_exp", counted)
+    value = laplace_reconstruct(t, POLICY)
+    monkeypatch.undo()
+    prec = POLICY.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    nodes = len(kernel_module._ts_nodes(max(levels.values()), prec))
+    return value, len(calls), nodes + len(levels)
+
+
+def test_one_exponential_per_node_and_per_panel(monkeypatch):
+    # with h warm, a call at t = 0.3 (the most panels of the fast cases)
+    # forms e^(-t d x_j) once per node and e^(-t c) once per panel, where
+    # the loop before formed two per node on every panel; a call at a new t
+    # builds its own table and gives the bits of a cold process
+    for t in ("0.3", "0.7"):
+        laplace_reconstruct(t, POLICY)
+    kernel_module._node_exponentials.cache_clear()
+    _, count, bound = _counted_call(monkeypatch, "0.3")
+    assert 0 < count <= bound
+    misses = kernel_module._node_exponentials.cache_info().misses
+    warm, count, bound = _counted_call(monkeypatch, "0.7")
+    assert kernel_module._node_exponentials.cache_info().misses > misses
+    assert 0 < count <= bound
+    _cold_memos()
+    assert laplace_reconstruct("0.7", POLICY)._mpf_ == warm._mpf_
