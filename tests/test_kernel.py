@@ -328,9 +328,9 @@ def _reference_panel(h, tv, a, b, tol, max_level, prec):
 
 def _direct_panel(f, a, b, tol, max_level, prec):
     """tanh-sinh of f over [a, b] with f(s) = h(s) e^(-t s) formed at each
-    node, re-evaluating every node at every level -- the loop before the
-    exponentials were factored.  Returns the value and the level it
-    converged at."""
+    node, re-evaluating every node at every level -- the unfactored
+    reference for ``_ts_panel``'s shared exponentials.  Returns the value
+    and the level it converged at."""
     with mp.workprec(prec):
         c = (a + b) / 2
         d = (b - a) / 2
@@ -605,8 +605,8 @@ def _bits_digest(values):
 
 def test_kernel_h_golden_bits():
     # pins the (sign, man, exp) of every kernel_h value of the raw
-    # closed-form test above; recorded with the mpf closed form, before it
-    # moved to raw tuples, and unchanged since
+    # closed-form test above: the bits of the mpf closed form, which the
+    # raw closed form and the shared node exponentials leave unchanged
     values = [kernel_h(j, s, p)._mpf_ for j, s, p in _kernel_cases()]
     assert _bits_digest(values) == (
         "1fad3e8038e9f9ff0a7a36055c40889f6aeac4c36438580603dd7041599a6090"
