@@ -55,7 +55,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .errors import CmdegError, InvalidIndex, InvalidSpec
-from .precision import PrecisionPolicy, as_mpf
+from .precision import PrecisionPolicy, aligned, as_mpf, man_exp
 from .remainders import PHI_M_MAX, PHI_N_MAX, RemainderSpec, _phi_rows, phi_derivatives, pole_order
 
 __all__ = [
@@ -166,13 +166,6 @@ def _table_scope(cells: dict):
     return ders
 
 
-def _man_exp(raw: tuple) -> tuple[int, int]:
-    """A raw mpf tuple (sign, man, exp, bc) as an exact signed (mantissa,
-    exponent) pair."""
-    sign, man, exp, _ = raw
-    return (-man if sign else man), exp
-
-
 @lru_cache(maxsize=4096)
 def _coefficients(r: Fraction, max_order: int, t: mp.mpf, prec: int) -> tuple[tuple, int]:
     """C_j = r(r-1)...(r-j+1) t^(r-j) for j = 0..max_order, up to the first
@@ -188,17 +181,10 @@ def _coefficients(r: Fraction, max_order: int, t: mp.mpf, prec: int) -> tuple[tu
             if falling == 0:
                 break
             falling_raw = (mp.mpf(falling.numerator) / falling.denominator)._mpf_
-            coeffs.append(_man_exp(libmp.mpf_mul(falling_raw, power, prec, libmp.round_nearest)))
+            coeffs.append(man_exp(libmp.mpf_mul(falling_raw, power, prec, libmp.round_nearest)))
             power = libmp.mpf_mul(power, inv_t, prec, libmp.round_nearest)
             falling *= r - j
-    return _aligned(coeffs)
-
-
-def _aligned(pairs: list[tuple[int, int]]) -> tuple[tuple, int]:
-    """Signed (mantissa, exponent) pairs as integers at their smallest
-    nonzero exponent: (mantissas, exponent)."""
-    exp = min((e for m, e in pairs if m), default=0)
-    return tuple(m << (e - exp) if m else 0 for m, e in pairs), exp
+    return aligned(coeffs)
 
 
 def _signed_row(
@@ -221,7 +207,7 @@ def _signed_row(
     do not round.
     """
     coeffs, c_exp = _coefficients(r, max_order, t, policy.working_bits + _SUM_GUARD_BITS)
-    ders, d_exp = _aligned([_man_exp(d._mpf_) for d in ders])
+    ders, d_exp = aligned([man_exp(d._mpf_) for d in ders])
     row = []
     binomials = [1]  # C(k, j) for j = 0..k
     for k in range(max_order + 1):
@@ -266,7 +252,7 @@ def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
     scaling phi by a positive constant.
     """
     if isinstance(value, mp.mpf):
-        (value, v_exp), (scale, s_exp) = _man_exp(value._mpf_), _man_exp(scale._mpf_)
+        (value, v_exp), (scale, s_exp) = man_exp(value._mpf_), man_exp(scale._mpf_)
         exp = min(v_exp, s_exp)
         value, scale = value << (v_exp - exp), scale << (s_exp - exp)
     if abs(value) << (policy.working_bits // 2) <= scale:

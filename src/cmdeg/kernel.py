@@ -32,15 +32,19 @@ level is an abscissa of the next.  h does not depend on t, so its values (not
 the abscissas) are memoised per (panel, level, precision) and shared by every
 t: each abscissa is evaluated once per process.  e^(-t (c +- d x_j)) is
 e^(-t c) e^(-+t d x_j), so a call forms e^(-t d x_j) once per node for all
-its panels and e^(-t c) once per panel.  The closed form and the node loop
-run on raw libmp tuples, rounded exactly as mpf arithmetic rounds.
+its panels and e^(-t c) once per panel.  The h values and the weights
+w_j e^(-+t d x_j) are integers at one exponent, so each level's sum is an
+exact dot product, rounded once.  The closed form runs on raw libmp tuples,
+rounded exactly as mpf arithmetic rounds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import factorial
 
 import mpmath as mp
@@ -53,7 +57,7 @@ from .errors import (
     NonPositiveArgument,
     QuadratureNotConverged,
 )
-from .precision import PrecisionPolicy, as_mpf
+from .precision import PrecisionPolicy, aligned, as_mpf, man_exp
 
 __all__ = [
     "KERNEL_SERIES_CROSSOVER",
@@ -73,6 +77,12 @@ _CROSSOVER = mp.mpf(float(KERNEL_SERIES_CROSSOVER))
 #: s Y_j(y) + j Y_{j-1}(y) - P_j(s) is at most 1.24e8 (about 2^27, at j = 0)
 #: times |h^(j)(s)| for j <= 4.
 _KERNEL_GUARD_BITS = 64
+
+#: ``_ts_panel`` sums exactly down to this many times prec bits below the
+#: largest weight or partial sum, so t = 1e300 makes no 1e300-bit integer.
+#: From t = 90 at 224 bits that floors bits, moving a panel sum by less than
+#: 2^(24 - 6 prec) relative (every term is positive; h(s) >= s^6/30241).
+_SUM_DEPTH = 12
 
 #: tanh-sinh refinement ceiling per panel (nodes roughly double per level).
 QUAD_MAX_LEVEL = 12
@@ -205,12 +215,18 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     but c + d x can still round to the panel end: at the default 224 bits
     the last level-12 node has 1 - x = 3.7e-68 and 2 + 2x == 4.  That is
     harmless here, since h is finite there and the node's weight is
-    2.9e-66."""
+    2.9e-66.  Above level 3, node 2i is node i of the level below (u is
+    exact), so only odd j are evaluated."""
+    below = _ts_nodes(level - 1, prec) if level > 3 else ()
     with mp.workprec(prec):
         h = mp.mpf(2) ** (-level)
         nodes = []
-        j = 0
-        while True:
+        for j in count():
+            if below and j % 2 == 0:
+                if j // 2 == len(below):
+                    break
+                nodes.append(below[j // 2])
+                continue
             u = j * h
             sh = mp.sinh(u)
             x = mp.tanh((mp.pi / 2) * sh)
@@ -218,19 +234,19 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
                 break
             w = (mp.pi / 2) * mp.cosh(u) / mp.cosh((mp.pi / 2) * sh) ** 2
             nodes.append((x, w))
-            j += 1
     return tuple(nodes)
 
 
 @lru_cache(maxsize=None)
-def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple:
-    """Raw h values at the abscissas new at ``level`` on panel k, in
-    ``_ts_panel``'s order: h(c), then h(c + d x_j), h(c - d x_j) for each
-    j > 0 at level 3 and each odd j above it.  h does not depend on t, so
-    every call of ``laplace_reconstruct`` at this precision shares them.
-    The memo is unbounded: a call walks its keys in the same order every
-    time, so an LRU smaller than one call's keys would evict each entry
-    before its reuse."""
+def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple[tuple, int]:
+    """h at the abscissas new at ``level`` on panel k as exact integers
+    at one exponent, (values, exponent), in ``_ts_panel``'s order: h(c),
+    then h(c + d x_j), h(c - d x_j) for each j > 0 at level 3 and each odd
+    j above it.  h does not depend on t, so every call of
+    ``laplace_reconstruct`` at this precision shares them.  The memo is
+    unbounded: a call walks its keys in the same order every time, so an
+    LRU smaller than one call's keys would evict each entry before its
+    reuse."""
     rnd = libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
     d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
@@ -238,22 +254,26 @@ def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tup
     for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
         dx = libmp.mpf_mul(d, x._mpf_, prec, rnd)
         abscissas += [libmp.mpf_add(c, dx, prec, rnd), libmp.mpf_sub(c, dx, prec, rnd)]
-    return tuple(kernel_h(0, mp.make_mpf(s), policy)._mpf_ for s in abscissas)
+    return aligned([man_exp(kernel_h(0, mp.make_mpf(s), policy)._mpf_) for s in abscissas])
 
 
 @lru_cache(maxsize=QUAD_MAX_LEVEL - 2)
-def _node_exponentials(level: int, t: tuple, prec: int) -> tuple:
-    """Raw (E_j, 1/E_j), E_j = e^(-t d x_j), for the nodes new at ``level``
-    in ``_panel_kernel``'s order: e^(-t (c +- d x_j)) = e^(-t c) E_j^(+-1),
-    so every panel of a call at raw t shares them.  maxsize is the
-    QUAD_MAX_LEVEL - 2 levels of one call, which never evicts its own."""
+def _node_exponentials(level: int, t: tuple, prec: int) -> tuple[tuple, int]:
+    """The weights of ``_panel_kernel(k, level)``'s h values as integers
+    at one exponent, (weights, exponent): w_0 at level 3, then the exact
+    products w_j E_j and w_j (1/E_j), E_j = e^(-t d x_j) rounded at prec.
+    e^(-t (c +- d x_j)) = e^(-t c) E_j^(+-1), so every panel of a call at
+    raw t shares them.  maxsize is the QUAD_MAX_LEVEL - 2 levels of one
+    call, which never evicts its own."""
     rnd = libmp.round_nearest
     neg_td = libmp.mpf_mul(libmp.mpf_neg(t), libmp.from_int(QUAD_PANEL_WIDTH // 2), prec, rnd)
-    table = []
-    for x, _ in _ts_nodes(level, prec)[1 :: 1 if level == 3 else 2]:
+    nodes = _ts_nodes(level, prec)
+    weights = [man_exp(nodes[0][1]._mpf_)] if level == 3 else []
+    for x, w in nodes[1 :: 1 if level == 3 else 2]:
         e = libmp.mpf_exp(libmp.mpf_mul(neg_td, x._mpf_, prec, rnd), prec, rnd)
-        table.append((e, libmp.mpf_rdiv_int(1, e, prec, rnd)))
-    return tuple(table)
+        for factor in (e, libmp.mpf_rdiv_int(1, e, prec, rnd)):
+            weights.append(man_exp(libmp.mpf_mul(w._mpf_, factor)))  # exact: no prec
+    return aligned(weights, _SUM_DEPTH * prec)
 
 
 def _ts_panel(
@@ -262,40 +282,26 @@ def _ts_panel(
     """Integrate h(s) e^(-tv s) over panel k, [4k, 4k + 4], by tanh-sinh
     with level doubling.
 
-    The levels are nested: node 2i of level L+1 has the abscissa of node i
-    of level L, because u = 2i 2^-(L+1) = i 2^-L is exact in binary.  Each
-    level keeps its per-node values h(c) and h(c + d x_j) E_j + h(c - d x_j)/E_j
-    with E_j = e^(-tv d x_j), and scales its sum by e^(-tv c) d once; every
-    term is positive, so nothing cancels.  The nodes stop where x rounds to
-    1 and x grows with u, so level L+1 has 2N - 1 or 2N nodes for level L's
-    N, and each even j > 0 reuses value j/2; h and E of the odd j come from
-    ``_panel_kernel`` and ``_node_exponentials``.  The loop runs on raw
-    libmp tuples, each step the libmp call of the mpf operator at prec with
-    round-to-nearest, so its bits are the mpf loop's.
+    The levels are nested: node 2i of level L+1 is node i of level L, so
+    S_L = sum_j w_j (h(c + d x_j) E_j + h(c - d x_j)/E_j) is S_(L-1) plus
+    the dot product of ``_node_exponentials`` and ``_panel_kernel`` over
+    the odd j, and no node is weighted or summed twice.  Every term is
+    positive, so nothing cancels.  S_L is an integer, exact down to
+    ``_SUM_DEPTH``, rounded once at prec and scaled by e^(-tv c) d 2^-L.
     """
-    mul, add, sub, rnd = libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub, libmp.round_nearest
+    mul, sub, rnd = libmp.mpf_mul, libmp.mpf_sub, libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
     d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)
     scale = mul(libmp.mpf_exp(mul(libmp.mpf_neg(tv._mpf_), c, prec, rnd), prec, rnd), d, prec, rnd)
-    pairs: list[tuple] = []
-    previous = None
+    total, low, previous = 0, 0, None
     for level in range(3, max_level + 1):
-        reused, pairs = pairs, []
-        fresh = iter(_panel_kernel(k, level, prec, policy))
-        exponentials = iter(_node_exponentials(level, tv._mpf_, prec))
-        total = libmp.fzero
-        for j, (_, w) in enumerate(_ts_nodes(level, prec)):
-            if reused and j % 2 == 0:
-                pair = reused[j // 2]
-            elif j:
-                e, inverse = next(exponentials)
-                pair = mul(next(fresh), e, prec, rnd)
-                pair = add(pair, mul(next(fresh), inverse, prec, rnd), prec, rnd)
-            else:
-                pair = next(fresh)
-            pairs.append(pair)
-            total = add(total, mul(w._mpf_, pair, prec, rnd), prec, rnd)
-        value = mul(mul(total, scale, prec, rnd), libmp.from_man_exp(1, -level), prec, rnd)
+        weights, w_exp = _node_exponentials(level, tv._mpf_, prec)
+        values, h_exp = _panel_kernel(k, level, prec, policy)
+        fresh = sum(map(operator.mul, weights, values)), w_exp + h_exp
+        (total, fresh), low = aligned([(total, low), fresh], _SUM_DEPTH * prec)
+        total += fresh
+        value = mul(libmp.from_man_exp(total, low, prec, rnd), scale, prec, rnd)
+        value = libmp.mpf_shift(value, -level)
         if previous and libmp.mpf_le(libmp.mpf_abs(sub(value, previous, prec, rnd)), tol._mpf_):
             return mp.make_mpf(value)
         previous = value

@@ -86,3 +86,20 @@ def mag_bits(x) -> int:
         return 0
     return int(mp.mag(x))
 
+
+def man_exp(raw: tuple) -> tuple[int, int]:
+    """A raw mpf tuple (sign, man, exp, bc) as an exact signed (mantissa,
+    exponent) pair."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def aligned(pairs, depth: int | None = None) -> tuple[tuple, int]:
+    """Signed (mantissa, exponent) pairs as integers at their smallest
+    nonzero exponent: (mantissas, exponent).  With ``depth``, the exponent
+    is at most ``depth`` bits below the largest |value|, and the bits below
+    it are floored."""
+    exp = min((e for m, e in pairs if m), default=0)
+    if depth is not None:
+        exp = max(exp, max((e + m.bit_length() for m, e in pairs if m), default=exp) - depth)
+    return tuple(m << e - exp if e >= exp else m >> exp - e for m, e in pairs), exp

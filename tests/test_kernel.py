@@ -300,26 +300,101 @@ def test_each_level_doubles_the_previous_nodes(prec):
         assert len(kernel_module._ts_nodes(level, prec)) in (2 * n - 1, 2 * n), level
 
 
+def _direct_nodes(level, prec):
+    """Every tanh-sinh node of ``level`` evaluated directly, as
+    ``_ts_nodes`` did before it reused the level below."""
+    with mp.workprec(prec):
+        nodes = []
+        for j in range(10**6):
+            sh = mp.sinh(j * mp.mpf(2) ** (-level))
+            x = mp.tanh((mp.pi / 2) * sh)
+            if x == 1:
+                return tuple(nodes)
+            w = (mp.pi / 2) * mp.cosh(j * mp.mpf(2) ** (-level)) / mp.cosh((mp.pi / 2) * sh) ** 2
+            nodes.append((x, w))
+
+
+@pytest.mark.parametrize("prec", [144, 224, 400])
+def test_even_nodes_are_the_level_below(prec):
+    # node 2i of level L is node i of level L - 1, u = 2i 2^-L = i 2^-(L-1)
+    # exactly, and the built levels are the directly evaluated ones
+    for level in range(4, 13):
+        nodes = kernel_module._ts_nodes(level, prec)
+        assert nodes[::2] == kernel_module._ts_nodes(level - 1, prec), level
+    for level in (3, 4, 7):
+        assert kernel_module._ts_nodes(level, prec) == _direct_nodes(level, prec), level
+
+
+def test_cold_level_builds_only_its_odd_nodes(monkeypatch):
+    # a cold level-5 build evaluates level 3 and the odd nodes of levels 4
+    # and 5, each up to the first abscissa that rounds to 1: 148 sinh calls
+    # at 208 bits, where building the three levels whole takes 258
+    calls = []
+    sinh = kernel_module.mp.sinh
+
+    def counted(u):
+        calls.append(u)
+        return sinh(u)
+
+    kernel_module._ts_nodes.cache_clear()
+    monkeypatch.setattr(kernel_module.mp, "sinh", counted)
+    kernel_module._ts_nodes(5, 208)
+    monkeypatch.undo()
+    whole = sum(len(kernel_module._ts_nodes(level, 208)) + 1 for level in (3, 4, 5))
+    assert (len(calls), whole) == (148, 258)
+    kernel_module._ts_nodes.cache_clear()
+
+
+def _fraction(x):
+    """An mpf as an exact Fraction."""
+    man, exp = x.man_exp
+    return man * Fraction(2) ** exp
+
+
+def _dot(pairs):
+    """sum of a b over pairs of Fractions, exactly: every denominator here
+    is a power of two, so each divides the largest, and the sum is reduced
+    once."""
+    den = max(a.denominator * b.denominator for a, b in pairs)
+    num = sum(a.numerator * b.numerator * (den // (a.denominator * b.denominator)) for a, b in pairs)
+    return Fraction(num, den)
+
+
+def _rounded(total, prec):
+    """A Fraction rounded once to nearest at prec bits."""
+    rnd = mp.libmp.round_nearest
+    return mp.make_mpf(mp.libmp.from_rational(total.numerator, total.denominator, prec, rnd))
+
+
+@lru_cache(maxsize=None)
+def _exact_weights(tv, x, w, prec):
+    """w E and w/E as exact Fractions, with E = e^(-tv d x) and 1/E
+    rounded at prec as ``_node_exponentials`` rounds them."""
+    with mp.workprec(prec):
+        e = mp.exp(-tv * (mp.mpf(kernel_module.QUAD_PANEL_WIDTH) / 2) * x)
+        return _fraction(w) * _fraction(e), _fraction(w) * _fraction(1 / e)
+
+
 def _reference_panel(h, tv, a, b, tol, max_level, prec):
     """tanh-sinh of h(s) e^(-tv s) over [a, b] in ``_ts_panel``'s factored
     form, h(c + d x) E + h(c - d x)/E with E = e^(-tv d x) and each level's
-    sum scaled by e^(-tv c) d, but re-evaluating every node at every level
-    -- the reference for the nested-level reuse and the shared
-    exponentials.  Returns the value and the level it converged at."""
+    sum scaled by e^(-tv c) d, but evaluating h at every node of every
+    level and summing each level's rounded w, E, 1/E and h exactly as
+    Fractions, rounded once -- the reference for the nested-level reuse,
+    the shared exponentials and the integer sums.  Returns the value and
+    the level it converged at."""
     with mp.workprec(prec):
         c = (a + b) / 2
         d = (b - a) / 2
         scale = mp.exp(-tv * c) * d
         previous = None
         for level in range(3, max_level + 1):
-            total = mp.mpf(0)
-            for j, (x, w) in enumerate(kernel_module._ts_nodes(level, prec)):
-                if j == 0:
-                    total += w * h(c)
-                else:
-                    e = mp.exp(-tv * d * x)
-                    total += w * (h(c + d * x) * e + h(c - d * x) * (1 / e))
-            value = total * scale * mp.mpf(2) ** (-level)
+            (_, w0), *nodes = kernel_module._ts_nodes(level, prec)
+            terms = [(_fraction(w0), _fraction(h(c)))]
+            for x, w in nodes:
+                we, wb = _exact_weights(tv, x, w, prec)
+                terms += [(we, _fraction(h(c + d * x))), (wb, _fraction(h(c - d * x)))]
+            value = _rounded(_dot(terms), prec) * scale * mp.mpf(2) ** (-level)
             if previous is not None and abs(value - previous) <= tol:
                 return value, level
             previous = value
@@ -386,6 +461,66 @@ def test_panel_reuses_each_abscissa_exactly(monkeypatch, a, b, t, bits, tol):
     assert len(abscissas) == 2 * len(kernel_module._ts_nodes(level, prec)) - 1
     # c + d x may round to b when x is within an ulp of 1; h is finite there
     assert all(a < s <= b for s in abscissas)
+
+
+def test_panel_sum_spans_the_maclaurin_tail_exactly():
+    # panel 0 at t = 0.3: the outermost h values come from the Maclaurin
+    # branch near 1e-400, the widest alignment of any panel, and the exact
+    # sum still rounds to the bits of the Fraction reference
+    prec = POLICY.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    with mp.workprec(prec):
+        tv, tol = mp.mpf("0.3"), mp.mpf("1e-40")
+    value = kernel_module._ts_panel(tv, 0, tol, 12, prec, POLICY)
+    h = lru_cache(maxsize=None)(lambda s: kernel_h(0, s, POLICY))
+    expected, level = _reference_panel(h, tv, mp.mpf(0), mp.mpf(4), tol, 12, prec)
+    assert value._mpf_ == expected._mpf_
+    hs, exp = kernel_module._panel_kernel(0, level, prec, POLICY)
+    assert mp.mpf(min(hs)) * mp.mpf(2) ** exp < mp.mpf("1e-400")
+
+
+def test_sums_are_exact_up_to_t_80(monkeypatch):
+    # _SUM_DEPTH only bounds the integers at large t: at 224 bits no weight
+    # and no level sum of a call up to t = 80 loses a bit to its floor
+    floored = []
+
+    def spy(pairs, depth=None):
+        out = aligned(pairs, depth)
+        floored.append(out[1] > min(e for m, e in pairs if m))
+        return out
+
+    aligned = kernel_module.aligned
+    kernel_module._node_exponentials.cache_clear()
+    monkeypatch.setattr(kernel_module, "aligned", spy)
+    for t in ("0.05", 1, 40, 80):
+        laplace_reconstruct(t, POLICY)
+    assert len(floored) > 1000 and not any(floored)
+
+
+@pytest.mark.parametrize("t", [100, 1000])
+def test_floored_sums_keep_the_exact_bits(t):
+    # at 224 bits _SUM_DEPTH floors the level sums from t = 90 and the
+    # weights from t = 400; the floored bits lie far below the rounding, so
+    # the panel still has the bits of the unfloored Fraction sum
+    prec = POLICY.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    with mp.workprec(prec):
+        tv, tol = mp.mpf(t), mp.mpf("1e-60")
+    value = kernel_module._ts_panel(tv, 0, tol, 12, prec, POLICY)
+    h = lru_cache(maxsize=None)(lambda s: kernel_h(0, s, POLICY))
+    expected, _ = _reference_panel(h, tv, mp.mpf(0), mp.mpf(4), tol, 12, prec)
+    assert value._mpf_ == expected._mpf_
+
+
+def test_weights_stay_bounded_at_huge_t():
+    # exact weights at t = 1e300 would span about 3e300 bits; floored, each
+    # fits in _SUM_DEPTH prec bits and a call takes its usual time
+    prec = POLICY.internal_bits(kernel_module._KERNEL_GUARD_BITS)
+    value = laplace_reconstruct("1e300", POLICY)
+    assert 0 < value < mp.mpf("1e-22")
+    with mp.workprec(prec):
+        tv = mp.mpf("1e300")
+    for level in (3, 4, 5):
+        weights, _ = kernel_module._node_exponentials(level, tv._mpf_, prec)
+        assert max(w.bit_length() for w in weights) <= kernel_module._SUM_DEPTH * prec
 
 
 def _cold_memos():
@@ -465,7 +600,8 @@ def test_panels_are_whole_and_the_tail_still_fits(monkeypatch, t):
 
 
 # ---------------------------------------------------------------------------
-# the raw-tuple closed form and node loop against their mpf arithmetic
+# the raw-tuple closed form against its mpf arithmetic, and the integer
+# level sums against exact Fraction sums
 
 
 def _mpf_horner(coefficients, x):
@@ -502,32 +638,28 @@ def _mpf_kernel_h(j, s, policy):
 
 
 def _mpf_ts_panel(tv, k, tol, max_level, prec, policy):
-    """Reference for ``_ts_panel``: its node loop in mpf arithmetic under
-    workprec, reading h from the same ``_panel_kernel`` memo but forming
-    each exponential itself."""
+    """Reference for ``_ts_panel``: h from the same ``_panel_kernel`` memo,
+    but every node of every level weighted with its own exponentials and
+    summed exactly as Fractions, each level rounded once."""
+    hs = {}  # abscissa x -> exact h values from the memo
     with mp.workprec(prec):
         d = mp.mpf(kernel_module.QUAD_PANEL_WIDTH) / 2
         c = kernel_module.QUAD_PANEL_WIDTH * k + d
         scale = mp.exp(-tv * c) * d
-        pairs = []
         previous = None
         for level in range(3, max_level + 1):
-            h = mp.mpf(2) ** (-level)
-            reused, pairs = pairs, []
-            fresh = map(mp.make_mpf, kernel_module._panel_kernel(k, level, prec, policy))
-            total = mp.mpf(0)
-            for j, (x, w) in enumerate(kernel_module._ts_nodes(level, prec)):
-                if reused and j % 2 == 0:
-                    pair = reused[j // 2]
-                elif j:
-                    e = mp.exp(-tv * d * x)
-                    pair = next(fresh) * e
-                    pair += next(fresh) * (1 / e)
-                else:
-                    pair = next(fresh)
-                pairs.append(pair)
-                total += w * pair
-            value = total * scale * h
+            nodes = kernel_module._ts_nodes(level, prec)
+            values, exp = kernel_module._panel_kernel(k, level, prec, policy)
+            fresh = iter([v * Fraction(2) ** exp for v in values])
+            if level == 3:
+                hs[nodes[0][0]] = next(fresh)
+            for x, _ in nodes[1 :: 1 if level == 3 else 2]:
+                hs[x] = (next(fresh), next(fresh))
+            terms = [(_fraction(nodes[0][1]), hs[nodes[0][0]])]
+            for x, w in nodes[1:]:
+                (plus, minus), (we, wb) = hs[x], _exact_weights(tv, x, w, prec)
+                terms += [(we, plus), (wb, minus)]
+            value = _rounded(_dot(terms), prec) * scale * mp.mpf(2) ** (-level)
             if previous is not None and abs(value - previous) <= tol:
                 return value
             previous = value
@@ -581,7 +713,7 @@ def test_raw_kernel_h_matches_mpf_reference():
 
 
 def test_raw_laplace_matches_mpf_reference(monkeypatch):
-    # the raw node loop against the mpf loop, and the h memo's first levels
+    # the integer level sums against exact Fraction sums, and the h memo's first levels
     # on the first panels against mpf abscissas and the mpf closed form,
     # with no tolerance
     values = _raw_laplace_values()
@@ -589,7 +721,9 @@ def test_raw_laplace_matches_mpf_reference(monkeypatch):
         policy = PrecisionPolicy(bits)
         prec = policy.internal_bits(kernel_module._KERNEL_GUARD_BITS)
         for key in [(k, level, prec, policy) for k in (0, 1) for level in (3, 4, 5)]:
-            assert kernel_module._panel_kernel(*key) == _mpf_panel_kernel(*key), key
+            hs, exp = kernel_module._panel_kernel(*key)
+            raw = tuple(mp.libmp.from_man_exp(h, exp) for h in hs)
+            assert raw == _mpf_panel_kernel(*key), key
     monkeypatch.setattr(kernel_module, "_ts_panel", _mpf_ts_panel)
     for value, (t, policy, tol) in zip(values, _laplace_cases()):
         assert value == laplace_reconstruct(t, policy, tol)._mpf_, (t, policy, tol)
@@ -615,9 +749,9 @@ def test_kernel_h_golden_bits():
 
 def test_laplace_golden_bits():
     # pins every laplace_reconstruct value of the raw node-loop test above;
-    # recorded with the factored exponentials e^(-t c) e^(-+t d x_j)
+    # recorded with each level summed exactly as integers and rounded once
     assert _bits_digest(_raw_laplace_values()) == (
-        "cb3eaa7075ee8257c9f77b1e941ef2c2636cf4ef0dec47048674c4b42adad38a"
+        "32f86a6e0c823223e6d9425ca81e83160411a59b9e4c49dd83bb1265bf0daf9a"
     )
 
 
