@@ -297,9 +297,9 @@ def _ts_panel(
     for level in range(3, max_level + 1):
         weights, w_exp = _node_exponentials(level, tv._mpf_, prec)
         values, h_exp = _panel_kernel(k, level, prec, policy)
-        fresh = sum(map(operator.mul, weights, values)), w_exp + h_exp
-        (total, fresh), low = aligned([(total, low), fresh], _SUM_DEPTH * prec)
-        total += fresh
+        dot = sum(map(operator.mul, weights, values))
+        (total, dot), low = aligned([(total, low), (dot, w_exp + h_exp)], _SUM_DEPTH * prec)
+        total += dot
         value = mul(libmp.from_man_exp(total, low, prec, rnd), scale, prec, rnd)
         value = libmp.mpf_shift(value, -level)
         if previous and libmp.mpf_le(libmp.mpf_abs(sub(value, previous, prec, rnd)), tol._mpf_):

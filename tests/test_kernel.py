@@ -5,6 +5,7 @@ import hashlib
 import importlib
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
 
 import mpmath as mp
@@ -305,13 +306,13 @@ def _direct_nodes(level, prec):
     ``_ts_nodes`` did before it reused the level below."""
     with mp.workprec(prec):
         nodes = []
-        for j in range(10**6):
-            sh = mp.sinh(j * mp.mpf(2) ** (-level))
+        for j in count():
+            u = j * mp.mpf(2) ** (-level)
+            sh = mp.sinh(u)
             x = mp.tanh((mp.pi / 2) * sh)
             if x == 1:
                 return tuple(nodes)
-            w = (mp.pi / 2) * mp.cosh(j * mp.mpf(2) ** (-level)) / mp.cosh((mp.pi / 2) * sh) ** 2
-            nodes.append((x, w))
+            nodes.append((x, (mp.pi / 2) * mp.cosh(u) / mp.cosh((mp.pi / 2) * sh) ** 2))
 
 
 @pytest.mark.parametrize("prec", [144, 224, 400])
