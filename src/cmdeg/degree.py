@@ -20,11 +20,12 @@ compares such a pair exactly.  A report keeps these exact rows and rounds
 a value back to mpf, at working_bits + 64 bits, only when its ``values``
 are read; the few violation entries are rounded at once.
 
-Each scan reads phi^(0..max_order)(t) from a scope that its caller passes.
-Standalone scans read the member's own ``phi_derivatives`` row, while
-``conjecture_scan`` evaluates all its cells once per (t, policy), at the
-largest large-t elevation among them: a cell's phi^(i) can then differ from
-its standalone bits in the last places, far inside the guard band.
+Every scan of one public call reads phi^(0..max_order)(t) from one scope,
+which evaluates its cells once per (t, policy) and aligns each row once.
+``cm_check`` and ``degree_bracket`` scope their own member, with the bits of
+``phi_derivatives``; ``conjecture_scan`` scopes its table at the largest
+large-t elevation among the cells, so a cell's phi^(i) can differ from its
+standalone bits in the last places, far inside the guard band.
 
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import add, mul
 
@@ -146,24 +147,24 @@ def _as_rational(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# derivative scopes: where a scan reads phi^(0..i_max)(t).  The one-cell
-# scope memoises each member's own row, shared by its lattice exponents.
+# derivative scopes: where a scan reads phi^(0..max_order)(t).  One scope
+# lives for one public call and serves all its lattice exponents and reruns.
 
-@lru_cache(maxsize=200_000)
-def _phi_ders_cached(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: PrecisionPolicy):
-    return phi_derivatives(spec, t, i_max, policy)
+def _aligned_row(ders: list[mp.mpf]) -> tuple[tuple, int]:
+    """phi^(0..i_max) as exact integers at one exponent: (mantissas, exponent)."""
+    return aligned([man_exp(d._mpf_) for d in ders])
 
 
-def _table_scope(cells: dict):
-    """Scope of a table: every cell (n, m): i_max evaluated once per (t, policy)."""
+def _scope(cells: dict):
+    """Scope of each cell (n, m): max_order, evaluated once per (t, policy)."""
     rows = {}
 
-    def ders(spec: RemainderSpec, t: mp.mpf, i_max: int, policy: PrecisionPolicy):
+    def row(spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
         if (t, policy) not in rows:
-            rows[t, policy] = _phi_rows(cells, t, policy)
-        return rows[t, policy][spec.family_indices][: i_max + 1]
+            rows[t, policy] = {nm: _aligned_row(d) for nm, d in _phi_rows(cells, t, policy).items()}
+        return rows[t, policy][spec.family_indices]
 
-    return ders
+    return row
 
 
 @lru_cache(maxsize=4096)
@@ -191,7 +192,7 @@ def _signed_row(
     r: Fraction,
     max_order: int,
     t: mp.mpf,
-    ders: list[mp.mpf],
+    ders: tuple[tuple, int],
     policy: PrecisionPolicy,
 ) -> tuple[int, list[tuple[int, int]]]:
     """(exp, [(value, scale) for k = 0..max_order]), all exact integers:
@@ -200,14 +201,14 @@ def _signed_row(
 
     The coefficients C_j = r(r-1)...(r-j+1) t^(r-j) are shared by every
     order and every member, rounded at working_bits + _SUM_GUARD_BITS and
-    memoised per (r, max_order, t, precision).  Each C_j and each phi^(i)
-    is read as its exact (mantissa, exponent), and the C_j and the phi^(i)
-    are each aligned at one exponent, so every term C(k,j) C_j phi^(k-j)
-    of every order is an exact integer at the same exponent and the sums
-    do not round.
+    memoised per (r, max_order, t, precision), and aligned at one exponent.
+    The phi^(i) arrive from the scope already aligned, as ``ders`` =
+    (mantissas, exponent), so every term C(k,j) C_j phi^(k-j) of every
+    order is an exact integer at the same exponent and the sums do not
+    round.
     """
     coeffs, c_exp = _coefficients(r, max_order, t, policy.working_bits + _SUM_GUARD_BITS)
-    ders, d_exp = aligned([man_exp(d._mpf_) for d in ders])
+    ders, d_exp = ders
     row = []
     binomials = [1]  # C(k, j) for j = 0..k
     for k in range(max_order + 1):
@@ -237,7 +238,7 @@ def signed_derivative(
     policy = policy or PrecisionPolicy()
     rv = _as_rational(r)
     tv = as_mpf(t, policy.internal_bits())
-    ders = _phi_ders_cached(spec, tv, k, policy)
+    ders = _aligned_row(phi_derivatives(spec, tv, k, policy))
     exp, row = _signed_row(rv, k, tv, ders, policy)
     return _report_value(row[k][0], exp, policy.working_bits)
 
@@ -295,13 +296,17 @@ def cm_check(
     precision; if still indistinguishable from zero they are reported as
     inconclusive rather than silently counted as passes or violations.
     """
-    return _cm_check(spec, r, max_order, grid, policy, ders=_phi_ders_cached)
+    return _cm_check(spec, r, max_order, grid, policy, _scope({spec.family_indices: max_order}))
 
 
-def _cm_check(spec, r, max_order, grid, policy, ders) -> CmCheckReport:
-    """cm_check reading its rows from the scope ``ders``."""
+def _check_max_order(max_order) -> None:
     if not isinstance(max_order, int) or max_order < 0:
         raise InvalidIndex(f"max_order must be a nonnegative integer, got {max_order!r}")
+
+
+def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
+    """cm_check reading its phi rows from ``scope``."""
+    _check_max_order(max_order)
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     rv = _as_rational(r)
@@ -310,11 +315,10 @@ def _cm_check(spec, r, max_order, grid, policy, ders) -> CmCheckReport:
     inconclusive = []
     rows = []
     for tv in grid.values(policy.internal_bits()):
-        exp, row = _signed_row(rv, max_order, tv, ders(spec, tv, max_order, policy), policy)
+        exp, row = _signed_row(rv, max_order, tv, scope(spec, tv, policy), policy)
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
-            row_ders = ders(spec, tv, max_order, doubled)
-            exp2, row2 = _signed_row(rv, max_order, tv, row_ders, doubled)
+            exp2, row2 = _signed_row(rv, max_order, tv, scope(spec, tv, doubled), doubled)
         for k, ((value, scale), cls) in enumerate(zip(row, classes)):
             entry_exp, bits = exp, policy.working_bits
             if cls == "borderline":
@@ -386,19 +390,24 @@ def degree_bracket(
     the bracket conservatively.  A fractional passing end is moved down to
     the largest integer exponent whose scan passes.
     """
-    return _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check=cm_check)
+    scope = _scope({spec.family_indices: max_order})
+    return _degree_bracket(spec, _lattice_step(r_lattice_step), max_order, grid, policy, scope)
 
 
-def _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check) -> DegreeBracket:
-    """degree_bracket making its scans with ``check``, called as cm_check."""
+def _lattice_step(r_lattice_step) -> Fraction:
     step = _as_rational(r_lattice_step)
     if not 0 < step <= 1:
         raise InvalidSpec(f"lattice step must lie in (0, 1], got {step}")
+    return step
+
+
+def _degree_bracket(spec, step, max_order, grid, policy, scope) -> DegreeBracket:
+    """degree_bracket at a checked lattice step, scanning with ``_cm_check`` on ``scope``."""
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
 
-    def scan(idx: int) -> CmCheckReport:
-        return check(spec, step * idx, max_order, grid, policy)
+    def scan(r) -> CmCheckReport:
+        return _cm_check(spec, r, max_order, grid, policy, scope)
 
     rep0 = scan(0)
     if rep0.verdict != "pass":
@@ -409,12 +418,12 @@ def _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check) -> Deg
     pole = pole_order(spec)
     lo, lo_rep = 0, rep0
     top = int(pole / step)
-    top_rep = scan(top) if top > 0 else rep0
+    top_rep = scan(step * top) if top > 0 else rep0
     if top_rep.verdict == "pass":
         lo, lo_rep = top, top_rep
     while top - lo > 1:
         mid = (lo + top) // 2
-        rep = scan(mid)
+        rep = scan(step * mid)
         if rep.verdict == "pass":
             lo, lo_rep = mid, rep
         elif rep.verdict == "violation":
@@ -422,7 +431,7 @@ def _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check) -> Deg
         else:
             # inconclusive midpoint: fall back to a linear sweep and
             # keep the widest consistent bracket
-            sweep = {idx: scan(idx) for idx in range(lo + 1, top)}
+            sweep = {idx: scan(step * idx) for idx in range(lo + 1, top)}
             viols = [i for i, rp in sweep.items() if rp.verdict == "violation"]
             if viols:
                 top, top_rep = min(viols), sweep[min(viols)]
@@ -434,7 +443,7 @@ def _degree_bracket(spec, r_lattice_step, max_order, grid, policy, check) -> Deg
     lower = step * lo
     if lower.denominator != 1:
         for r in range(int(lower), 0, -1):
-            rep = check(spec, r, max_order, grid, policy)
+            rep = scan(r)
             if rep.verdict == "pass":
                 lower, lo_rep = Fraction(r), rep
                 break
@@ -516,13 +525,17 @@ def conjecture_scan(
     lattice_step=Fraction(1),
 ) -> ConjectureScanReport:
     """Bracket every phi_{n,m} for n <= n_max, m <= m_max and report whether
-    the conjectured degree falls inside its bracket.  Per-cell failures are
-    recorded and the scan continues."""
+    the conjectured degree falls inside its bracket.  Invalid arguments
+    raise before any cell is scanned; per-cell failures, such as indices
+    beyond the family's range, are recorded and the scan continues."""
+    if not all(isinstance(x, int) and x >= 0 for x in (n_max, m_max)):
+        raise InvalidIndex(f"n_max and m_max must be nonnegative integers, got {n_max!r}, {m_max!r}")
+    _check_max_order(max_order)
+    step = _lattice_step(lattice_step)
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
-    step = _as_rational(lattice_step)
     members = range(min(n_max, PHI_N_MAX) + 1), range(min(m_max, PHI_M_MAX) + 1)
-    check = partial(_cm_check, ders=_table_scope({nm: max_order for nm in product(*members)}))
+    scope = _scope({nm: max_order for nm in product(*members)})
     cells = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -535,9 +548,7 @@ def conjecture_scan(
             contains = None
             error = None
             try:
-                bracket = _degree_bracket(
-                    RemainderSpec(n=n, m=m), step, max_order, grid, policy, check=check
-                )
+                bracket = _degree_bracket(RemainderSpec(n=n, m=m), step, max_order, grid, policy, scope)
                 contains = bracket.contains(conj)
             except CmdegError as exc:
                 error = f"{type(exc).__name__}: {exc}"

@@ -205,19 +205,19 @@ def test_criterion_10_property_families(monkeypatch):
 
     # Scan verdicts are invariant under positive rescaling of the member.
     grid = Grid(Fraction(1, 100), Fraction(100), 30)
-    real = degree_module._phi_ders_cached
+    real = degree_module._phi_rows
     for c in (Fraction(7, 3), Fraction(10) ** 6):
 
-        def provider(spec, t, i_max, pol, _c=c):
-            ders = real(spec, t, i_max, pol)
+        def provider(cells, t, pol, _c=c):
+            rows = real(cells, t, pol)
             with mp.workprec(pol.internal_bits(64)):
                 cv = as_mpf(_c, pol.internal_bits(64))
-                return [cv * d for d in ders]
+                return {nm: [cv * d for d in ders] for nm, ders in rows.items()}
 
         for r in (4, "5.05"):
             base = cm_check(Q, r, max_order=4, grid=grid, policy=POLICY)
             with monkeypatch.context() as patch:
-                patch.setattr(degree_module, "_phi_ders_cached", provider)
+                patch.setattr(degree_module, "_phi_rows", provider)
                 scaled = cm_check(Q, r, max_order=4, grid=grid, policy=POLICY)
             assert scaled.verdict == base.verdict
             assert [(t, k) for t, k, _ in scaled.violations] == [

@@ -558,6 +558,16 @@ def test_malformed_numbers_are_structured_errors(argv, error_type, capsys):
     assert record["error"]["type"] == error_type
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max"])
+def test_negative_table_size_is_one_structured_error(flag, capsys):
+    code, out = run_cli(["conjectures", flag, "-1"], capsys)
+    assert code == 1
+    record = json.loads(out)
+    assert record["command"] == "conjectures"
+    assert record["error"]["type"] == "InvalidIndex"
+    assert "cells" not in record
+
+
 def test_missing_member_selection_is_a_structured_error(capsys):
     code, out = run_cli(["cmcheck", "--r", "4", "--grid", "log:1:10:3", "--max-order", "2"], capsys)
     assert code == 1

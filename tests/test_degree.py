@@ -12,6 +12,7 @@ near t = 0, whose order-3 signed derivative tends to -12 zeta(3) < 0.
 import dataclasses
 import importlib
 from fractions import Fraction
+from itertools import product
 from math import comb
 from types import SimpleNamespace
 
@@ -319,7 +320,7 @@ def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
     # r = 2 has zero falling factorials from j = 3 on; r = 0 keeps only j = 0
     tv = as_mpf(t, policy.internal_bits())
     ders = phi_derivatives(spec, tv, 12, policy)
-    exp, row = degree_module._signed_row(r, 12, tv, ders, policy)
+    exp, row = degree_module._signed_row(r, 12, tv, degree_module._aligned_row(ders), policy)
     ref = _per_term_row(r, 12, tv, ders, 2 * policy.working_bits)
     assert len(row) == 13
     with mp.workprec(2 * policy.working_bits):
@@ -398,11 +399,11 @@ def test_q_violates_just_above_the_upper_degree():
 def test_all_borderline_scan_is_inconclusive(monkeypatch):
     precisions = []
 
-    def zeros(spec, t, i_max, pol):
+    def zeros(cells, t, pol):
         precisions.append(pol.working_bits)
-        return [mp.mpf(0)] * (i_max + 1)
+        return {nm: [mp.mpf(0)] * (i_max + 1) for nm, i_max in cells.items()}
 
-    monkeypatch.setattr(degree_module, "_phi_ders_cached", zeros)
+    monkeypatch.setattr(degree_module, "_phi_rows", zeros)
     rep = cm_check(Q, 4, max_order=3, grid=TINY_GRID, policy=POLICY)
     # one doubled-precision rerun per grid point, shared by its four orders
     assert precisions.count(2 * POLICY.working_bits) == 12
@@ -417,23 +418,27 @@ def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
     # the tracer's degree.classify counts rest on this call pattern
     calls = []
     classify = degree_module.classify_sign
-    real = degree_module._phi_ders_cached
+    real = degree_module._phi_rows
 
     def counting(value, scale, policy):
         result = classify(value, scale, policy)
         calls.append((policy.working_bits, result))
         return result
 
-    def provider(spec, t, i_max, pol):
+    def provider(cells, t, pol):
         # zero even orders at the first pass below t = 1: with r = 0 those
         # rows are 0, borderline, and pass when re-run at doubled precision
-        ders = real(spec, t, i_max, pol)
+        rows = real(cells, t, pol)
         if pol == POLICY and t < 1:
-            ders = [mp.mpf(0) if i % 2 == 0 else d for i, d in enumerate(ders)]
-        return ders
+            zero = mp.mpf(0)
+            rows = {
+                nm: [zero if i % 2 == 0 else d for i, d in enumerate(ders)]
+                for nm, ders in rows.items()
+            }
+        return rows
 
     monkeypatch.setattr(degree_module, "classify_sign", counting)
-    monkeypatch.setattr(degree_module, "_phi_ders_cached", provider)
+    monkeypatch.setattr(degree_module, "_phi_rows", provider)
     rep = cm_check(Q, 0, max_order=3, grid=TINY_GRID, policy=POLICY)
     low_points = sum(1 for t in TINY_GRID.values(POLICY.internal_bits()) if t < 1)
     assert low_points == 4
@@ -447,7 +452,6 @@ def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
 
 
 def clear_memos():
-    degree_module._phi_ders_cached.cache_clear()
     degree_module._coefficients.cache_clear()
     Grid._points.cache_clear()
     polygamma_module._block.cache_clear()
@@ -489,18 +493,18 @@ def test_scan_reports_are_deterministic():
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(7, 3), Fraction(10) ** 6])
 def test_verdicts_invariant_under_positive_scaling(c, monkeypatch):
-    real = degree_module._phi_ders_cached
+    real = degree_module._phi_rows
 
-    def provider(spec, t, i_max, pol):
-        ders = real(spec, t, i_max, pol)
+    def provider(cells, t, pol):
+        rows = real(cells, t, pol)
         with mp.workprec(pol.internal_bits(64)):
             cv = as_mpf(c, pol.internal_bits(64))
-            return [cv * d for d in ders]
+            return {nm: [cv * d for d in ders] for nm, ders in rows.items()}
 
     for r in (4, "5.05"):
         base = cm_check(Q, r, max_order=4, grid=SMALL_GRID, policy=POLICY)
         with monkeypatch.context() as patch:
-            patch.setattr(degree_module, "_phi_ders_cached", provider)
+            patch.setattr(degree_module, "_phi_rows", provider)
             scaled = cm_check(Q, r, max_order=4, grid=SMALL_GRID, policy=POLICY)
         assert scaled.verdict == base.verdict
         assert [(t, k) for t, k, _ in scaled.violations] == [
@@ -584,16 +588,16 @@ def test_refining_the_lattice_tightens_the_q_bracket():
 
 
 def _synthetic_scans(monkeypatch, passes):
-    """Replace cm_check by a member whose scan at r passes when passes(r);
+    """Replace _cm_check by a member whose scan at r passes when passes(r);
     returns the list of scanned exponents."""
     calls = []
 
-    def fake(spec, r, max_order=12, grid=None, policy=None):
+    def fake(spec, r, max_order, grid, policy, scope):
         r = degree_module._as_rational(r)
         calls.append(r)
         return SimpleNamespace(r=r, verdict="pass" if passes(r) else "violation")
 
-    monkeypatch.setattr(degree_module, "cm_check", fake)
+    monkeypatch.setattr(degree_module, "_cm_check", fake)
     return calls
 
 
@@ -654,15 +658,15 @@ def test_lattice_step_validation(step):
 
 
 def test_non_monotone_member_is_an_error(monkeypatch):
-    real = degree_module.cm_check
+    real = degree_module._cm_check
 
-    def fake(spec, r, max_order=12, grid=None, policy=None):
-        rep = real(spec, r, max_order, grid, policy)
+    def fake(spec, r, max_order, grid, policy, scope):
+        rep = real(spec, r, max_order, grid, policy, scope)
         if degree_module._as_rational(r) == 0:
             return dataclasses.replace(rep, verdict="violation")
         return rep
 
-    monkeypatch.setattr(degree_module, "cm_check", fake)
+    monkeypatch.setattr(degree_module, "_cm_check", fake)
     with pytest.raises(CmdegError, match="completely monotonic"):
         degree_bracket(Q, 1, max_order=2, grid=TINY_GRID, policy=POLICY)
 
@@ -790,25 +794,92 @@ def test_table_cells_match_standalone_brackets(step):
         ), (cell.n, cell.m)
 
 
-def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
-    evaluations = []
-    real = degree_module._phi_rows
+def _count_rows_and_alignments(monkeypatch):
+    """Spy on the scope: every (t, policy) it evaluates, and every row it aligns."""
+    evaluations, alignments = [], []
+    real_rows, real_aligned = degree_module._phi_rows, degree_module._aligned_row
 
     def counted(cells, t, policy):
         evaluations.append((t, policy))
-        return real(cells, t, policy)
+        return real_rows(cells, t, policy)
 
-    def one_cell(*args):
-        raise AssertionError("a table scan read the one-cell scope")
+    def aligned(ders):
+        alignments.append(ders)
+        return real_aligned(ders)
 
     monkeypatch.setattr(degree_module, "_phi_rows", counted)
+    monkeypatch.setattr(degree_module, "_aligned_row", aligned)
+    return evaluations, alignments
+
+
+def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
+    evaluations, alignments = _count_rows_and_alignments(monkeypatch)
+
+    def one_cell(*args):
+        raise AssertionError("a table scan evaluated a member on its own")
+
     monkeypatch.setattr(degree_module, "phi_derivatives", one_cell)
-    conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
+    rep = conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
     base = [t for t, policy in evaluations if policy == POLICY]
     assert base == RERUN_GRID.values(POLICY.internal_bits())
     reruns = [t for t, policy in evaluations if policy == DOUBLED]
     assert reruns and len(set(reruns)) == len(reruns)
     assert len(base) + len(reruns) == len(evaluations)
+    assert len(alignments) == len(rep.cells) * len(evaluations)  # each cell's row once
+
+
+def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
+    # a fractional lattice with doubled-precision reruns and an integer
+    # fallback: every scan of the bracket reads one scope
+    scanned = []
+    real_check = degree_module._cm_check
+
+    def check(spec, r, *args):
+        scanned.append(degree_module._as_rational(r))
+        return real_check(spec, r, *args)
+
+    evaluations, alignments = _count_rows_and_alignments(monkeypatch)
+    monkeypatch.setattr(degree_module, "_cm_check", check)
+    br = degree_bracket(PHI03, Fraction(1, 2), 8, RERUN_GRID, POLICY)
+    assert (br.lower, br.scan_violation_r) == (2, 3)
+    assert scanned == [0, 3, Fraction(3, 2), 2, Fraction(5, 2), 2]  # the last is the fallback
+    assert len(set(evaluations)) == len(evaluations)
+    assert [t for t, policy in evaluations if policy == POLICY] == RERUN_GRID.values(
+        POLICY.internal_bits()
+    )
+    assert any(policy == DOUBLED for _, policy in evaluations)
+    assert len(alignments) == len(evaluations)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"n_max": -1}, InvalidIndex),
+        ({"m_max": -1}, InvalidIndex),
+        ({"n_max": 1.5}, InvalidIndex),
+        ({"max_order": -1}, InvalidIndex),
+        ({"lattice_step": 2}, InvalidSpec),
+    ],
+)
+def test_conjecture_scan_argument_errors_raise_before_any_cell(kwargs, error, monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a cell was scanned")
+
+    monkeypatch.setattr(degree_module, "_degree_bracket", no_cell)
+    with pytest.raises(error):
+        conjecture_scan(**{"n_max": 1, "m_max": 1, "grid": TINY_GRID, "policy": POLICY, **kwargs})
+
+
+def test_members_beyond_the_family_stay_per_cell_errors(monkeypatch):
+    def bracket(spec, *args, **kwargs):
+        return SimpleNamespace(contains=lambda x: True)
+
+    monkeypatch.setattr(degree_module, "_degree_bracket", bracket)
+    rep = conjecture_scan(PHI_N_MAX + 1, PHI_M_MAX + 1, max_order=2, grid=TINY_GRID, policy=POLICY)
+    cells = product(range(PHI_N_MAX + 2), range(PHI_M_MAX + 2))
+    beyond = {(n, m) for n, m in cells if n > PHI_N_MAX or m > PHI_M_MAX}
+    assert {(c.n, c.m) for c in rep.cells if c.error} == beyond
+    assert all(c.error.startswith("InvalidSpec") for c in rep.cells if c.error)
 
 
 def test_table_builds_one_coefficient_row_per_exponent_point_and_precision(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import importlib
 
 polygamma_module = importlib.import_module("cmdeg.polygamma")
-degree_module = importlib.import_module("cmdeg.degree")
 
 from cmdeg import (
     InvalidIndex,
@@ -300,7 +299,6 @@ def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
 def clear_memos():
     polygamma_module._block.cache_clear()
     polygamma_module._log_gamma_raw.cache_clear()
-    degree_module._phi_ders_cached.cache_clear()
 
 
 def bits_of(values):
