@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .errors import InvalidIndex
+from .precision import as_index
 
 __all__ = ["bernoulli", "bernoulli_table"]
 
@@ -55,16 +55,12 @@ def _extend(n: int) -> None:
 
 def bernoulli(n: int) -> Fraction:
     """The Bernoulli number B_n (B_1 = -1/2 convention) as a Fraction."""
-    if not isinstance(n, int) or n < 0:
-        raise InvalidIndex(f"Bernoulli index must be a nonnegative integer, got {n!r}")
-    if n >= len(_table):
+    if as_index(n, "Bernoulli index") >= len(_table):
         _extend(n)
     return _table[n]
 
 
 def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
     """B_0 .. B_{n_max} as an immutable tuple."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise InvalidIndex(f"Bernoulli index must be a nonnegative integer, got {n_max!r}")
     bernoulli(n_max)
     return tuple(_table[: n_max + 1])

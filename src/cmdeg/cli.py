@@ -35,6 +35,7 @@ from .degree import (
     ConjectureScanReport,
     DegreeBracket,
     Grid,
+    _lattice_step,
     cm_check,
     conjecture_scan,
     default_grid,
@@ -42,7 +43,7 @@ from .degree import (
 )
 from .errors import CmdegError
 from .kernel import h4_positivity_scan, h4_series_coefficient, kernel_h, laplace_reconstruct
-from .precision import PrecisionPolicy, as_mpf
+from .precision import PrecisionPolicy, as_index, as_mpf
 from .remainders import SPECIAL_NAMES, RemainderSpec, phi_derivatives
 
 __all__ = ["main", "build_parser"]
@@ -60,20 +61,6 @@ def _arg(convert):
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
-
-
-def _step(text: str) -> Fraction:
-    step = Fraction(text)
-    if not 0 < step <= 1:
-        raise ValueError(f"lattice step must lie in (0, 1], got {step}")
-    return step
-
-
-def _max_order(text: str) -> int:
-    order = int(text)
-    if order < 0:
-        raise ValueError(f"max order must be nonnegative, got {order}")
-    return order
 
 
 def _digits(bits: int) -> int:
@@ -398,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_opts = argparse.ArgumentParser(add_help=False)
     scan_opts.add_argument(
         "--max-order",
-        type=_arg(_max_order),
+        type=_arg(lambda text: as_index(int(text), "max order")),
         default=12,
         help="largest derivative order (default 12)",
     )
@@ -412,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     step_opt = argparse.ArgumentParser(add_help=False)
     step_opt.add_argument(
         "--step",
-        type=_arg(_step),
+        type=_arg(_lattice_step),
         default=Fraction(1),
         help="exponent lattice step (default 1)",
     )

@@ -55,8 +55,8 @@ from operator import add, mul
 import mpmath as mp
 from mpmath import libmp
 
-from .errors import CmdegError, InvalidIndex, InvalidSpec
-from .precision import PrecisionPolicy, aligned, as_mpf, man_exp
+from .errors import CmdegError, InvalidSpec
+from .precision import PrecisionPolicy, aligned, as_index, as_mpf, as_point, man_exp
 from .remainders import PHI_M_MAX, PHI_N_MAX, RemainderSpec, _phi_rows, phi_derivatives, pole_order
 
 __all__ = [
@@ -92,8 +92,7 @@ class Grid:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if self.points < 1:
-            raise InvalidIndex(f"grid needs at least one point, got {self.points}")
+        as_index(self.points, "grid points", low=1)
         if not 0 < self.t_min <= self.t_max:
             raise InvalidSpec("grid endpoints must satisfy 0 < t_min <= t_max")
         if self.spacing not in ("log", "linear"):
@@ -233,11 +232,10 @@ def signed_derivative(
     Nonnegative values support complete monotonicity of t^r phi at this
     point and order; a definitely negative value refutes it.
     """
-    if not isinstance(k, int) or k < 0:
-        raise InvalidIndex(f"derivative order must be a nonnegative integer, got {k!r}")
+    as_index(k, "derivative order")
     policy = policy or PrecisionPolicy()
     rv = _as_rational(r)
-    tv = as_mpf(t, policy.internal_bits())
+    tv = as_point(t, policy.internal_bits(), "evaluation")
     ders = _aligned_row(phi_derivatives(spec, tv, k, policy))
     exp, row = _signed_row(rv, k, tv, ders, policy)
     return _report_value(row[k][0], exp, policy.working_bits)
@@ -299,14 +297,9 @@ def cm_check(
     return _cm_check(spec, r, max_order, grid, policy, _scope({spec.family_indices: max_order}))
 
 
-def _check_max_order(max_order) -> None:
-    if not isinstance(max_order, int) or max_order < 0:
-        raise InvalidIndex(f"max_order must be a nonnegative integer, got {max_order!r}")
-
-
 def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
     """cm_check reading its phi rows from ``scope``."""
-    _check_max_order(max_order)
+    as_index(max_order, "max_order")
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
     rv = _as_rational(r)
@@ -406,8 +399,12 @@ def _degree_bracket(spec, step, max_order, grid, policy, scope) -> DegreeBracket
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()
 
+    reports = {}  # one per exponent: the sweep and the fallback reuse the bisection's
+
     def scan(r) -> CmCheckReport:
-        return _cm_check(spec, r, max_order, grid, policy, scope)
+        if r not in reports:  # 2 and Fraction(2) are one key
+            reports[r] = _cm_check(spec, r, max_order, grid, policy, scope)
+        return reports[r]
 
     rep0 = scan(0)
     if rep0.verdict != "pass":
@@ -528,9 +525,9 @@ def conjecture_scan(
     the conjectured degree falls inside its bracket.  Invalid arguments
     raise before any cell is scanned; per-cell failures, such as indices
     beyond the family's range, are recorded and the scan continues."""
-    if not all(isinstance(x, int) and x >= 0 for x in (n_max, m_max)):
-        raise InvalidIndex(f"n_max and m_max must be nonnegative integers, got {n_max!r}, {m_max!r}")
-    _check_max_order(max_order)
+    as_index(n_max, "n_max")
+    as_index(m_max, "m_max")
+    as_index(max_order, "max_order")
     step = _lattice_step(lattice_step)
     policy = policy or PrecisionPolicy()
     grid = grid or default_grid()

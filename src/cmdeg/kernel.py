@@ -51,13 +51,8 @@ import mpmath as mp
 from mpmath import libmp
 
 from .bernoulli import bernoulli
-from .errors import (
-    InvalidIndex,
-    InvalidSpec,
-    NonPositiveArgument,
-    QuadratureNotConverged,
-)
-from .precision import PrecisionPolicy, aligned, as_mpf, man_exp
+from .errors import InvalidSpec, NonPositiveArgument, QuadratureNotConverged
+from .precision import PrecisionPolicy, aligned, as_index, as_mpf, as_point, man_exp
 
 __all__ = [
     "KERNEL_SERIES_CROSSOVER",
@@ -86,6 +81,10 @@ _SUM_DEPTH = 12
 
 #: tanh-sinh refinement ceiling per panel (nodes roughly double per level).
 QUAD_MAX_LEVEL = 12
+#: Most panels one ``laplace_reconstruct`` call integrates.  The integral
+#: runs to A >= 40/t, so small t needs about 10/t panels; above the cap a
+#: call raises QuadratureNotConverged at once instead of running without end.
+QUAD_MAX_PANELS = 2**13
 #: Finite-part panel length, well inside the integrand's analyticity strip.
 QUAD_PANEL_WIDTH = 4
 
@@ -154,8 +153,7 @@ def _h_closed(j: int, s: mp.mpf, prec: int) -> mp.mpf:
 
 def kernel_h(j: int, s, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """h^(j)(s) for 0 <= j <= 4 and s >= 0."""
-    if not isinstance(j, int) or not 0 <= j <= 4:
-        raise InvalidIndex(f"kernel derivative order must be 0..4, got {j!r}")
+    as_index(j, "kernel derivative order", high=4)
     policy = policy or PrecisionPolicy()
     prec = policy.internal_bits(_KERNEL_GUARD_BITS)
     sv = as_mpf(s, prec)
@@ -170,8 +168,7 @@ def h4_series_coefficient(k: int) -> Fraction:
     """Exact c_k in 30 (e^s - 1)^5 h^(4)(s) = sum_{k>=7} c_k s^k:
     c_k = [5^k + (110k-350) 3^k + 5(3k-50) 2^(2k-1) + (165k+350) 2^k + 30k + 125] / k!.
     """
-    if not isinstance(k, int) or k < 7:
-        raise InvalidIndex(f"kernel coefficients start at k = 7, got {k!r}")
+    as_index(k, "kernel coefficient index", low=7)
     num = (
         5**k
         + (110 * k - 350) * 3**k
@@ -196,8 +193,7 @@ class PositivityScanReport:
 
 def h4_positivity_scan(k_max: int) -> PositivityScanReport:
     """Exact positivity check of the expansion coefficients up to k_max."""
-    if not isinstance(k_max, int) or k_max < 7:
-        raise InvalidIndex(f"k_max must be at least 7, got {k_max!r}")
+    as_index(k_max, "k_max", low=7)
     failures = [k for k in range(7, k_max + 1) if h4_series_coefficient(k) <= 0]
     return PositivityScanReport(
         k_min=7,
@@ -328,7 +324,8 @@ def laplace_reconstruct(
 
     The integral is split at a point A where the proven envelope
     h(s) <= 2 s^4 (s >= 1) makes the discarded tail smaller than half the
-    tolerance, then rounded up to whole panels (the bound decreases in A).
+    tolerance, then rounded up to whole panels (the bound decreases in A);
+    more than ``QUAD_MAX_PANELS`` panels raise QuadratureNotConverged.
     Each panel is integrated by tanh-sinh quadrature with level doubling,
     reading h from a memo per (panel, level) shared by every t.
     """
@@ -339,15 +336,18 @@ def laplace_reconstruct(
         policy.internal_bits(_KERNEL_GUARD_BITS),
         int(-mp.log(mp.mpf(tolerance), 2)) + 80,
     )
-    tv = as_mpf(t, prec)
-    if not tv > 0:
-        raise NonPositiveArgument(f"laplace_reconstruct requires t > 0, got {t!r}")
+    tv = as_point(t, prec, "laplace_reconstruct")
     with mp.workprec(prec):
         tol = mp.mpf(tolerance)
         A = max(mp.mpf(1), 40 / tv)
         while _tail_bound(A, tv) > tol / 2:
             A *= mp.mpf(5) / 4
         panels = int(mp.ceil(A / QUAD_PANEL_WIDTH))
+        if panels > QUAD_MAX_PANELS:
+            raise QuadratureNotConverged(
+                f"laplace_reconstruct at t = {t!r} needs {mp.nstr(A / QUAD_PANEL_WIDTH, 3)} "
+                f"panels, more than QUAD_MAX_PANELS = {QUAD_MAX_PANELS}"
+            )
         panel_tol = (tol / 2) / (panels + 1)
         total = mp.mpf(0)
         for k in range(panels):

@@ -53,11 +53,12 @@ rounding.  The representation and the reasons for each part:
   carried to scale + _FIXED_GUARD_BITS significant bits: one log per
   value, not one per shift.
 
-Blocks and ln Gamma values are memoised per process on exactly what the
-computation reads: (k_max, t, working_bits) and (t, working_bits).  A
-smaller k_max is never served from a prefix of a larger block: the internal
-precision and the shift both depend on k_max, so the low orders of a larger
-block can differ in the last bits from a block computed for them.
+Blocks are memoised per process on exactly what the computation reads:
+(k_max, t, working_bits).  A smaller k_max is never served from a prefix of
+a larger block: the internal precision and the shift both depend on k_max,
+so the low orders of a larger block can differ in the last bits from a
+block computed for them.  ln Gamma values are not memoised: a derivative
+scope asks for one per (t, policy), so a memo of them would only miss.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
@@ -74,8 +75,8 @@ import mpmath as mp
 from mpmath import libmp
 
 from .bernoulli import bernoulli
-from .errors import InvalidIndex, NonPositiveArgument, PrecisionUnreachable
-from .precision import PrecisionPolicy, as_mpf, mag_bits
+from .errors import PrecisionUnreachable
+from .precision import PrecisionPolicy, as_index, as_point, mag_bits
 
 __all__ = ["polygamma", "log_gamma", "polygamma_block"]
 
@@ -269,20 +270,15 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     that bound relative to the value.  Evaluated as the last order of
     ``polygamma_block(k, t, policy)``.
     """
-    if not isinstance(k, int) or k < 0:
-        raise InvalidIndex(f"derivative order must be a nonnegative integer, got {k!r}")
-    return polygamma_block(k, t, policy)[k]
+    return polygamma_block(as_index(k, "derivative order"), t, policy)[k]
 
 
 def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
     """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
     series pass, under the accuracy contract of :func:`polygamma`."""
-    if not isinstance(k_max, int) or k_max < 0:
-        raise InvalidIndex(f"k_max must be a nonnegative integer, got {k_max!r}")
+    as_index(k_max, "k_max")
     policy = policy or PrecisionPolicy()
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"polygamma requires t > 0, got {t!r}")
+    tv = as_point(t, policy.internal_bits(), "polygamma")
     return list(_block(k_max, tv, policy.working_bits))
 
 
@@ -329,19 +325,12 @@ def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> 
     return tail - _fixed_log(product, dropped - steps * sh, scale)
 
 
-@lru_cache(maxsize=4096)
-def _log_gamma_raw(t: mp.mpf, working_bits: int) -> mp.mpf:
-    comp = 6 + max(0, -mag_bits(t))  # |ln t| grows only logarithmically
-    result, scale = _shift_and_sum(
-        t, working_bits, comp, 0, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
-    )
-    return _from_fixed(result, scale, working_bits)
-
-
 def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma."""
     policy = policy or PrecisionPolicy()
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"log_gamma requires t > 0, got {t!r}")
-    return _log_gamma_raw(tv, policy.working_bits)
+    tv = as_point(t, policy.internal_bits(), "log_gamma")
+    comp = 6 + max(0, -mag_bits(tv))  # |ln t| grows only logarithmically
+    result, scale = _shift_and_sum(
+        tv, policy.working_bits, comp, 0, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
+    )
+    return _from_fixed(result, scale, policy.working_bits)

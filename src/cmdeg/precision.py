@@ -17,12 +17,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import InvalidSpec
+from .errors import InvalidIndex, InvalidSpec, NonPositiveArgument
 
 __all__ = [
     "GUARD_BITS",
     "PrecisionPolicy",
+    "as_index",
     "as_mpf",
+    "as_point",
     "mag_bits",
 ]
 
@@ -78,6 +80,27 @@ def as_mpf(x, prec: int) -> mp.mpf:
     if not mp.isfinite(value):
         raise InvalidSpec(f"expected a finite real number, got {x!r}")
     return value
+
+
+def as_point(t, prec: int, what: str) -> mp.mpf:
+    """t read by ``as_mpf`` at ``prec`` bits; a point t <= 0 raises
+    NonPositiveArgument."""
+    tv = as_mpf(t, prec)
+    if not tv > 0:
+        raise NonPositiveArgument(f"{what} requires t > 0, got {t!r}")
+    return tv
+
+
+def as_index(x, what: str, low: int = 0, high: int | None = None) -> int:
+    """x as an index in low..high (no upper end when ``high`` is None): an
+    int, never a bool.  Anything else raises InvalidIndex."""
+    if isinstance(x, int) and not isinstance(x, bool) and low <= x and (high is None or x <= high):
+        return x
+    if high is not None:
+        raise InvalidIndex(f"{what} must be an integer in {low}..{high}, got {x!r}")
+    if low:
+        raise InvalidIndex(f"{what} must be an integer >= {low}, got {x!r}")
+    raise InvalidIndex(f"{what} must be a nonnegative integer, got {x!r}")
 
 
 def mag_bits(x) -> int:

@@ -37,9 +37,9 @@ import mpmath as mp
 from mpmath import libmp
 
 from .bernoulli import bernoulli
-from .errors import InvalidIndex, InvalidSpec, NonPositiveArgument
+from .errors import InvalidSpec
 from .polygamma import log_gamma, polygamma, polygamma_block
-from .precision import PrecisionPolicy, as_mpf, mag_bits
+from .precision import PrecisionPolicy, as_index, as_point, mag_bits
 
 __all__ = [
     "PHI_N_MAX",
@@ -182,7 +182,8 @@ def _phi_form(n: int, m: int) -> ElementaryForm:
 
 
 def form_for(spec: RemainderSpec) -> ElementaryForm:
-    return _phi_form(*spec.family_indices)
+    """A copy of the member's memoised form, free to mutate."""
+    return _phi_form(*spec.family_indices).scaled(Fraction(1))
 
 
 def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> PrecisionPolicy:
@@ -271,9 +272,7 @@ def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
     """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max, as
     phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.  One set of pieces, at the largest
     elevation among the cells, and one assembly per distinct phi_{n,j}."""
-    tv = as_mpf(t, policy.internal_bits())
-    if not tv > 0:
-        raise NonPositiveArgument(f"evaluation requires t > 0, got {t!r}")
+    tv = as_point(t, policy.internal_bits(), "evaluation")
     members = sorted({(n, m + i) for (n, m), i_max in cells.items() for i in range(i_max + 1)})
     pol = _elevated(policy, max(_phi_form(*nm).cancel_gap for nm in cells), mag_bits(tv))
     pieces = _pieces_for([_phi_form(*nj) for nj in members], tv, pol)
@@ -290,17 +289,15 @@ def phi_derivatives(
 ) -> list[mp.mpf]:
     """Derivatives phi^(0..i_max) of the selected member at t > 0: the
     one-cell case of ``_phi_rows``, so the large-t elevation is phi's own."""
-    if not isinstance(i_max, int) or i_max < 0:
-        raise InvalidIndex(f"i_max must be a nonnegative integer, got {i_max!r}")
     nm = spec.family_indices
-    return _phi_rows({nm: i_max}, t, policy or PrecisionPolicy())[nm]
+    return _phi_rows({nm: as_index(i_max, "i_max")}, t, policy or PrecisionPolicy())[nm]
 
 
 def q_value(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """Q(t) = psi'(t) - 1/t - 1/(2t^2) - 1/(6t^3) + 1/(30t^5) by the explicit
     formula, assembled independently of the ElementaryForm machinery."""
     policy = policy or PrecisionPolicy()
-    tv = as_mpf(t, policy.internal_bits())
+    tv = as_point(t, policy.internal_bits(), "q_value")
     t_bits = mag_bits(tv)
     pol = _elevated(policy, 7, t_bits)
     psi1 = polygamma(1, tv, pol)

@@ -98,9 +98,10 @@ def test_von_staudt_clausen_denominator(k):
     assert bernoulli(n).denominator == denom
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", None, True, 1.5])
 def test_invalid_index_rejected(bad):
-    with pytest.raises(InvalidIndex):
+    message = f"Bernoulli index must be a nonnegative integer, got {bad!r}"
+    with pytest.raises(InvalidIndex, match=message):
         bernoulli(bad)
     with pytest.raises(InvalidIndex):
         bernoulli_table(bad)

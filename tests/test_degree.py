@@ -185,6 +185,8 @@ def test_grid_values_strictly_increasing(num, span, pts, spacing):
         (dict(t_min=Fraction(2), t_max=Fraction(1), points=5), InvalidSpec),
         (dict(t_min=Fraction(1), t_max=Fraction(2), points=0), InvalidIndex),
         (dict(t_min=Fraction(1), t_max=Fraction(2), points=5, spacing="geometric"), InvalidSpec),
+        (dict(t_min=Fraction(1), t_max=Fraction(2), points=2.5), InvalidIndex),
+        (dict(t_min=Fraction(1), t_max=Fraction(2), points=True), InvalidIndex),
     ],
 )
 def test_grid_validation(kwargs, exc):
@@ -331,7 +333,7 @@ def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
             assert abs(scale - ref_scale) <= tol
 
 
-@pytest.mark.parametrize("k", [-1, 1.5, "2", None])
+@pytest.mark.parametrize("k", [-1, 1.5, "2", None, True])
 def test_derivative_order_validation(k):
     with pytest.raises(InvalidIndex):
         signed_derivative(Q, 4, k, 1, POLICY)
@@ -455,7 +457,6 @@ def clear_memos():
     degree_module._coefficients.cache_clear()
     Grid._points.cache_clear()
     polygamma_module._block.cache_clear()
-    polygamma_module._log_gamma_raw.cache_clear()
 
 
 def test_report_values_are_rounded_from_the_exact_rows_when_read():
@@ -520,7 +521,7 @@ def test_pass_set_is_downward_closed_on_the_lattice():
         assert cm_check(Q, r, max_order=8, grid=GRID60, policy=POLICY).verdict == "violation"
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5, "6", None])
+@pytest.mark.parametrize("bad", [-1, 2.5, "6", None, True, 1.5])
 def test_max_order_validation(bad):
     with pytest.raises(InvalidIndex):
         cm_check(Q, 4, max_order=bad, grid=TINY_GRID, policy=POLICY)
@@ -842,7 +843,7 @@ def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
     monkeypatch.setattr(degree_module, "_cm_check", check)
     br = degree_bracket(PHI03, Fraction(1, 2), 8, RERUN_GRID, POLICY)
     assert (br.lower, br.scan_violation_r) == (2, 3)
-    assert scanned == [0, 3, Fraction(3, 2), 2, Fraction(5, 2), 2]  # the last is the fallback
+    assert scanned == [0, 3, Fraction(3, 2), 2, Fraction(5, 2)]  # the fallback reuses r = 2
     assert len(set(evaluations)) == len(evaluations)
     assert [t for t, policy in evaluations if policy == POLICY] == RERUN_GRID.values(
         POLICY.internal_bits()
@@ -859,6 +860,10 @@ def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
         ({"n_max": 1.5}, InvalidIndex),
         ({"max_order": -1}, InvalidIndex),
         ({"lattice_step": 2}, InvalidSpec),
+        ({"n_max": True}, InvalidIndex),
+        ({"m_max": 1.5}, InvalidIndex),
+        ({"max_order": True}, InvalidIndex),
+        ({"max_order": 1.5}, InvalidIndex),
     ],
 )
 def test_conjecture_scan_argument_errors_raise_before_any_cell(kwargs, error, monkeypatch):

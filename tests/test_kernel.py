@@ -3,6 +3,7 @@ consistency, boundary limits, positivity, and the integral reconstruction."""
 
 import hashlib
 import importlib
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -44,7 +45,7 @@ def test_known_coefficients_exact(k, doubled):
     assert 2 * h4_series_coefficient(k) == doubled
 
 
-@pytest.mark.parametrize("k", [6, 0, -3, 2.5, "7"])
+@pytest.mark.parametrize("k", [6, 0, -3, 2.5, "7", True])
 def test_coefficient_index_validation(k):
     with pytest.raises(InvalidIndex):
         h4_series_coefficient(k)
@@ -94,8 +95,9 @@ def test_positivity_scan_report():
 
 
 def test_positivity_scan_validation():
-    with pytest.raises(InvalidIndex):
-        h4_positivity_scan(6)
+    for k_max in (6, True, 7.5):
+        with pytest.raises(InvalidIndex):
+            h4_positivity_scan(k_max)
 
 
 def test_positivity_scan_reports_nonpositive_coefficients(monkeypatch):
@@ -200,10 +202,9 @@ def test_derivative_chain_finite_difference(j, s):
 
 
 def test_kernel_argument_validation():
-    with pytest.raises(InvalidIndex):
-        kernel_h(5, 1, POLICY)
-    with pytest.raises(InvalidIndex):
-        kernel_h(-1, 1, POLICY)
+    for j in (5, -1, True, 1.5, "2"):
+        with pytest.raises(InvalidIndex):
+            kernel_h(j, 1, POLICY)
     with pytest.raises(NonPositiveArgument):
         kernel_h(0, -1, POLICY)
     assert kernel_h(0, 0, POLICY) == 0
@@ -232,8 +233,16 @@ def test_laplace_decreases_with_t():
 
 
 def test_laplace_rejects_nonpositive_t():
-    with pytest.raises(NonPositiveArgument):
-        laplace_reconstruct(0, POLICY)
+    for t in (0, -1, "-1e-300"):
+        with pytest.raises(NonPositiveArgument):
+            laplace_reconstruct(t, POLICY)
+
+
+def test_laplace_refuses_more_panels_than_the_cap_at_once():
+    start = time.perf_counter()
+    with pytest.raises(QuadratureNotConverged, match="QUAD_MAX_PANELS"):
+        laplace_reconstruct(1e-300, POLICY)
+    assert time.perf_counter() - start < 1
 
 
 def test_quadrature_stall_raises(monkeypatch):

@@ -215,7 +215,7 @@ def test_determinism():
     assert log_gamma("3.25", POLICY) == log_gamma("3.25", POLICY)
 
 
-@pytest.mark.parametrize("t", [0, -1, "-0.5", Fraction(-3, 2)])
+@pytest.mark.parametrize("t", [0, -1, "-0.5", Fraction(-3, 2), -0.0, "-1e-300"])
 def test_nonpositive_argument_rejected(t):
     with pytest.raises(NonPositiveArgument):
         polygamma(0, t, POLICY)
@@ -223,10 +223,12 @@ def test_nonpositive_argument_rejected(t):
         log_gamma(t, POLICY)
 
 
-@pytest.mark.parametrize("k", [-1, 1.5, "2", None])
+@pytest.mark.parametrize("k", [-1, 1.5, "2", None, True])
 def test_invalid_order_rejected(k):
     with pytest.raises(InvalidIndex):
         polygamma(k, 1, POLICY)
+    with pytest.raises(InvalidIndex):
+        polygamma_block(k, 1, POLICY)
 
 
 def test_policy_validation():
@@ -263,7 +265,6 @@ def test_shift_budget_exhaustion_raises(monkeypatch):
     # both users of the shared shift loop; a memoised value would bypass
     # the patched series
     polygamma_module._block.cache_clear()
-    polygamma_module._log_gamma_raw.cache_clear()
     # force each asymptotic series to keep reporting non-convergence
     monkeypatch.setattr(polygamma_module, "_psi_series", lambda k_max, *args: None)
     monkeypatch.setattr(polygamma_module, "_stirling_series", lambda w, sh, scale, target: None)
@@ -293,12 +294,11 @@ def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# per-process memo of blocks and ln Gamma values
+# per-process memo of blocks
 
 
 def clear_memos():
     polygamma_module._block.cache_clear()
-    polygamma_module._log_gamma_raw.cache_clear()
 
 
 def bits_of(values):

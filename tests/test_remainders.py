@@ -130,6 +130,18 @@ def test_phi_form_matches_differentiated_remainder(n):
         assert form_for(RemainderSpec(n=n, m=m)) == reference_phi_form(n, m), (n, m)
 
 
+def test_form_for_hands_out_a_copy():
+    spec = RemainderSpec(n=1, m=1)
+    before = [v._mpf_ for v in phi_derivatives(spec, 2, 0, POLICY)]
+    form = form_for(spec)
+    form.psi.clear()
+    form.powers.clear()
+    form.loggamma = Fraction(7)
+    remainders_module._phi_terms.cache_clear()  # the terms are read from the form again
+    assert [v._mpf_ for v in phi_derivatives(spec, 2, 0, POLICY)] == before
+    assert form_for(spec) == reference_phi_form(1, 1)
+
+
 def _without_gap(form):
     return dataclasses.replace(form, cancel_gap=0)
 
@@ -443,7 +455,7 @@ def test_invalid_specs_rejected(kwargs):
         RemainderSpec(**kwargs)
 
 
-@pytest.mark.parametrize("t", [0, -1, "-2.5"])
+@pytest.mark.parametrize("t", [0, -1, "-2.5", -0.0, Fraction(-1, 3)])
 def test_nonpositive_argument_rejected(t):
     with pytest.raises(NonPositiveArgument):
         phi_derivatives(Q, t, 0, POLICY)
@@ -452,7 +464,7 @@ def test_nonpositive_argument_rejected(t):
 
 
 def test_invalid_derivative_indices_rejected():
-    for i_max in (-1, 1.5, "2", None):
+    for i_max in (-1, 1.5, "2", None, True):
         with pytest.raises(InvalidIndex):
             phi_derivatives(Q, 1, i_max, POLICY)
 
