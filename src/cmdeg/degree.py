@@ -24,8 +24,11 @@ Every scan of one public call reads phi^(0..max_order)(t) from one scope,
 which evaluates its cells once per (t, policy) and aligns each row once.
 ``cm_check`` and ``degree_bracket`` scope their own member, with the bits of
 ``phi_derivatives``; ``conjecture_scan`` scopes its table at the largest
-large-t elevation among the cells, so a cell's phi^(i) can differ from its
-standalone bits in the last places, far inside the guard band.
+large-t elevation among the cells, so below the polygamma shift target a
+cell's phi^(i) can differ from its standalone bits in the last places, far
+inside the guard band.  From the shift target on, a cell's row is its
+Bernoulli tail, which has the standalone bits unless some cell's tail
+falls back to the assembly.
 
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree

@@ -12,7 +12,14 @@ The algorithm is the classical shift-and-series scheme:
 ``polygamma_block`` evaluates every order 0..k_max at one point: the shift
 is shared, and one pass over the Bernoulli index serves the series of all
 orders (each B_2i / w^(2i) is formed once and scaled per order by an
-integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.
+integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.  A
+block from a low order k_lo (``polygamma_block(..., k_lo=)``) leaves the
+orders below it out of the series and out of the unshift's sums; its
+unshift still forms every power of 1/(t+j) up to k_max+1.  Every other
+step is the full block's, so each order it returns has the full block's
+bits as long as no skipped order alone would have forced a further shift.
+The low orders' terms shrink fastest, so they do not force one: a seeded
+sample of (k_lo, k_max, t, working_bits) finds no case.
 
 Both run through one shift loop, ``_shift_and_sum``; each supplies its
 own series and its own way of undoing the shift.
@@ -29,16 +36,21 @@ rounding.  The representation and the reasons for each part:
   absolute truncation target 2^(8-P0).  For a block the compensation is
   bitlen(k_max!) + 4, the size of the recurrence term k!/t^(k+1) at t = 1.
   The scale is wider:
-  scale = P0 + widen + (k_max+1) * bitlen(floor w), with k_max = 0 for
-  ln Gamma.  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k), and an
-  absolute 2^(-P0) would keep only P0 - k bitlen(w) of its bits; the
-  bitlen(w) term makes w^-(k_max+1) still carry P0 significant bits, so
-  the block is accurate relative to its own size.  At t < 1 the recurrence
-  terms grow by (k_max+1) |log2 t| bits, and ``widen`` adds those bits to
-  the scale for the unshift.  They do not tighten the target: the series
-  runs at w >= 10, where no term is that large, and a target tightened by
-  them only forces more shifts (five or six at t = 1e-300).  ln Gamma has
-  widen = 0; its compensation is 6 + |log2 t| for t < 1.
+  scale = P0 + widen + (k_max+1) * bitlen(floor t) for a block, and
+  P0 + widen + bitlen(floor w) for ln Gamma.  At large t a value is tiny
+  (psi^(k)(t) ~ (k-1)!/t^k), and an absolute 2^(-P0) would keep only
+  P0 - k log2 t of its bits; the bitlen(floor t) term keeps P0 bits
+  relative to psi^(k)(t).  It is bitlen(floor t), not bitlen(floor w),
+  because each order is wanted relative to psi^(k) at the unshifted t:
+  the series target below is set that way, and w^-k needs no more than
+  that absolute accuracy.  ln Gamma keeps bitlen(floor w): ln Gamma(2) =
+  0, so its noise bits there depend on the scale.  At t < 1 the
+  recurrence terms grow by (k_max+1) |log2 t| bits, and ``widen`` adds
+  those bits to the scale for the unshift.  They do not tighten the
+  target: the series runs at w >= 10, where no term is that large, and a
+  target tightened by them only forces more shifts (five or six at t =
+  1e-300).  ln Gamma has widen = 0; its compensation is 6 + |log2 t| for
+  t < 1.
 * w^(-2i) underflows at any fixed scale while |B_2i| grows past 2^400 (512
   working bits, w ~ 171), so B_2i w^(-2i) at 2^scale alone would be only
   2^(-scale) * |B_2i| accurate.  It is therefore held as v / 2^e with
@@ -54,21 +66,35 @@ rounding.  The representation and the reasons for each part:
   value, not one per shift.
 
 Blocks are memoised per process on exactly what the computation reads:
-(k_max, t, working_bits).  A smaller k_max is never served from a prefix of
-a larger block: the internal precision and the shift both depend on k_max,
-so the low orders of a larger block can differ in the last bits from a
-block computed for them.  ln Gamma values are not memoised: a derivative
+(k_lo, k_max, t, working_bits).  A smaller k_max is never served from a
+prefix of a larger block: the internal precision and the shift both depend
+on k_max, so the low orders of a larger block can differ in the last bits
+from a block computed for them.  ln Gamma values are not memoised: a derivative
 scope asks for one per (t, policy), so a memo of them would only miss.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
 achieved bound and shifts further when a high derivative order requires it.
+
+Series tails.  At t past the shift target, ``_series_tail`` sums only the
+Bernoulli terms i >= first of the series of ln Gamma and psi^(k) at t,
+without their leading terms: the remainders that ``cmdeg.remainders``
+needs.  It runs the same two series loops with a first index.  Order k is
+held at scale P0 + (2 first + k) bitlen(floor t), with P0 = working_bits +
+PAD_BITS: its first term, of size t^-(2 first + k), keeps P0 bits.  The
+powers of 1/t carry the k bitlen(floor t) part, as (2^bitlen(floor t) /
+t)^k.  Each order stops at its first term below 2^(8-P0) times its first
+term, so every tail is accurate relative to its value.  The scale and the
+stopping rule of an order depend only on (first, k, t, working_bits), so
+the other orders of a call do not change its bits.  A tail returns None
+when a term grows before its target: the caller then uses a shifted block.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import factorial, inf
 
 import mpmath as mp
@@ -93,11 +119,13 @@ def _shift_target(working_bits: int) -> int:
 
 
 def _magnitude_compensation(k: int, t: mp.mpf) -> tuple[int, int]:
-    """log2 bound on the largest intermediate term (recurrence term
-    k!/t^(k+1)), split as (bits at t = 1, bits that t < 1 adds)."""
-    neg_log_t = max(0, -mag_bits(t))
+    """(bits of the recurrence term k!/t^(k+1) at t = 1, bits by which
+    |log2 t| widens the scale): (k+1) |log2 t| for t < 1, where the
+    recurrence terms grow, and (k+1) bitlen(floor t) for t >= 1, where the
+    values shrink like t^-k."""
+    log_t = max(0, -mag_bits(t)) + int(t).bit_length()
     fact_bits = factorial(k).bit_length() if k > 1 else 1
-    return fact_bits + 4, (k + 1) * neg_log_t
+    return fact_bits + 4, (k + 1) * log_t
 
 
 def _exact(t: mp.mpf) -> tuple[int, int]:
@@ -128,9 +156,17 @@ def _inverse_even_powers(w: int, sh: int, scale: int):
 
 
 def _psi_series(
-    k_max: int, t: int, w: int, sh: int, scale: int, target: int
+    k_max: int,
+    t: int,
+    w: int,
+    sh: int,
+    scale: int,
+    target: int,
+    k_lo: int = 0,
+    first: int = 0,
+    lift: int = 0,
 ) -> list[int] | None:
-    """Asymptotic series for psi^(0)(w) .. psi^(k_max)(w) at large w =
+    """Asymptotic series for psi^(k_lo)(w) .. psi^(k_max)(w) at large w =
     w / 2^sh, as integers at 2^scale; t / 2^sh is the unshifted argument.
 
     One pass over the Bernoulli index i serves every order: B_2i / w^(2i)
@@ -140,27 +176,37 @@ def _psi_series(
     k >= 1 scaled by min(1, (k-1)! t^-k)).  Returns None as soon as any
     order's terms grow before reaching its target (caller must shift
     further).
+
+    With ``first`` >= 1 only the series' tail is summed: the terms
+    i >= first, without the leading terms.  Order k is then an integer at
+    2^(scale + k lift), its powers of w carrying 2^(k lift), and it stops
+    at its first term below target / 2^scale times the first of its terms.
     """
-    u = (1 << (scale + sh)) // w
-    upow = [1 << scale]  # w^(-k) for k = 0 .. k_max+1
+    u = (1 << (scale + sh + lift)) // w
+    upow = [1 << scale]  # (2^lift / w)^k for k = 0 .. k_max+1
     for _ in range(k_max + 1):
         upow.append(upow[-1] * u >> scale)
-    targets = [target]
-    for k in range(1, k_max + 1):
-        lead, t_k = factorial(k - 1) << (k * sh), t**k  # (k-1)! t^-k = lead / t_k
-        targets.append(target if lead >= t_k else target * lead // t_k)
-    # k = 0:  ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
-    # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
-    #                      + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
-    totals = [_fixed_log(w, -sh, scale) - (u >> 1)]
-    coeffs = [1]  # (2i+k-1)!/(2i)! at the current i
-    for k in range(1, k_max + 1):
-        totals.append(factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> 1))
-        coeffs.append(factorial(k + 1) // 2)
+    orders = range(k_lo, k_max + 1)
+    i = max(first, 1)
+    # (2i+k-1)!/(2i)! at the current i; order 0 divides by 2i instead
+    coeffs = [factorial(2 * i + k - 1) // factorial(2 * i) if k else 1 for k in range(k_max + 1)]
+    totals = [0] * (k_max + 1)
+    targets = [target] * (k_max + 1)
+    if not first:
+        # k = 0:  ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
+        # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
+        #                      + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
+        for k in orders:
+            if k == 0:
+                totals[0] = _fixed_log(w, -sh, scale) - (u >> 1)
+                continue
+            totals[k] = factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> 1)
+            lead, t_k = factorial(k - 1) << (k * sh), t**k  # (k-1)! t^-k = lead / t_k
+            if lead < t_k:
+                targets[k] = target * lead // t_k
     prev = [inf] * (k_max + 1)
-    open_orders = list(range(k_max + 1))
-    powers = _inverse_even_powers(w, sh, scale)
-    i = 1
+    open_orders = list(orders)
+    powers = islice(_inverse_even_powers(w, sh, scale), i - 1, None)
     while open_orders:
         b = bernoulli(2 * i)
         v, e = next(powers)
@@ -179,12 +225,14 @@ def _psi_series(
             size = abs(term)
             if size > prev[k]:
                 return None  # terms growing before target met
+            if i == first:
+                targets[k] = size * target >> scale
             if size > targets[k]:
                 prev[k] = size
                 still_open.append(k)
         open_orders = still_open
         i += 1
-    return [x if k % 2 or k == 0 else -x for k, x in enumerate(totals)]
+    return [totals[k] if k % 2 or k == 0 else -totals[k] for k in orders]
 
 
 def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
@@ -195,19 +243,23 @@ def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
     return mp.make_mpf(libmp.from_man_exp(x, -scale, prec, libmp.round_nearest))
 
 
-def _stirling_series(w: int, sh: int, scale: int, target: int) -> int | None:
+def _stirling_series(w: int, sh: int, scale: int, target: int, first: int = 0) -> int | None:
     """Stirling series for ln Gamma(w) at large w = w / 2^sh, as an integer
     at 2^scale, truncated at its smallest term.  Returns None as soon as
-    the terms grow before reaching ``target`` (caller must shift further)."""
-    half_log_2pi = libmp.to_fixed(
-        libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(scale + 8), 1), scale + 8), scale - 1
-    )
-    # (w - 1/2) ln w - w + ln(2 pi)/2
-    log_w = _fixed_log(w, -sh, scale)
-    total = ((2 * w - (1 << sh)) * log_w >> (sh + 1)) - (w << scale >> sh) + half_log_2pi
+    the terms grow before reaching ``target`` (caller must shift further).
+    With ``first`` >= 1 only its tail, as in ``_psi_series``: the terms
+    i >= first, down to target / 2^scale times the first of them."""
+    total = 0
+    if not first:
+        half_log_2pi = libmp.to_fixed(
+            libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(scale + 8), 1), scale + 8), scale - 1
+        )
+        # (w - 1/2) ln w - w + ln(2 pi)/2
+        log_w = _fixed_log(w, -sh, scale)
+        total = ((2 * w - (1 << sh)) * log_w >> (sh + 1)) - (w << scale >> sh) + half_log_2pi
     prev = inf
-    i = 1
-    for v, e in _inverse_even_powers(w, sh, scale):
+    i = max(first, 1)
+    for v, e in islice(_inverse_even_powers(w, sh, scale), i - 1, None):
         # B_2i / (2i (2i-1) w^(2i-1)) = B_2i w w^(-2i) / (2i (2i-1))
         b = bernoulli(2 * i)
         term = (b.numerator * v * w >> (e + sh - scale)) // (
@@ -216,10 +268,38 @@ def _stirling_series(w: int, sh: int, scale: int, target: int) -> int | None:
         if abs(term) > prev:
             return None
         total += term
+        if i == first:
+            target = abs(term) * target >> scale
         if abs(term) <= target:
             return total
         prev = abs(term)
         i += 1
+
+
+def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list | None:
+    """The terms i >= first of the asymptotic series of ln Gamma (order
+    k = -1) and of psi^(k) at t itself, for k = k_lo..k_max, without their
+    leading terms: each series' remainder after first - 1 Bernoulli terms.
+
+    No shift, so t must be large (at least ``_shift_target``).  Order k is
+    held at scale p0 + (2 first + k) bitlen(floor t), where its first term
+    ~ t^-(2 first + k) still has p0 = working_bits + PAD_BITS bits, and is
+    returned exactly as a raw mpf tuple, accurate relative to its value.
+    None when some order's terms grow before its target.
+    """
+    p0 = PrecisionPolicy(working_bits).internal_bits()
+    num, sh = _exact(t)
+    lift = (num >> sh).bit_length()
+    scale = p0 + 2 * first * lift
+    sums = []
+    if k_lo < 0:
+        sums.append(_stirling_series(num, sh, scale - lift, 1 << (scale - lift - p0 + 8), first))
+    if k_max >= 0:
+        target = 1 << (scale - p0 + 8)
+        sums += _psi_series(k_max, num, num, sh, scale, target, max(k_lo, 0), first, lift) or [None]
+    if None in sums:
+        return None
+    return [libmp.from_man_exp(x, -scale - k * lift) for k, x in zip(range(k_lo, k_max + 1), sums)]
 
 
 def _shift_and_sum(
@@ -240,9 +320,10 @@ def _shift_and_sum(
     time it does not, and returns ``(unshift(tail, num, sh, steps, scale),
     scale)`` where ``steps`` = w - t and every value is an integer at
     2^scale, scale = P0 + widen + orders * bitlen(floor w), target =
-    2^(8-P0).  ``widen`` bits serve the unshift only, so they do not
-    tighten the series target.  Raises PrecisionUnreachable once the extra
-    shifts exceed ``MAX_EXTRA_SHIFTS``.
+    2^(8-P0).  A block passes orders = 0 and a widen from |log2 t|; ln
+    Gamma passes orders = 1.  ``widen`` bits do not tighten the series
+    target.  Raises PrecisionUnreachable once the extra shifts exceed
+    ``MAX_EXTRA_SHIFTS``.
     """
     p0 = PrecisionPolicy(working_bits).internal_bits(comp)
     num, sh = _exact(t)
@@ -273,31 +354,38 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     return polygamma_block(as_index(k, "derivative order"), t, policy)[k]
 
 
-def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
+def polygamma_block(
+    k_max: int, t, policy: PrecisionPolicy | None = None, *, k_lo: int = 0
+) -> list[mp.mpf]:
     """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
-    series pass, under the accuracy contract of :func:`polygamma`."""
+    series pass, under the accuracy contract of :func:`polygamma`.  The
+    orders below ``k_lo`` are not evaluated: their entries are None."""
     as_index(k_max, "k_max")
+    as_index(k_lo, "k_lo", 0, k_max)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "polygamma")
-    return list(_block(k_max, tv, policy.working_bits))
+    return [None] * k_lo + list(_block(k_lo, k_max, tv, policy.working_bits))
 
 
 @lru_cache(maxsize=4096)
-def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
+def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
+    """psi^(k_lo)(t) .. psi^(k_max)(t)."""
+
     def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
         # sums over the shifted-through points of (t+j)^-(k+1), per order k
         shift_sums = [0] * (k_max + 1)
         for j in range(steps):
             u = (1 << (scale + sh)) // (num + (j << sh))
             power = u
-            shift_sums[0] += power
-            for k in range(1, k_max + 1):
-                power = power * u >> scale
-                shift_sums[k] += power
-        results = [tails[0] - shift_sums[0]]
-        for k in range(1, k_max + 1):
+            for k in range(k_max + 1):
+                if k:
+                    power = power * u >> scale
+                if k >= k_lo:
+                    shift_sums[k] += power
+        results = []
+        for k, tail in zip(range(k_lo, k_max + 1), tails):
             jump = factorial(k) * shift_sums[k]
-            results.append(tails[k] + jump if k % 2 else tails[k] - jump)
+            results.append(tail + jump if k % 2 else tail - jump)
         return results
 
     num = _exact(tv)[0]
@@ -305,8 +393,8 @@ def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
         tv,
         working_bits,
         *_magnitude_compensation(k_max, tv),
-        k_max + 1,
-        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target),
+        0,
+        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target, k_lo),
         unshift,
         f"polygamma block up to order {k_max}",
     )

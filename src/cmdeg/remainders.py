@@ -10,15 +10,31 @@ Bernoulli terms:
     R_n(t) = (-1)^n [ ln Gamma(t) - (t - 1/2) ln t + t - ln(2 pi)/2
                       - sum_{k=1}^{n} B_2k / (2k(2k-1) t^(2k-1)) ].
 
-Every member is an exact rational combination of ln Gamma, polygamma
-functions, integer powers of t, ln t, t ln t and the constant ln(2 pi).
-That combination is represented symbolically by :class:`ElementaryForm`
-with Fraction coefficients, differentiated exactly, and only evaluated
-numerically at the end -- no numerical differentiation anywhere.
+A member is evaluated in one of two regimes, split at the polygamma
+block's shift target t0 = max(10, working_bits/3):
 
-Pieces and sums are raw ``libmp`` tuples, formed by the libmp operations
-that mpf arithmetic under ``workprec`` performs, at the same precision and
-rounding: the same bits without an mpf object per operation.
+* Below t0, by assembly.  Every member is an exact rational combination of
+  ln Gamma, polygamma functions, integer powers of t, ln t, t ln t and
+  the constant ln(2 pi).  That combination is represented symbolically by
+  :class:`ElementaryForm` with Fraction coefficients, differentiated
+  exactly, and only evaluated numerically at the end -- no numerical
+  differentiation anywhere.  The pieces cancel down to the remainder, so
+  they are evaluated at a precision elevated by the member's cancellation
+  (``_elevated``).  Pieces and sums are raw ``libmp`` tuples, formed by the
+  libmp operations that mpf arithmetic under ``workprec`` performs, at the
+  same precision and rounding: the same bits without an mpf object per
+  operation.
+* From t0 on, by the remainder's own series.  Differentiating R_n term by
+  term gives
+
+      phi_{n,j}(t) = (-1)^n sum_{i>n} B_2i (2i+j-2)!/(2i)! t^-(2i+j-1),
+
+  which for real t > 0 envelops its remainder (DLMF 5.11(ii)).  It is
+  summed, relative to its own size, by the polygamma series loops from
+  index n+1 (``polygamma._series_tail``).  This needs no elevation, no
+  ln Gamma, no pieces and no assembly.  When a term grows before its
+  target (low working_bits, high n and j, t near t0), the evaluation falls
+  back to the assembly.
 
 Named specials are labels for family members:
 
@@ -38,7 +54,7 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli
 from .errors import InvalidSpec
-from .polygamma import log_gamma, polygamma, polygamma_block
+from .polygamma import _series_tail, _shift_target, log_gamma, polygamma, polygamma_block
 from .precision import PrecisionPolicy, as_index, as_point, mag_bits
 
 __all__ = [
@@ -86,8 +102,8 @@ class RemainderSpec:
             return
         if self.n is None or self.m is None:
             raise InvalidSpec("RemainderSpec needs n and m, or a special name")
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise InvalidSpec("n and m must be integers")
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (self.n, self.m)):
+            raise InvalidSpec(f"n and m must be integers, got {self.n!r}, {self.m!r}")
         if not 0 <= self.n <= PHI_N_MAX:
             raise InvalidSpec(f"n={self.n} outside supported range 0..{PHI_N_MAX}")
         if not 0 <= self.m <= PHI_M_MAX:
@@ -250,7 +266,7 @@ def _pieces_for(
 
     pieces: dict = {"const": libmp.fone}
     if psi_orders:
-        block = polygamma_block(psi_orders[-1], tv, policy)
+        block = polygamma_block(psi_orders[-1], tv, policy, k_lo=psi_orders[0])
         for i in psi_orders:
             pieces[("psi", i)] = block[i]._mpf_
     if need_loggamma:
@@ -268,15 +284,60 @@ def _pieces_for(
     return pieces
 
 
-def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
-    """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max, as
-    phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.  One set of pieces, at the largest
-    elevation among the cells, and one assembly per distinct phi_{n,j}."""
-    tv = as_point(t, policy.internal_bits(), "evaluation")
-    members = sorted({(n, m + i) for (n, m), i_max in cells.items() for i in range(i_max + 1)})
+def _members(cells: dict) -> list[tuple[int, int]]:
+    """Every phi_{n,j} that the rows of ``cells`` read."""
+    return sorted({(n, m + i) for (n, m), i_max in cells.items() for i in range(i_max + 1)})
+
+
+def _assembled(cells: dict, tv: mp.mpf, policy: PrecisionPolicy) -> dict:
+    """phi_{n,j} as raw tuples, assembled from the elementary pieces: one
+    set of pieces at the largest elevation among the cells, and one
+    assembly per distinct phi_{n,j}."""
+    members = _members(cells)
     pol = _elevated(policy, max(_phi_form(*nm).cancel_gap for nm in cells), mag_bits(tv))
     pieces = _pieces_for([_phi_form(*nj) for nj in members], tv, pol)
-    values = {nj: _assemble(_phi_terms(*nj), pieces, pol.working_bits) for nj in members}
+    return {nj: _assemble(_phi_terms(*nj), pieces, pol.working_bits) for nj in members}
+
+
+def _tails(cells: dict, tv: mp.mpf, policy: PrecisionPolicy) -> dict | None:
+    """phi_{n,j} as raw tuples from the Bernoulli tail
+
+        phi_{n,j}(t) = (-1)^n sum_{i>n} B_2i (2i+j-2)!/(2i)! t^-(2i+j-1),
+
+    that is (-1)^(n+j) times the tail i > n of the series of psi^(j-1)
+    (of ln Gamma for j = 0).  One series call per distinct n serves all
+    its orders, and each order's bits depend only on (n, j, t, policy).
+    None when a series' terms grow before its target."""
+    orders: dict = {}
+    for n, j in _members(cells):  # sorted: each n's first j is its lowest
+        orders[n] = (orders.get(n, (j, j))[0], j)
+    values = {}
+    for n, (lo, hi) in orders.items():
+        tail = _series_tail(n + 1, lo - 1, hi - 1, tv, policy.working_bits)
+        if tail is None:
+            return None
+        for j, v in zip(range(lo, hi + 1), tail):
+            values[n, j] = libmp.mpf_neg(v) if (n + j) % 2 else v
+    return values
+
+
+def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
+    """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max, as
+    phi_{n,m}^(i) = (-1)^i phi_{n,m+i}.
+
+    Two regimes.  At t >= ``_shift_target(working_bits)``, where the block
+    would not shift, each phi_{n,j} is its own Bernoulli tail (``_tails``),
+    which envelops its remainder for real t > 0 (DLMF 5.11(ii)): no
+    elevation, no ln Gamma, no pieces and no cancellation, and a cell's bits
+    do not depend on the other cells.  Below that t, or when a tail's terms
+    grow before their target (the fallback, for all cells at once), the
+    pieces are assembled at the elevated precision (``_assembled``)."""
+    tv = as_point(t, policy.internal_bits(), "evaluation")
+    values = None
+    if tv >= _shift_target(policy.working_bits):
+        values = _tails(cells, tv, policy)
+    if values is None:
+        values = _assembled(cells, tv, policy)
     rows = {}
     for (n, m), i_max in cells.items():
         row = [values[n, m + i] for i in range(i_max + 1)]

@@ -1,6 +1,7 @@
 """Digamma/polygamma/log-gamma: known constants, cross-library oracle,
 recurrence, limits, precision contracts."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -19,8 +20,10 @@ from cmdeg import (
     NonPositiveArgument,
     PrecisionPolicy,
     PrecisionUnreachable,
+    RemainderSpec,
     as_mpf,
     log_gamma,
+    phi_derivatives,
     polygamma,
     polygamma_block,
 )
@@ -339,9 +342,9 @@ def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
     calls = []
     series = polygamma_module._psi_series
 
-    def counting(k_max, t, w, sh, scale, target):
+    def counting(k_max, t, w, sh, scale, target, k_lo):
         calls.append(k_max)
-        return series(k_max, t, w, sh, scale, target)
+        return series(k_max, t, w, sh, scale, target, k_lo)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", counting)
     polygamma_block(14, "0.8", POLICY)
@@ -352,6 +355,42 @@ def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
     calls.clear()
     polygamma_block(14, "0.8", POLICY)
     assert calls == []
+
+
+def test_low_order_block_has_the_full_block_bits():
+    # a seeded sample of (k_lo, k_max, t, bits): every order a block from
+    # k_lo returns has the bits of the same order in the full block
+    rng = random.Random("low-order-block")
+    for _ in range(40):
+        k_max = rng.randint(0, 18)
+        k_lo = rng.randint(0, k_max)
+        t = rng.choice(("1e-300", "1e-3", "0.37", "1", "2.5", "37.5", "171", "9000", "1e6"))
+        policy = PrecisionPolicy(working_bits=rng.choice((64, 128, 256, 512)))
+        low = polygamma_block(k_max, t, policy, k_lo=k_lo)
+        full = polygamma_block(k_max, t, policy)
+        assert low[:k_lo] == [None] * k_lo
+        assert bits_of(low[k_lo:]) == bits_of(full[k_lo:]), (k_lo, k_max, t, policy)
+
+
+def test_low_order_block_series_skips_lower_orders(monkeypatch):
+    # the series is asked for k_lo..k_max only, by a block and by
+    # phi_derivatives below the threshold (phi_{1,3..8} reads psi^(2..7))
+    clear_memos()
+    calls = []
+    series = polygamma_module._psi_series
+
+    def counting(k_max, t, w, sh, scale, target, k_lo):
+        calls.append((k_lo, k_max))
+        return series(k_max, t, w, sh, scale, target, k_lo)
+
+    monkeypatch.setattr(polygamma_module, "_psi_series", counting)
+    polygamma_block(9, "0.8", POLICY, k_lo=4)
+    assert set(calls) == {(4, 9)}
+    calls.clear()
+    phi_derivatives(RemainderSpec(n=1, m=3), "0.7", 5, POLICY)
+    assert set(calls) == {(2, 7)}
+    with pytest.raises(InvalidIndex):
+        polygamma_block(3, 1, POLICY, k_lo=4)
 
 
 def test_memo_hands_out_no_shared_list():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,6 +33,7 @@ from cmdeg import (
 )
 
 degree_module = importlib.import_module("cmdeg.degree")
+polygamma_module = importlib.import_module("cmdeg.polygamma")
 precision_module = importlib.import_module("cmdeg.precision")
 remainders_module = importlib.import_module("cmdeg.remainders")
 
@@ -203,8 +205,10 @@ def test_phi_derivatives_golden_bits():
         for v in phi_derivatives(RemainderSpec(n=n, m=m), t, 12, PrecisionPolicy(bits)):
             sign, man, exp = v._mpf_[:3]
             digest.update(f"{sign}:{man}p{exp};".encode())
+    # re-recorded when t >= _shift_target(bits) moved to the Bernoulli tail:
+    # only the t = 9000 cases changed bits
     assert digest.hexdigest() == (
-        "1799c4d973dd3727b49be578351d7933b110f31164c790be3c7f7ef18165218e"
+        "c0b1b2dfd27d5d46515a5ec06f3c8c43aa59ae0a62dd4e9fcbaefee1b16f04b3"
     )
 
 
@@ -256,11 +260,11 @@ def test_raw_assembly_matches_mpf_reference(bits):
                 forms = [remainders_module._phi_form(n, m + i) for i in range(13)]
                 pol = remainders_module._elevated(policy, forms[0].cancel_gap, int(mp.mag(tv)))
                 pieces = _mpf_pieces_for(forms, tv, pol)
-                values = phi_derivatives(RemainderSpec(n=n, m=m), t, 12, policy)
-                for i, (form, value) in enumerate(zip(forms, values)):
+                # the assembly path itself, also where phi_derivatives takes the tail
+                values = remainders_module._assembled({(n, m): 12}, tv, policy)
+                for i, form in enumerate(forms):
                     ref = _mpf_assemble(form, pieces, pol.working_bits)
-                    ref = mp.fneg(ref, exact=True) if i % 2 else ref
-                    assert value._mpf_[:3] == ref._mpf_[:3], (t, n, m, i)
+                    assert values[n, m + i][:3] == ref._mpf_[:3], (t, n, m, i)
 
 
 def _oracle_value(form, tv, lg, psi, lt, l2pi):
@@ -296,6 +300,94 @@ def test_family_relative_accuracy_against_mpmath():
                     for got in (one_cell[i], in_table[i]):
                         assert abs(got - want) <= bound * abs(want), (t, n, m, i)
                     form = differentiate(form)
+
+
+# ---------------------------------------------------------------------------
+# the Bernoulli tail past the shift target
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("n", [0, 8])
+def test_tail_agrees_with_assembly_at_the_threshold(n, bits):
+    # phi_{n,0..18} by the tail and by the elevated assembly, just below
+    # and just above the threshold; at 64 bits the n = 8 tail cannot reach
+    # order 18 at t ~ 22 and falls back, but reaches order 12
+    policy = PrecisionPolicy(bits)
+    bound = mp.mpf(2) ** (precision_module.GUARD_BITS - bits)
+    for delta in (Fraction(-1, 1000), Fraction(1, 3)):
+        tv = as_mpf(polygamma_module._shift_target(bits) + delta, policy.internal_bits())
+        cells = {(n, 0): 18}
+        tails = remainders_module._tails(cells, tv, policy)
+        if tails is None:
+            assert (bits, n) == (64, 8), delta
+            cells = {(n, 0): 12}
+            tails = remainders_module._tails(cells, tv, policy)
+        assembled = remainders_module._assembled(cells, tv, policy)
+        assert tails.keys() == assembled.keys()
+        with mp.workprec(4 * bits):
+            for nj, v in tails.items():
+                got, want = mp.make_mpf(v), mp.make_mpf(assembled[nj])
+                assert abs(got - want) <= bound * abs(want), (delta, nj)
+
+
+def test_tail_relative_accuracy_against_mpmath():
+    # a seeded sample past the threshold, against mpmath's lnGamma and psi
+    # at working_bits + 200 bits beyond the form's cancellation
+    rng = random.Random("tail-accuracy")
+    checked = 0
+    for _ in range(40):
+        n, m, i = rng.randint(0, PHI_N_MAX), rng.randint(0, PHI_M_MAX), rng.randint(0, 12)
+        bits = rng.choice((64, 128, 256, 512))
+        t = Fraction(rng.randint(6 * 2**10, 16000 * 2**10), 2**10)
+        policy = PrecisionPolicy(bits)
+        tv = as_mpf(t, policy.internal_bits())
+        if tv < polygamma_module._shift_target(bits):
+            continue
+        checked += 1
+        got = phi_derivatives(RemainderSpec(n=n, m=m), tv, i, policy)[i]
+        form = remainders_module._phi_form(n, m + i)
+        with mp.workprec(bits + 200 + form.cancel_gap * int(mp.mag(tv))):
+            lg, l2pi = mp.loggamma(tv), mp.log(2 * mp.pi)
+            psi = {k: mp.psi(k, tv) for k in form.psi}
+            want = (-1) ** i * _oracle_value(form, tv, lg, psi, mp.log(tv), l2pi)
+            bound = mp.mpf(2) ** (precision_module.GUARD_BITS - bits)
+            assert abs(got - want) <= bound * abs(want), (n, m, i, bits, t)
+    assert checked >= 30
+
+
+def test_forced_fallback_gives_the_assembly_bits(monkeypatch):
+    # with the threshold lowered to t = 5, the 512-bit tail grows before
+    # its target, and phi_derivatives falls back to the assembly's bits
+    policy = PrecisionPolicy(512)
+    spec = RemainderSpec(n=2, m=1)
+    cases = [(t, i_max) for t in (5, "7.5", 20) for i_max in (0, 12)]
+    before = [phi_derivatives(spec, t, i_max, policy) for t, i_max in cases]
+    attempts = []
+    series_tail = remainders_module._series_tail
+
+    def spy(*args):
+        attempts.append(series_tail(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(remainders_module, "_shift_target", lambda bits: 5)
+    monkeypatch.setattr(remainders_module, "_series_tail", spy)
+    after = [phi_derivatives(spec, t, i_max, policy) for t, i_max in cases]
+    assert attempts == [None] * len(cases)
+    assert [[v._mpf_ for v in row] for row in after] == [[v._mpf_ for v in row] for row in before]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_table_row_equals_standalone_row_past_the_threshold(bits):
+    # past the threshold a cell's bits do not depend on the other cells
+    policy = PrecisionPolicy(bits)
+    cells = {(n, m): 12 for n in range(4) for m in range(4)}
+    for t in (polygamma_module._shift_target(bits) + Fraction(1, 2), "9000", "1e8"):
+        tv = as_mpf(t, policy.internal_bits())
+        table = degree_module._scope(cells)
+        for n, m in cells:
+            spec = RemainderSpec(n=n, m=m)
+            alone = degree_module._aligned_row(phi_derivatives(spec, tv, 12, policy))
+            assert table(spec, tv, policy) == alone, (t, n, m)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -453,6 +545,13 @@ def test_spec_labels_and_indices():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidSpec):
         RemainderSpec(**kwargs)
+
+
+def test_bool_indices_rejected():
+    # bool is an int subclass: RemainderSpec(n=True, m=1) would equal (1, 1)
+    for kwargs in ({"n": True, "m": 1}, {"n": 1, "m": False}):
+        with pytest.raises(InvalidSpec, match="must be integers"):
+            RemainderSpec(**kwargs)
 
 
 @pytest.mark.parametrize("t", [0, -1, "-2.5", -0.0, Fraction(-1, 3)])
