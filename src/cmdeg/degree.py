@@ -254,9 +254,7 @@ def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
     scaling phi by a positive constant.
     """
     if isinstance(value, mp.mpf):
-        (value, v_exp), (scale, s_exp) = man_exp(value._mpf_), man_exp(scale._mpf_)
-        exp = min(v_exp, s_exp)
-        value, scale = value << (v_exp - exp), scale << (s_exp - exp)
+        (value, scale), _ = aligned([man_exp(value._mpf_), man_exp(scale._mpf_)])
     if abs(value) << (policy.working_bits // 2) <= scale:
         return "borderline"
     return "pass" if value > 0 else "violation"

@@ -233,16 +233,16 @@ def _ts_nodes(level: int, prec: int) -> tuple[tuple[mp.mpf, mp.mpf], ...]:
     return tuple(nodes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _panel_kernel(k: int, level: int, prec: int, policy: PrecisionPolicy) -> tuple[tuple, int]:
     """h at the abscissas new at ``level`` on panel k as exact integers
     at one exponent, (values, exponent), in ``_ts_panel``'s order: h(c),
     then h(c + d x_j), h(c - d x_j) for each j > 0 at level 3 and each odd
     j above it.  h does not depend on t, so every call of
-    ``laplace_reconstruct`` at this precision shares them.  The memo is
-    unbounded: a call walks its keys in the same order every time, so an
-    LRU smaller than one call's keys would evict each entry before its
-    reuse."""
+    ``laplace_reconstruct`` at this precision shares them.  One call reads
+    each key once, so the memo serves later calls: a bound of 1024 keeps
+    every key of a smaller call (38 for twelve t in [1, 20]); only a larger
+    call, near the panel cap, loses its reuse rather than keep every key."""
     rnd = libmp.round_nearest
     c = libmp.from_rational(QUAD_PANEL_WIDTH * (2 * k + 1), 2, prec, rnd)  # 4k + d
     d = libmp.from_rational(QUAD_PANEL_WIDTH, 2, prec, rnd)

@@ -20,10 +20,9 @@ block's shift target t0 = max(10, working_bits/3):
   exactly, and only evaluated numerically at the end -- no numerical
   differentiation anywhere.  The pieces cancel down to the remainder, so
   they are evaluated at a precision elevated by the member's cancellation
-  (``_elevated``).  Pieces and sums are raw ``libmp`` tuples, formed by the
-  libmp operations that mpf arithmetic under ``workprec`` performs, at the
-  same precision and rounding: the same bits without an mpf object per
-  operation.
+  (``_elevated``).  The pieces are raw ``libmp`` tuples with the bits of
+  mpf arithmetic under ``workprec``; the member is one exact integer sum of
+  them over its common denominator, rounded to nearest once (``_assemble``).
 * From t0 on, by the remainder's own series.  Differentiating R_n term by
   term gives
 
@@ -48,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import mpmath as mp
 from mpmath import libmp
@@ -55,7 +55,7 @@ from mpmath import libmp
 from .bernoulli import bernoulli
 from .errors import InvalidSpec
 from .polygamma import _series_tail, _shift_target, log_gamma, polygamma, polygamma_block
-from .precision import PrecisionPolicy, as_index, as_point, mag_bits
+from .precision import PrecisionPolicy, aligned, as_index, as_point, mag_bits, man_exp
 
 __all__ = [
     "PHI_N_MAX",
@@ -210,30 +210,27 @@ def _elevated(policy: PrecisionPolicy, cancel_gap: int, t_bits: int) -> Precisio
 
 
 def _assemble(terms: tuple, pieces: dict, base_bits: int) -> tuple:
-    """Sum c * piece over ``terms`` as a raw mpf tuple at a precision set by
-    the largest term: the bits of mpf(num) / den * piece summed under
-    ``workprec``, each step rounded to nearest."""
-    max_bits = 0
-    for _, _, c_bits, key in terms:
-        _, man, exp, bc = pieces[key]
-        if man:
-            max_bits = max(max_bits, c_bits + exp + bc)
-    prec = base_bits + 32 + max_bits
-    rnd = libmp.round_nearest
-    total = libmp.fzero
-    for num, den, _, key in terms:
-        c = libmp.mpf_div(libmp.from_int(num, prec, rnd), libmp.from_int(den), prec, rnd)
-        total = libmp.mpf_add(total, libmp.mpf_mul(c, pieces[key], prec, rnd), prec, rnd)
-    return total
+    """Sum c * piece over ``terms`` = (D, ((c * D, piece key), ...)) as a
+    raw mpf tuple: the pieces as integers at one exponent, dotted exactly
+    with the integers c * D, and the dot divided by D and rounded to
+    nearest once at base_bits + 32 plus the bits of the largest term,
+    |c * piece| < 2^(bits(c * D * piece) - bits(D) + 1)."""
+    den, coefficients = terms
+    mantissas, exp = aligned([man_exp(pieces[key]) for _, key in coefficients])
+    products = [c * x for (c, _), x in zip(coefficients, mantissas)]
+    top = max(map(abs, products)).bit_length() + exp - den.bit_length() + 1
+    prec = base_bits + 32 + max(0, top)
+    total = libmp.from_man_exp(sum(products), exp)
+    return libmp.mpf_div(total, libmp.from_int(den), prec, libmp.round_nearest)
 
 
 @lru_cache(maxsize=None)
 def _phi_terms(n: int, m: int) -> tuple:
-    """(num, den, coefficient bits, piece key) of phi_{n,m}'s terms, in order."""
-    return tuple(
-        (c.numerator, c.denominator, c.numerator.bit_length() - c.denominator.bit_length() + 1, key)
-        for c, key in _iter_terms(_phi_form(n, m))
-    )
+    """phi_{n,m}'s terms over their common denominator D, in order:
+    (D, ((c * D, piece key), ...))."""
+    terms = list(_iter_terms(_phi_form(n, m)))
+    den = lcm(*(c.denominator for c, _ in terms))
+    return den, tuple((int(c * den), key) for c, key in terms)
 
 
 def _iter_terms(form: ElementaryForm):
@@ -307,12 +304,13 @@ def _tails(cells: dict, tv: mp.mpf, policy: PrecisionPolicy) -> dict | None:
     that is (-1)^(n+j) times the tail i > n of the series of psi^(j-1)
     (of ln Gamma for j = 0).  One series call per distinct n serves all
     its orders, and each order's bits depend only on (n, j, t, policy).
-    None when a series' terms grow before its target."""
+    None when a series' terms grow before its target, as a high n's do
+    first: so the n are tried from the highest down."""
     orders: dict = {}
     for n, j in _members(cells):  # sorted: each n's first j is its lowest
         orders[n] = (orders.get(n, (j, j))[0], j)
     values = {}
-    for n, (lo, hi) in orders.items():
+    for n, (lo, hi) in sorted(orders.items(), reverse=True):
         tail = _series_tail(n + 1, lo - 1, hi - 1, tv, policy.working_bits)
         if tail is None:
             return None

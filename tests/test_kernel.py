@@ -586,6 +586,22 @@ def test_warm_call_below_t_0_3_misses_nothing():
     assert (warm.man, warm.exp) == (cold.man, cold.exp)
 
 
+def test_kernel_memo_is_bounded(monkeypatch):
+    # a call that needs more (panel, level) entries than the memo's bound
+    # leaves at most the bound behind; h is a constant here, so the call
+    # is cheap, and the memos are cleared of its values afterwards
+    bound = kernel_module._panel_kernel.cache_info().maxsize
+    monkeypatch.setattr(kernel_module, "kernel_h", lambda j, s, p=None: mp.mpf(1))
+    _cold_memos()
+    try:
+        laplace_reconstruct("0.03", POLICY)
+        info = kernel_module._panel_kernel.cache_info()
+    finally:
+        _cold_memos()
+    assert info.misses > bound
+    assert info.currsize <= bound
+
+
 @pytest.mark.parametrize("t", ["0.5", 1, "1.13", 5, "17.6", 40])
 def test_panels_are_whole_and_the_tail_still_fits(monkeypatch, t):
     # A is rounded up to whole panels: panels k = 0 .. n-1 with one shared

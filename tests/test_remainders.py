@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -188,27 +189,37 @@ def test_warm_phi_derivatives_do_no_symbolic_work(monkeypatch):
     assert calls == []
 
 
-def test_phi_derivatives_golden_bits():
-    # pins the (sign, man, exp) of every value at 128, 256 and 512 bits:
-    # any moved bit or flipped sign changes the digest (mpf.man is unsigned,
-    # so the sign is read from _mpf_)
-    ts = (Fraction(1, 1000), "0.37", 2, "37.5", 9000)
-    cases = [(n, m, t, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1) for t in ts]
-    cases += [
-        (n, m, t, bits)
-        for n, m in ((0, 0), (2, 2), (8, 6))
-        for t in ("0.37", 9000)
-        for bits in (256, 512)
-    ]
+def _golden_digest(cases):
+    """sha256 of the (sign, man, exp) of every phi^(0..12) value of the
+    cases (n, m, t, bits); mpf.man is unsigned, so the sign is read from
+    _mpf_ and a flipped sign changes the digest."""
     digest = hashlib.sha256()
     for n, m, t, bits in cases:
         for v in phi_derivatives(RemainderSpec(n=n, m=m), t, 12, PrecisionPolicy(bits)):
             sign, man, exp = v._mpf_[:3]
             digest.update(f"{sign}:{man}p{exp};".encode())
-    # re-recorded when t >= _shift_target(bits) moved to the Bernoulli tail:
-    # only the t = 9000 cases changed bits
-    assert digest.hexdigest() == (
-        "c0b1b2dfd27d5d46515a5ec06f3c8c43aa59ae0a62dd4e9fcbaefee1b16f04b3"
+    return digest.hexdigest()
+
+
+def test_phi_derivatives_golden_bits_assembly():
+    # pins every value below the shift target, at 128, 256 and 512 bits;
+    # re-recorded when the assembly became one exact sum rounded once
+    ts = (Fraction(1, 1000), "0.37", 2, "37.5")
+    cases = [(n, m, t, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1) for t in ts]
+    cases += [(n, m, "0.37", bits) for n, m in ((0, 0), (2, 2), (8, 6)) for bits in (256, 512)]
+    assert all(as_mpf(t, 53) < polygamma_module._shift_target(bits) for _, _, t, bits in cases)
+    assert _golden_digest(cases) == (
+        "aa8a0c062df45be978620eef16734f70ff572058b20fc4c770ac46f4aa6f0c24"
+    )
+
+
+def test_phi_derivatives_golden_bits_tail():
+    # pins every value at t = 9000, past the shift target at 128, 256 and
+    # 512 bits, where each phi_{n,j} is its own Bernoulli tail
+    cases = [(n, m, 9000, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1)]
+    cases += [(n, m, 9000, bits) for n, m in ((0, 0), (2, 2), (8, 6)) for bits in (256, 512)]
+    assert _golden_digest(cases) == (
+        "ebb197ba85221f3b30d3f831f943b7ab065048626aa2516435b1e248849d25ee"
     )
 
 
@@ -232,26 +243,36 @@ def _mpf_pieces_for(forms, tv, policy):
     return pieces
 
 
-def _mpf_assemble(form, pieces, base_bits):
-    """Reference for the assembly: each term c * piece formed and summed as
-    mpf values under workprec, at the precision of the largest term."""
+def _exact(raw):
+    """A raw mpf tuple as an exact Fraction."""
+    sign, man, exp, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _fraction_assemble(form, pieces, base_bits):
+    """Reference for the assembly: sum c * piece exactly in Fraction (the
+    pieces given as Fractions), rounded to nearest once at base_bits + 32
+    plus the bits of the largest term, bounded with the common denominator
+    D as |c * piece| < 2^(bits(c * D * piece) - bits(D) + 1)."""
     terms = list(remainders_module._iter_terms(form))
-    max_bits = 0
-    for c, key in terms:
-        if pieces[key]:
-            coeff_bits = c.numerator.bit_length() - c.denominator.bit_length() + 1
-            max_bits = max(max_bits, coeff_bits + int(mp.mag(pieces[key])))
-    with mp.workprec(base_bits + 32 + max_bits):
-        total = mp.mpf(0)
-        for c, key in terms:
-            total += mp.mpf(c.numerator) / c.denominator * pieces[key]
-    return total
+    products = [c * pieces[key] for c, key in terms]
+    den = lcm(*(c.denominator for c, _ in terms))
+
+    def bits(x):  # |x| < 2^bits(x) <= 2|x| for a dyadic x != 0
+        x = abs(x)
+        return x.numerator.bit_length() - x.denominator.bit_length() + 1 if x else 0
+
+    top = max(bits(p * den) for p in products) - den.bit_length() + 1
+    total = sum(products)
+    prec = base_bits + 32 + max(0, top)
+    return mp.libmp.from_rational(total.numerator, total.denominator, prec, mp.libmp.round_nearest)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 512])
-def test_raw_assembly_matches_mpf_reference(bits):
-    # the raw-tuple pieces and sums give every value the same (sign, man,
-    # exp) as mpf arithmetic does, with no tolerance
+def test_assembly_is_the_exact_sum_rounded_once(bits):
+    # the raw-tuple pieces are the bits mpf arithmetic gives, and every
+    # assembled value is their exact rational combination rounded once,
+    # with no tolerance
     policy = PrecisionPolicy(bits)
     for t in ("1e-12", "1e-3", "0.37", "2", "37.5", "9000", "1e8"):
         tv = as_mpf(t, policy.internal_bits())
@@ -259,12 +280,16 @@ def test_raw_assembly_matches_mpf_reference(bits):
             for m in range(PHI_M_MAX + 1):
                 forms = [remainders_module._phi_form(n, m + i) for i in range(13)]
                 pol = remainders_module._elevated(policy, forms[0].cancel_gap, int(mp.mag(tv)))
-                pieces = _mpf_pieces_for(forms, tv, pol)
+                pieces = remainders_module._pieces_for(forms, tv, pol)
+                reference = _mpf_pieces_for(forms, tv, pol)
+                for key, piece in pieces.items():
+                    assert piece[:3] == reference[key]._mpf_[:3], (t, n, m, key)
                 # the assembly path itself, also where phi_derivatives takes the tail
                 values = remainders_module._assembled({(n, m): 12}, tv, policy)
+                exact = {key: _exact(piece) for key, piece in pieces.items()}
                 for i, form in enumerate(forms):
-                    ref = _mpf_assemble(form, pieces, pol.working_bits)
-                    assert values[n, m + i][:3] == ref._mpf_[:3], (t, n, m, i)
+                    ref = _fraction_assemble(form, exact, pol.working_bits)
+                    assert values[n, m + i][:3] == ref[:3], (t, n, m, i)
 
 
 def _oracle_value(form, tv, lg, psi, lt, l2pi):
@@ -374,6 +399,28 @@ def test_forced_fallback_gives_the_assembly_bits(monkeypatch):
     after = [phi_derivatives(spec, t, i_max, policy) for t, i_max in cases]
     assert attempts == [None] * len(cases)
     assert [[v._mpf_ for v in row] for row in after] == [[v._mpf_ for v in row] for row in before]
+
+
+def test_tails_try_the_highest_n_first(monkeypatch):
+    # at 53 bits and t = 18, just past the shift target, the tails of
+    # n = 4..8 grow before their target: the highest n is tried first, so
+    # one failed series call decides the fallback for the whole table
+    policy = PrecisionPolicy(53)
+    cells = {(n, 3): 12 for n in range(PHI_N_MAX + 1)}
+    assert 18 >= polygamma_module._shift_target(53)
+    attempts = []
+    series_tail = remainders_module._series_tail
+
+    def spy(first, *args):
+        attempts.append((first, series_tail(first, *args)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(remainders_module, "_series_tail", spy)
+    rows = remainders_module._phi_rows(cells, 18, policy)
+    assert attempts == [(PHI_N_MAX + 1, None)]
+    assembled = remainders_module._assembled(cells, as_mpf(18, policy.internal_bits()), policy)
+    for (n, m), row in rows.items():
+        assert [v._mpf_ for v in row[::2]] == [assembled[n, m + i] for i in range(0, 13, 2)]
 
 
 @pytest.mark.parametrize("bits", [128, 256])
