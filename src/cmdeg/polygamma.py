@@ -10,57 +10,71 @@ The algorithm is the classical shift-and-series scheme:
 3. undo the shift.
 
 ``polygamma_block`` evaluates every order 0..k_max at one point: the shift
-is shared, and one pass over the Bernoulli index serves the series of all
-orders (each B_2i / w^(2i) is formed once and scaled per order by an
-integer and a power of 1/w).  ``polygamma(k)`` is order k of a block.  A
-block from a low order k_lo (``polygamma_block(..., k_lo=)``) leaves the
-orders below it out of the series and out of the unshift's sums; its
-unshift still forms every power of 1/(t+j) up to k_max+1.  Every other
-step is the full block's, so each order it returns has the full block's
-bits as long as no skipped order alone would have forced a further shift.
-The low orders' terms shrink fastest, so they do not force one: a seeded
-sample of (k_lo, k_max, t, working_bits) finds no case.
+is shared, and each B_2i / w^(2i) is formed once and serves the series of
+all orders, scaled per order by an integer and a power of 1/w.
+``polygamma(k)`` is order k of a block.  A block from a low order k_lo
+(``polygamma_block(..., k_lo=)``) leaves the orders below it out of the
+series and out of the unshift's sums; its unshift still forms every power
+of 1/(t+j) up to k_max+1.  Every other step is the full block's, so each
+order it returns has the full block's bits as long as no skipped order
+alone would have forced a further shift.  The low orders' terms shrink
+fastest, so they do not force one: a seeded sample of (k_lo, k_max, t,
+working_bits) finds no case.
 
 Both run through one shift loop, ``_shift_and_sum``; each supplies its
 own series and its own way of undoing the shift.
 
 Fixed-point arithmetic.  The shift loop, both series and both unshifts run
 on plain Python integers; mpmath only supplies the logarithms and the final
-rounding.  The representation and the reasons for each part:
+rounding.  Each integer is only as wide as its own value needs.  The
+representation and the reasons for each part:
 
 * t is held exactly as num / 2^sh, read from its mantissa and exponent, so
   the shifts t, t+1, ..., w-1 are exact integers num + j 2^sh and each
   1/(t+j) costs one integer division.
 * Every other quantity is an integer X standing for X / 2^scale.  The
   internal precision P0 = working_bits + PAD_BITS + compensation sets the
-  absolute truncation target 2^(8-P0).  For a block the compensation is
-  bitlen(k_max!) + 4, the size of the recurrence term k!/t^(k+1) at t = 1.
-  The scale is wider:
-  scale = P0 + widen + (k_max+1) * bitlen(floor t) for a block, and
-  P0 + widen + bitlen(floor w) for ln Gamma.  At large t a value is tiny
-  (psi^(k)(t) ~ (k-1)!/t^k), and an absolute 2^(-P0) would keep only
-  P0 - k log2 t of its bits; the bitlen(floor t) term keeps P0 bits
-  relative to psi^(k)(t).  It is bitlen(floor t), not bitlen(floor w),
-  because each order is wanted relative to psi^(k) at the unshifted t:
-  the series target below is set that way, and w^-k needs no more than
-  that absolute accuracy.  ln Gamma keeps bitlen(floor w): ln Gamma(2) =
-  0, so its noise bits there depend on the scale.  At t < 1 the
-  recurrence terms grow by (k_max+1) |log2 t| bits, and ``widen`` adds
-  those bits to the scale for the unshift.  They do not tighten the
-  target: the series runs at w >= 10, where no term is that large, and a
-  target tightened by them only forces more shifts (five or six at t =
-  1e-300).  ln Gamma has widen = 0; its compensation is 6 + |log2 t| for
-  t < 1.
+  absolute truncation target 2^(8-P0).  A block's compensation is the size
+  of the largest recurrence term k!/t^(k+1), k <= k_max, at the actual t,
+  plus 4: bitlen(k_max!) + 4 - (k_max+1) (mag_bits(t) - 1), at least 4.
+  The unshift multiplies each power sum by k!, and these bits keep the
+  product absolutely accurate; at t >= 2 the terms shrink like t^-(k+1),
+  so an order-200 block at t ~ 31 needs 800 bits fewer than bitlen(200!).
+  ln Gamma's compensation is 6.
+* Order k of a block is held at its own scale P0 + (k+1) lift, lift =
+  bitlen(floor t) (0 for t < 1), and its powers of 1/w carry 2^(k lift) as
+  (2^lift / w)^k.  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k),
+  and an absolute 2^(-P0) would keep only P0 - k log2 t of its bits; the
+  (k+1) lift keeps P0 bits relative to psi^(k)(t), and a low order does
+  not carry the lift of the block's highest order.  It is bitlen(floor t),
+  not bitlen(floor w), because each order is wanted relative to psi^(k)
+  at the unshifted t: the series target below is set that way, and w^-k
+  needs no more than that absolute accuracy.  ln Gamma has one scale,
+  P0 + widen + bitlen(floor w): ln Gamma(2) = 0, so its noise bits there
+  depend on the scale.
+* At t < 1 the recurrence term k!/t^(k+1) at j = 0 is (k+1) |log2 t| bits
+  larger than at t = 1.  The block adds it exactly, k! 2^(scale + (k+1)
+  sh) / num^(k+1) floored once, so the series and the steps j >= 1 (where
+  t + j >= 1) run at P0.  ln Gamma's ``widen`` adds |log2 t| bits to its
+  scale for t < 1; they do not tighten its target: the series runs at
+  w >= 10, where no term is that large, and a target tightened by them
+  only forces more shifts (three Stirling passes at t = 1e-300, 128 bits).
 * w^(-2i) underflows at any fixed scale while |B_2i| grows past 2^400 (512
   working bits, w ~ 171), so B_2i w^(-2i) at 2^scale alone would be only
   2^(-scale) * |B_2i| accurate.  It is therefore held as v / 2^e with
   scale + _FIXED_GUARD_BITS significant bits in v: a guard scale
   2^(e - scale) that grows with i, divided out together with B_2i's
-  denominator.
+  denominator.  Order k's product cuts it to 8 bits below the product's
+  last place, bitlen((2i+k-1)!/(2i)! (2^lift / w)^k 2^scale) + 8 bits: the
+  cut costs under 2^-8 of a unit, and its width depends on order k alone.
+  Late terms, far below the target, thus multiply a few bits, not a few
+  hundred.
 * Order k >= 1 stops at its first term below 2^(8-P0) * min(1, (k-1)!
   t^-k), the absolute target scaled down to the smallest value
   |psi^(k)(t)| can take, so every order is accurate relative to its value;
-  order 0 and ln Gamma keep the absolute target.
+  order 0 and ln Gamma keep the absolute target.  Each order runs its own
+  loop over i, the highest first: its terms grow first, so a series that
+  must shift further stops early.
 * ln Gamma undoes its shift with one log of the product t(t+1)...(w-1),
   carried to scale + _FIXED_GUARD_BITS significant bits: one log per
   value, not one per shift.
@@ -94,7 +108,7 @@ when a term grows before its target: the caller then uses a shifted block.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import factorial, inf
 
 import mpmath as mp
@@ -118,14 +132,15 @@ def _shift_target(working_bits: int) -> int:
     return max(10, -(-working_bits // 3))
 
 
-def _magnitude_compensation(k: int, t: mp.mpf) -> tuple[int, int]:
-    """(bits of the recurrence term k!/t^(k+1) at t = 1, bits by which
-    |log2 t| widens the scale): (k+1) |log2 t| for t < 1, where the
-    recurrence terms grow, and (k+1) bitlen(floor t) for t >= 1, where the
-    values shrink like t^-k."""
-    log_t = max(0, -mag_bits(t)) + int(t).bit_length()
+def _magnitude_compensation(k: int, t: mp.mpf) -> int:
+    """Bits of the largest recurrence term j!/t^(j+1), j <= k, plus 4 and at
+    least 4.  bitlen(k!) - (k+1) (mag_bits(t) - 1) bounds the bits of
+    k!/t^(k+1) from above, as mag_bits(t) - 1 <= log2 t; the bound is convex
+    in k, so over j <= k it is largest at j = k or at j = 0, where the floor
+    covers it."""
     fact_bits = factorial(k).bit_length() if k > 1 else 1
-    return fact_bits + 4, (k + 1) * log_t
+    drop = (k + 1) * max(0, mag_bits(t) - 1)
+    return max(4, fact_bits + 4 - drop)
 
 
 def _exact(t: mp.mpf) -> tuple[int, int]:
@@ -164,75 +179,76 @@ def _psi_series(
     target: int,
     k_lo: int = 0,
     first: int = 0,
-    lift: int = 0,
 ) -> list[int] | None:
     """Asymptotic series for psi^(k_lo)(w) .. psi^(k_max)(w) at large w =
-    w / 2^sh, as integers at 2^scale; t / 2^sh is the unshifted argument.
+    w / 2^sh; t / 2^sh is the unshifted argument.  Order k is an integer at
+    2^(scale + k lift), lift = bitlen(floor t), its powers of w carrying
+    2^(k lift).
 
-    One pass over the Bernoulli index i serves every order: B_2i / w^(2i)
-    is formed once per i, and order k's term is that value times the
-    integer (2i+k-1)!/(2i)! and w^(-k) (times 1/(2i) for k = 0).  Each
-    order is truncated at its own smallest term, below ``target`` (for
-    k >= 1 scaled by min(1, (k-1)! t^-k)).  Returns None as soon as any
-    order's terms grow before reaching its target (caller must shift
-    further).
+    B_2i / w^(2i) is formed once per i and shared by every order: order
+    k's term is that value times the integer (2i+k-1)!/(2i)! and w^(-k)
+    (times 1/(2i) for k = 0).  Each order runs its own loop over i, from
+    k_max down, and is truncated at its own smallest term, below
+    ``target`` / 2^scale (for k >= 1 scaled by min(1, (k-1)! t^-k)).
+    Returns None as soon as an order's terms grow before reaching its
+    target (caller must shift further).
 
     With ``first`` >= 1 only the series' tail is summed: the terms
-    i >= first, without the leading terms.  Order k is then an integer at
-    2^(scale + k lift), its powers of w carrying 2^(k lift), and it stops
-    at its first term below target / 2^scale times the first of its terms.
+    i >= first, without the leading terms.  Order k then stops at its first
+    term below target / 2^scale times the first of its terms.
     """
+    lift = (t >> sh).bit_length()
     u = (1 << (scale + sh + lift)) // w
     upow = [1 << scale]  # (2^lift / w)^k for k = 0 .. k_max+1
     for _ in range(k_max + 1):
         upow.append(upow[-1] * u >> scale)
-    orders = range(k_lo, k_max + 1)
-    i = max(first, 1)
-    # (2i+k-1)!/(2i)! at the current i; order 0 divides by 2i instead
-    coeffs = [factorial(2 * i + k - 1) // factorial(2 * i) if k else 1 for k in range(k_max + 1)]
-    totals = [0] * (k_max + 1)
-    targets = [target] * (k_max + 1)
-    if not first:
-        # k = 0:  ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
-        # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
-        #                      + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
-        for k in orders:
-            if k == 0:
-                totals[0] = _fixed_log(w, -sh, scale) - (u >> 1)
-                continue
-            totals[k] = factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> 1)
-            lead, t_k = factorial(k - 1) << (k * sh), t**k  # (k-1)! t^-k = lead / t_k
-            if lead < t_k:
-                targets[k] = target * lead // t_k
-    prev = [inf] * (k_max + 1)
-    open_orders = list(orders)
-    powers = islice(_inverse_even_powers(w, sh, scale), i - 1, None)
-    while open_orders:
-        b = bernoulli(2 * i)
-        v, e = next(powers)
-        shared = b.numerator * v // b.denominator  # B_2i w^(-2i) at 2^e
-        still_open = []
-        for k in open_orders:
-            term = shared * coeffs[k] * upow[k] >> e
-            if k == 0:
-                term //= 2 * i
-                totals[0] -= term
+    start = max(first, 1)
+    powers = islice(_inverse_even_powers(w, sh, scale), start - 1, None)
+    shared = []  # B_2i w^(-2i) at 2^e, as (value, e), for i = start, start+1, ...
+    sums = [0] * (k_max + 1 - k_lo)
+    for k in range(k_max, k_lo - 1, -1):  # the highest order's terms grow first
+        if first:  # a tail: no leading terms, and its goal comes from its first term
+            total = goal = 0
+        elif k:
+            # (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
+            #              + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
+            total = factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> (lift + 1))
+            # (k-1)! t^-k = lead / t_k at 2^(k lift)
+            lead, t_k = factorial(k - 1) << (k * (sh + lift)), t**k
+            goal = target * min(lead, t_k << k * lift) // t_k
+        else:
+            # ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
+            total = _fixed_log(w, -sh, scale) - ((1 << (scale + sh - 1)) // w)
+            goal = target
+        # (2i+k-1)!/(2i)! times w^-k; order 0 divides by 2i instead
+        factor = upow[k] * (factorial(2 * start + k - 1) // factorial(2 * start) if k else 1)
+        prev = inf
+        for n, i in enumerate(count(start)):
+            if n == len(shared):
+                b = bernoulli(2 * i)
+                v, e = next(powers)
+                shared.append((b.numerator * v // b.denominator, e))
+            value, e = shared[n]
+            # the value cut to 8 bits below the product's last place costs
+            # under 2^-8 of a unit, and the width is order k's own
+            cut = e - factor.bit_length() - 8
+            term = (value >> cut) * factor >> (e - cut) if cut > 0 else value * factor >> e
+            if k:
+                total += term
+                factor = factor * ((2 * i + k + 1) * (2 * i + k)) // ((2 * i + 2) * (2 * i + 1))
             else:
-                totals[k] += term
-                coeffs[k] = coeffs[k] * (2 * i + k + 1) * (2 * i + k) // (
-                    (2 * i + 2) * (2 * i + 1)
-                )
+                term //= 2 * i
+                total -= term
             size = abs(term)
-            if size > prev[k]:
+            if size > prev:
                 return None  # terms growing before target met
             if i == first:
-                targets[k] = size * target >> scale
-            if size > targets[k]:
-                prev[k] = size
-                still_open.append(k)
-        open_orders = still_open
-        i += 1
-    return [totals[k] if k % 2 or k == 0 else -totals[k] for k in orders]
+                goal = size * target >> scale
+            if size <= goal:
+                break
+            prev = size
+        sums[k - k_lo] = -total if k and not k % 2 else total
+    return sums
 
 
 def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
@@ -296,7 +312,7 @@ def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int
         sums.append(_stirling_series(num, sh, scale - lift, 1 << (scale - lift - p0 + 8), first))
     if k_max >= 0:
         target = 1 << (scale - p0 + 8)
-        sums += _psi_series(k_max, num, num, sh, scale, target, max(k_lo, 0), first, lift) or [None]
+        sums += _psi_series(k_max, num, num, sh, scale, target, max(k_lo, 0), first) or [None]
     if None in sums:
         return None
     return [libmp.from_man_exp(x, -scale - k * lift) for k, x in zip(range(k_lo, k_max + 1), sums)]
@@ -318,12 +334,12 @@ def _shift_and_sum(
     Shifts t = num / 2^sh upward by 1 until ``series(w, sh, scale, target)``
     converges at the shifted point w / 2^sh, raising the shift target each
     time it does not, and returns ``(unshift(tail, num, sh, steps, scale),
-    scale)`` where ``steps`` = w - t and every value is an integer at
-    2^scale, scale = P0 + widen + orders * bitlen(floor w), target =
-    2^(8-P0).  A block passes orders = 0 and a widen from |log2 t|; ln
-    Gamma passes orders = 1.  ``widen`` bits do not tighten the series
-    target.  Raises PrecisionUnreachable once the extra shifts exceed
-    ``MAX_EXTRA_SHIFTS``.
+    scale)`` where ``steps`` = w - t, scale = P0 + widen + orders *
+    bitlen(floor w) and target = 2^(8-P0) at 2^scale.  A block passes
+    orders = 0 and widen = bitlen(floor t), and holds order k at 2^(scale +
+    k widen); ln Gamma passes orders = 1 and widen = |log2 t| for t < 1.
+    ``widen`` bits do not tighten the series target.  Raises
+    PrecisionUnreachable once the extra shifts exceed ``MAX_EXTRA_SHIFTS``.
     """
     p0 = PrecisionPolicy(working_bits).internal_bits(comp)
     num, sh = _exact(t)
@@ -370,35 +386,42 @@ def polygamma_block(
 @lru_cache(maxsize=4096)
 def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
     """psi^(k_lo)(t) .. psi^(k_max)(t)."""
+    num, orders, lift = _exact(tv)[0], range(k_lo, k_max + 1), int(tv).bit_length()
 
     def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
-        # sums over the shifted-through points of (t+j)^-(k+1), per order k
+        # sums over the shifted-through points t+1 .. w-1 of (t+j)^-(k+1)
+        # at 2^(scale + k lift), per order k: powers of 2^lift / (t+j)
+        base = scale - lift
         shift_sums = [0] * (k_max + 1)
-        for j in range(steps):
+        for j in range(1, steps):
             u = (1 << (scale + sh)) // (num + (j << sh))
             power = u
             for k in range(k_max + 1):
                 if k:
-                    power = power * u >> scale
+                    power = power * u >> base
                 if k >= k_lo:
                     shift_sums[k] += power
         results = []
-        for k, tail in zip(range(k_lo, k_max + 1), tails):
+        den = num**k_lo
+        for k, tail in zip(orders, tails):
+            den *= num
             jump = factorial(k) * shift_sums[k]
+            if steps:  # k!/t^(k+1) exactly, floored once
+                jump += (factorial(k) << (scale + k * lift + (k + 1) * sh)) // den
             results.append(tail + jump if k % 2 else tail - jump)
         return results
 
-    num = _exact(tv)[0]
     results, scale = _shift_and_sum(
         tv,
         working_bits,
-        *_magnitude_compensation(k_max, tv),
+        _magnitude_compensation(k_max, tv),
+        lift,
         0,
         lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target, k_lo),
         unshift,
         f"polygamma block up to order {k_max}",
     )
-    return tuple(_from_fixed(x, scale, working_bits) for x in results)
+    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in zip(orders, results))
 
 
 def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> int:
@@ -417,8 +440,8 @@ def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma."""
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "log_gamma")
-    comp = 6 + max(0, -mag_bits(tv))  # |ln t| grows only logarithmically
+    widen = max(0, -mag_bits(tv))  # the scale only: the series runs at w >= 10
     result, scale = _shift_and_sum(
-        tv, policy.working_bits, comp, 0, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
+        tv, policy.working_bits, 6, widen, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
     )
     return _from_fixed(result, scale, policy.working_bits)

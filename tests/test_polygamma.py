@@ -281,8 +281,9 @@ def test_shift_budget_exhaustion_raises(monkeypatch):
 
 @pytest.mark.parametrize("k_max", [1, 2, 3])
 def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
-    # the (k+1)|log2 t| compensation bits widen the scale only; were they
-    # to tighten the series target too, t = 1e-300 would shift 5-6 times
+    # at t < 1 the block adds the j = 0 recurrence term exactly and keeps
+    # the series target at 2^(8-P0); a target tightened by the (k+1)|log2 t|
+    # bits of that term would make t = 1e-300 shift 5-6 times
     polygamma_module._block.cache_clear()
     calls = []
     series = polygamma_module._psi_series
@@ -412,3 +413,71 @@ def test_conjecture_table_warm_equals_cold(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0]
+
+
+def test_log_gamma_tiny_t_needs_one_series_pass(monkeypatch):
+    # |log2 t| widens ln Gamma's scale only; were it to tighten the
+    # Stirling target too, t = 1e-300 would take three series passes
+    calls = []
+    series = polygamma_module._stirling_series
+
+    def counting(*args):
+        calls.append(args[0])
+        return series(*args)
+
+    monkeypatch.setattr(polygamma_module, "_stirling_series", counting)
+    log_gamma("1e-300", POLICY)
+    assert len(calls) == 1
+
+
+def test_block_accuracy_down_to_tiny_t():
+    # a seeded sample of t = 10^u, u in [-300, 2.3], against mpmath: order k
+    # is psi^(k)(t+1) at 3 bits + 400 bits plus the recurrence term
+    # -(-1)^k k!/t^(k+1), exact at the value's magnitude on top of that, so
+    # the reference is absolute even where psi^(k)(t) has thousands of bits
+    # above 1.  The contract: absolute error below 2^(GUARD_BITS - bits),
+    # and for k >= 1 also relative to the value.
+    rng = random.Random("tiny-t-block")
+    for _ in range(30):
+        bits = rng.choice((53, 64, 128, 512, 1024))
+        k_max = rng.randint(0, 24)
+        k_lo = rng.randint(0, k_max)
+        u = rng.uniform(-300, 2.3)
+        tv = as_mpf(f"{10 ** (u % 1):.15f}e{int(u // 1)}", bits + 32)
+        block = polygamma_block(k_max, tv, PrecisionPolicy(working_bits=bits), k_lo=k_lo)
+        bound = mp.mpf(2) ** (GUARD_BITS - bits)
+        for k in range(k_lo, k_max + 1):
+            with mp.workprec(3 * bits + 400):
+                shifted = mp.psi(k, tv + 1)
+            term_bits = max(0, int(mp.mag(mp.factorial(k) / tv ** (k + 1))))
+            with mp.workprec(3 * bits + 400 + term_bits):
+                expected = shifted - (-1) ** k * mp.factorial(k) / tv ** (k + 1)
+                err = abs(block[k] - expected)
+                assert err <= bound, (bits, k_lo, k_max, tv, k)
+                assert k == 0 or err <= bound * abs(expected), (bits, k_lo, k_max, tv, k)
+
+
+def test_order_200_block_against_mpmath(monkeypatch):
+    # the high-order block of deg[Q]'s upper end (cm_check of Q at r =
+    # 4.745, max_order 200, at t ~ 30.98): the orders against mpmath at 3000
+    # bits, and a series scale that no longer carries bitlen(200!) ~ 1250
+    # bits of compensation, which the recurrence terms k!/t^(k+1) at t ~ 31
+    # do not need
+    clear_memos()
+    scales = []
+    series = polygamma_module._psi_series
+
+    def spying(*args):
+        scales.append(args[4])
+        return series(*args)
+
+    monkeypatch.setattr(polygamma_module, "_psi_series", spying)
+    tv = as_mpf("30.98", POLICY.internal_bits())
+    block = polygamma_block(200, tv, POLICY)
+    assert scales and max(scales) < factorial(200).bit_length()
+    bound = POLICY.abs_error_target
+    with mp.workprec(3000):
+        for k in (0, 1, 12, 100, 200):
+            expected = mp.psi(k, tv)
+            err = abs(block[k] - expected)
+            assert err <= bound and (k == 0 or err <= bound * abs(expected)), k
