@@ -71,6 +71,11 @@ def _real(x, bits: int) -> dict:
     d = _digits(bits)
     if not isinstance(x, mp.mpf):
         x = as_mpf(x, bits + 16)  # never re-round an already-computed value
+    # a value may carry tens of thousands of mantissa bits (a large phi^(i)
+    # keeps every bit above 2^-working_bits), more than Python converts to
+    # a decimal string; 4 d + 64 bits hold the d printed digits
+    with mp.workprec(4 * d + 64):
+        x = +x
     return {"decimal": mp.nstr(x, d), "digits": d}
 
 

@@ -22,13 +22,22 @@ are read; the few violation entries are rounded at once.
 
 Every scan of one public call reads phi^(0..max_order)(t) from one scope,
 which evaluates its cells once per (t, policy) and aligns each row once.
-``cm_check`` and ``degree_bracket`` scope their own member, with the bits of
-``phi_derivatives``; ``conjecture_scan`` scopes its table at the largest
-large-t elevation among the cells, so below the polygamma shift target a
-cell's phi^(i) can differ from its standalone bits in the last places, far
-inside the guard band.  From the shift target on, a cell's row is its
-Bernoulli tail, which has the standalone bits unless some cell's tail
-falls back to the assembly.
+Each phi_{n,j} is its own shifted Bernoulli tail, so a cell's row has the
+bits of ``phi_derivatives`` in every scope: ``cm_check`` and
+``degree_bracket`` scope their own member, ``conjecture_scan`` its table.
+
+The passing exponents at a point are closed downward.  For a > 0 the
+product rule gives
+
+    (-1)^k (t^(r-a) phi)^(k) = sum_j C(k,j) a(a+1)...(a+j-1) t^(-a-j)
+                               (-1)^(k-j) (t^r phi)^(k-j),
+
+a sum of nonnegative multiples of the orders 0..k for r.  So if orders
+0..K pass at t for r, they pass there for every r - a: at each t the
+passing exponents form an interval (-inf, d_t], and a scan's grid degree
+is the smallest d_t.  The lattice bisection of ``degree_bracket`` rests on
+this: a passing scan at r is taken to vouch for every lattice point below
+r, and a violation at r for every point above it.
 
 A grid-and-finite-order scan can only furnish evidence, never proof: a
 clean sign violation certifies that t^r phi is *not* CM (so the degree

@@ -12,17 +12,11 @@ The algorithm is the classical shift-and-series scheme:
 ``polygamma_block`` evaluates every order 0..k_max at one point: the shift
 is shared, and each B_2i / w^(2i) is formed once and serves the series of
 all orders, scaled per order by an integer and a power of 1/w.
-``polygamma(k)`` is order k of a block.  A block from a low order k_lo
-(``polygamma_block(..., k_lo=)``) leaves the orders below it out of the
-series and out of the unshift's sums; its unshift still forms every power
-of 1/(t+j) up to k_max+1.  Every other step is the full block's, so each
-order it returns has the full block's bits as long as no skipped order
-alone would have forced a further shift.  The low orders' terms shrink
-fastest, so they do not force one: a seeded sample of (k_lo, k_max, t,
-working_bits) finds no case.
+``polygamma(k)`` is order k of a block.  ``_series_tail`` evaluates, for
+``cmdeg.remainders``, the series' remainders after their first terms.
 
-Both run through one shift loop, ``_shift_and_sum``; each supplies its
-own series and its own way of undoing the shift.
+All three run through one shift loop, ``_shift_and_sum``; each supplies
+its own series and its own way of undoing the shift.
 
 Fixed-point arithmetic.  The shift loop, both series and both unshifts run
 on plain Python integers; mpmath only supplies the logarithms and the final
@@ -80,36 +74,35 @@ representation and the reasons for each part:
   value, not one per shift.
 
 Blocks are memoised per process on exactly what the computation reads:
-(k_lo, k_max, t, working_bits).  A smaller k_max is never served from a
-prefix of a larger block: the internal precision and the shift both depend
-on k_max, so the low orders of a larger block can differ in the last bits
-from a block computed for them.  ln Gamma values are not memoised: a derivative
-scope asks for one per (t, policy), so a memo of them would only miss.
+(k_max, t, working_bits).  A smaller k_max is never served from a prefix
+of a larger block: the internal precision and the shift both depend on
+k_max, so the low orders of a larger block can differ in the last bits
+from a block computed for them.  ln Gamma values are not memoised: a
+derivative scope asks for one per (t, policy), so a memo of them would
+only miss.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
 achieved bound and shifts further when a high derivative order requires it.
 
-Series tails.  At t past the shift target, ``_series_tail`` sums only the
-Bernoulli terms i >= first of the series of ln Gamma and psi^(k) at t,
-without their leading terms: the remainders that ``cmdeg.remainders``
-needs.  It runs the same two series loops with a first index.  Order k is
-held at scale P0 + (2 first + k) bitlen(floor t), with P0 = working_bits +
-PAD_BITS: its first term, of size t^-(2 first + k), keeps P0 bits.  The
-powers of 1/t carry the k bitlen(floor t) part, as (2^bitlen(floor t) /
-t)^k.  Each order stops at its first term below 2^(8-P0) times its first
-term, so every tail is accurate relative to its value.  The scale and the
-stopping rule of an order depend only on (first, k, t, working_bits), so
-the other orders of a call do not change its bits.  A tail returns None
-when a term grows before its target: the caller then uses a shifted block.
+Series tails.  ``_series_tail`` evaluates, at every t > 0, the remainders
+R_k of the series of ln Gamma and psi^(k) after their leading terms and
+first - 1 Bernoulli terms, as ``cmdeg.remainders`` needs them.  It shifts
+the remainder itself: the two series loops from index ``first`` sum R_k(w)
+at w = t + N, and the recurrence and the explicit terms of the series'
+head at t and at w undo the shift.  Order k is held at scale P0 + (2 first
++ k) bitlen(floor w), where the first term of its tail keeps P0 =
+working_bits + PAD_BITS bits; its bits depend only on (first, k, t,
+working_bits).  From the shift target on, N = 0.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import factorial, inf
+from math import factorial, inf, lcm
 
 import mpmath as mp
 from mpmath import libmp
@@ -179,6 +172,7 @@ def _psi_series(
     target: int,
     k_lo: int = 0,
     first: int = 0,
+    floors: list[int] | None = None,
 ) -> list[int] | None:
     """Asymptotic series for psi^(k_lo)(w) .. psi^(k_max)(w) at large w =
     w / 2^sh; t / 2^sh is the unshifted argument.  Order k is an integer at
@@ -195,7 +189,8 @@ def _psi_series(
 
     With ``first`` >= 1 only the series' tail is summed: the terms
     i >= first, without the leading terms.  Order k then stops at its first
-    term below target / 2^scale times the first of its terms.
+    term below target / 2^scale times the first of its terms, or times
+    ``floors[k - k_lo]`` if that is larger.
     """
     lift = (t >> sh).bit_length()
     u = (1 << (scale + sh + lift)) // w
@@ -243,7 +238,7 @@ def _psi_series(
             if size > prev:
                 return None  # terms growing before target met
             if i == first:
-                goal = size * target >> scale
+                goal = max(size, floors[k - k_lo] if floors else 0) * target >> scale
             if size <= goal:
                 break
             prev = size
@@ -259,12 +254,15 @@ def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
     return mp.make_mpf(libmp.from_man_exp(x, -scale, prec, libmp.round_nearest))
 
 
-def _stirling_series(w: int, sh: int, scale: int, target: int, first: int = 0) -> int | None:
+def _stirling_series(
+    w: int, sh: int, scale: int, target: int, first: int = 0, floor: int = 0
+) -> int | None:
     """Stirling series for ln Gamma(w) at large w = w / 2^sh, as an integer
     at 2^scale, truncated at its smallest term.  Returns None as soon as
     the terms grow before reaching ``target`` (caller must shift further).
     With ``first`` >= 1 only its tail, as in ``_psi_series``: the terms
-    i >= first, down to target / 2^scale times the first of them."""
+    i >= first, down to target / 2^scale times the first of them or
+    ``floor``, whichever is larger."""
     total = 0
     if not first:
         half_log_2pi = libmp.to_fixed(
@@ -285,37 +283,11 @@ def _stirling_series(w: int, sh: int, scale: int, target: int, first: int = 0) -
             return None
         total += term
         if i == first:
-            target = abs(term) * target >> scale
+            target = max(abs(term), floor) * target >> scale
         if abs(term) <= target:
             return total
         prev = abs(term)
         i += 1
-
-
-def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list | None:
-    """The terms i >= first of the asymptotic series of ln Gamma (order
-    k = -1) and of psi^(k) at t itself, for k = k_lo..k_max, without their
-    leading terms: each series' remainder after first - 1 Bernoulli terms.
-
-    No shift, so t must be large (at least ``_shift_target``).  Order k is
-    held at scale p0 + (2 first + k) bitlen(floor t), where its first term
-    ~ t^-(2 first + k) still has p0 = working_bits + PAD_BITS bits, and is
-    returned exactly as a raw mpf tuple, accurate relative to its value.
-    None when some order's terms grow before its target.
-    """
-    p0 = PrecisionPolicy(working_bits).internal_bits()
-    num, sh = _exact(t)
-    lift = (num >> sh).bit_length()
-    scale = p0 + 2 * first * lift
-    sums = []
-    if k_lo < 0:
-        sums.append(_stirling_series(num, sh, scale - lift, 1 << (scale - lift - p0 + 8), first))
-    if k_max >= 0:
-        target = 1 << (scale - p0 + 8)
-        sums += _psi_series(k_max, num, num, sh, scale, target, max(k_lo, 0), first) or [None]
-    if None in sums:
-        return None
-    return [libmp.from_man_exp(x, -scale - k * lift) for k, x in zip(range(k_lo, k_max + 1), sums)]
 
 
 def _shift_and_sum(
@@ -337,9 +309,10 @@ def _shift_and_sum(
     scale)`` where ``steps`` = w - t, scale = P0 + widen + orders *
     bitlen(floor w) and target = 2^(8-P0) at 2^scale.  A block passes
     orders = 0 and widen = bitlen(floor t), and holds order k at 2^(scale +
-    k widen); ln Gamma passes orders = 1 and widen = |log2 t| for t < 1.
-    ``widen`` bits do not tighten the series target.  Raises
-    PrecisionUnreachable once the extra shifts exceed ``MAX_EXTRA_SHIFTS``.
+    k widen); ln Gamma passes orders = 1 and widen = |log2 t| for t < 1; a
+    series tail passes orders = 2 first and widen = 0.  ``widen`` bits do
+    not tighten the series target.  Raises PrecisionUnreachable once the
+    extra shifts exceed ``MAX_EXTRA_SHIFTS``.
     """
     p0 = PrecisionPolicy(working_bits).internal_bits(comp)
     num, sh = _exact(t)
@@ -370,43 +343,43 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     return polygamma_block(as_index(k, "derivative order"), t, policy)[k]
 
 
-def polygamma_block(
-    k_max: int, t, policy: PrecisionPolicy | None = None, *, k_lo: int = 0
-) -> list[mp.mpf]:
+def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
     """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
-    series pass, under the accuracy contract of :func:`polygamma`.  The
-    orders below ``k_lo`` are not evaluated: their entries are None."""
+    series pass, under the accuracy contract of :func:`polygamma`."""
     as_index(k_max, "k_max")
-    as_index(k_lo, "k_lo", 0, k_max)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "polygamma")
-    return [None] * k_lo + list(_block(k_lo, k_max, tv, policy.working_bits))
+    return list(_block(k_max, tv, policy.working_bits))
+
+
+def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int) -> list[int]:
+    """sum_{j=1}^{steps-1} (t+j)^-(k+1) for k = 0..k_max, t = num / 2^sh,
+    order k at 2^(scale + k lift): powers of 2^lift / (t+j), each (t+j) >= 1."""
+    base = scale - lift
+    sums = [0] * (k_max + 1)
+    for j in range(1, steps):
+        u = (1 << (scale + sh)) // (num + (j << sh))
+        power = u
+        sums[0] += u
+        for k in range(1, k_max + 1):
+            power = power * u >> base
+            sums[k] += power
+    return sums
 
 
 @lru_cache(maxsize=4096)
-def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
-    """psi^(k_lo)(t) .. psi^(k_max)(t)."""
-    num, orders, lift = _exact(tv)[0], range(k_lo, k_max + 1), int(tv).bit_length()
+def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
+    """psi^(0)(t) .. psi^(k_max)(t)."""
+    num, lift = _exact(tv)[0], int(tv).bit_length()
 
     def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
-        # sums over the shifted-through points t+1 .. w-1 of (t+j)^-(k+1)
-        # at 2^(scale + k lift), per order k: powers of 2^lift / (t+j)
-        base = scale - lift
-        shift_sums = [0] * (k_max + 1)
-        for j in range(1, steps):
-            u = (1 << (scale + sh)) // (num + (j << sh))
-            power = u
-            for k in range(k_max + 1):
-                if k:
-                    power = power * u >> base
-                if k >= k_lo:
-                    shift_sums[k] += power
-        results = []
-        den = num**k_lo
-        for k, tail in zip(orders, tails):
+        # the shifted-through points t+1 .. w-1, and k!/t^(k+1) exactly, floored once
+        sums = _power_sums(num, sh, steps, k_max, scale, lift)
+        results, den = [], 1
+        for k, tail in enumerate(tails):
             den *= num
-            jump = factorial(k) * shift_sums[k]
-            if steps:  # k!/t^(k+1) exactly, floored once
+            jump = factorial(k) * sums[k]
+            if steps:
                 jump += (factorial(k) << (scale + k * lift + (k + 1) * sh)) // den
             results.append(tail + jump if k % 2 else tail - jump)
         return results
@@ -417,11 +390,11 @@ def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf
         _magnitude_compensation(k_max, tv),
         lift,
         0,
-        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target, k_lo),
+        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target),
         unshift,
         f"polygamma block up to order {k_max}",
     )
-    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in zip(orders, results))
+    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in enumerate(results))
 
 
 def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> int:
@@ -445,3 +418,125 @@ def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
         tv, policy.working_bits, 6, widen, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
     )
     return _from_fixed(result, scale, policy.working_bits)
+
+
+@lru_cache(maxsize=None)
+def _head(first: int, k: int) -> tuple:
+    """The head of the series of order k (k = -1: ln Gamma) before term
+    ``first``, without its logarithms and with (-1)^(k+1) factored out:
+    terms c x^-p, namely (k-1)! x^-k (k >= 1), k!/2 x^-(k+1) (k >= 0) and
+    B_2i (2i+k-1)!/(2i)! x^-(2i+k), 1 <= i < first.  As (D, at_w, at_t) over
+    a common denominator D, each ((p, c D), ...) with p ascending: at_w the
+    terms, at_t their negatives plus the recurrence term k!/t^(k+1)."""
+    terms = {k + 1: Fraction(factorial(k), 2)} if k >= 0 else {}
+    if k >= 1:
+        terms[k] = Fraction(factorial(k - 1))
+    for i in range(1, first):
+        terms[2 * i + k] = bernoulli(2 * i) * Fraction(factorial(2 * i + k - 1), factorial(2 * i))
+    den = lcm(*(c.denominator for c in terms.values()))
+    at_w = {p: int(c * den) for p, c in terms.items()}
+    at_t = {p: -c for p, c in at_w.items()}
+    if k >= 0:
+        at_t[k + 1] += factorial(k) * den
+    return den, tuple(sorted(at_w.items())), tuple(sorted(at_t.items()))
+
+
+def _inverse_polynomial(den: int, terms, powers: list[int], sh: int, scale: int) -> int:
+    """sum_p (c_p / den) (x / 2^sh)^-p at 2^scale for ``terms`` ((p, c_p),
+    ...), p ascending, and ``powers`` [1, x, x^2, ...]: one exact rational
+    over den x^top, floored once."""
+    top = terms[-1][0] if terms else 0
+    acc = sum((c * powers[top - p]) << (p * sh) for p, c in terms)
+    return (acc << scale) // (den * powers[top])
+
+
+#: The tails of cmdeg.remainders (first <= PHI_N_MAX + 1 = 9) read the
+#: recurrence's part of their corrections from one pass at this term's scale.
+_SHARED_FIRST = 9
+
+
+@lru_cache(maxsize=64)
+def _recurrence(
+    num: int, sh: int, steps: int, k_lo: int, k_max: int, scale: int, lift: int
+) -> tuple:
+    """The part of each order's correction that no head term carries, for
+    t = num / 2^sh shifted by ``steps`` to w, order k at 2^(scale + k lift):
+    k! sum_{l=1}^{N-1} (t+l)^-(k+1) for k >= 0, plus ln(t/w) for k = 0;
+    -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t - (w - 1/2) ln w + N] for
+    k = -1.  Each order's value depends only on its own k."""
+    w = num + (steps << sh)
+    sums = _power_sums(num, sh, steps, k_max, scale, lift) if k_max >= 0 else ()
+    if k_lo <= 0:  # 2 bits finer than order 0, 2 + lift finer than order -1
+        log_t, log_w = _fixed_log(num, -sh, scale + 2), _fixed_log(w, -sh, scale + 2)
+    out = []
+    for k in range(k_lo, k_max + 1):
+        if k < 0:
+            logs = (2 * num - (1 << sh)) * log_t - (2 * w - (1 << sh)) * log_w >> (sh + 3 + lift)
+            s = scale - lift
+            out.append(_unshift_log_gamma(0, num, sh, steps, s) - logs - (steps << s))
+        else:
+            out.append(factorial(k) * sums[k] + ((log_t - log_w) >> 2 if k == 0 else 0))
+    return tuple(out)
+
+
+def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list:
+    """R_k(t), the terms i >= first of the asymptotic series of ln Gamma
+    (order k = -1) and of psi^(k), k = k_lo..k_max, as raw mpf tuples
+    accurate relative to their values.  The tails are summed at w = t + N
+    and the shift is undone by
+
+        R_k(t) = R_k(w) + (-1)^(k+1) [k! sum_{l<N} (t+l)^-(k+1)
+                                      - sum_p c_p (t^-p - w^-p) - logs],
+
+    with c_p from ``_head``, logs ln(w/t) for k = 0, and for k = -1 the sum
+    ln(t (t+1) ... (w-1)) and logs (t - 1/2) ln t - (w - 1/2) ln w + N
+    (DLMF 5.5.2, 5.11.1).  The bracket, at each order's scale, comes first:
+    the remainders are completely monotonic, so |R_k(t)| is at least
+    |R_k(w)| and at least the bracket, and order k's series stops at its
+    first term below 2^(8-P0) times the larger of its first term and the
+    bracket capped at 1.  Each value is rounded once, keeping the bits of
+    its tail plus 8 and every bit above 2^(-8-P0), for the absolute
+    contract; the power sums hold about P0 + 18 bitlen(floor w) bits
+    relative to k! sum (t+l)^-(k+1), which bounds the absolute accuracy of
+    a large value at high k near t = 1.  At N = 0 it is the tail, exactly.
+    The recurrence's part is formed at the scale of term ``_SHARED_FIRST``
+    and memoised, so the tails of several first terms at one t share it.
+    """
+    num, orders = _exact(t)[0], range(k_lo, k_max + 1)
+
+    def series(w: int, sh: int, scale: int, target: int) -> list | None:
+        lift, steps, jumps = (w >> sh).bit_length(), (w - num) >> sh, [0] * len(orders)
+        if steps:
+            shared = scale + 2 * (max(first, _SHARED_FIRST) - first) * lift
+            rest = _recurrence(num, sh, steps, k_lo, k_max, shared, lift)
+            w_powers, t_powers = [1], [1]
+            for _ in range(2 * first + k_max):
+                w_powers.append(w_powers[-1] * w)
+                t_powers.append(t_powers[-1] * num)
+            for i, (k, r) in enumerate(zip(orders, rest)):
+                s, (den, at_w, at_t) = scale + k * lift, _head(first, k)
+                jumps[i] = r >> (shared - scale)
+                jumps[i] += _inverse_polynomial(den, at_w, w_powers, sh, s)
+                jumps[i] += _inverse_polynomial(den, at_t, t_powers, sh, s)
+        floors = [min(abs(j), 1 << (scale + k * lift)) for k, j in zip(orders, jumps)]
+        tails = []
+        if k_lo < 0:
+            tails.append(_stirling_series(w, sh, scale - lift, target >> lift, first, floors[0]))
+        if k_max >= 0:
+            low = max(k_lo, 0)
+            psi = _psi_series(k_max, w, w, sh, scale, target, low, first, floors[low - k_lo :])
+            tails += psi or [None]
+        return None if None in tails else list(zip(tails, jumps))
+
+    def unshift(pairs: list, num: int, sh: int, steps: int, scale: int) -> list:
+        lift = ((num >> sh) + steps).bit_length()
+        values = []
+        for k, (tail, jump) in zip(orders, pairs):
+            x, s = tail + jump if k % 2 else tail - jump, scale + k * lift
+            p0_bits = x.bit_length() - s + scale - 2 * first * lift  # the bits above 2^-P0
+            prec = max(tail.bit_length(), p0_bits) + 8
+            values.append(libmp.from_man_exp(x, -s, prec, libmp.round_nearest))
+        return values
+
+    what = f"series tail from term {first}"
+    return _shift_and_sum(t, working_bits, 0, 0, 2 * first, series, unshift, what)[0]

@@ -9,6 +9,7 @@ expansion coefficients against their published exact values.
 
 import hashlib
 import json
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -121,6 +122,19 @@ def test_eval_large_t_high_derivative_golden(capsys):
         ["eval", "--special", "Q", "--t", "1e6", "--derivative", "7", "--prec", "64"], capsys
     )
     assert record["value"] == {"decimal": "-2.0591999999891892e-79", "digits": 21}
+
+
+def test_eval_prints_a_value_too_long_for_str(capsys):
+    # phi_{3,5}^(20) = phi_{3,25} at t = 1e-300 keeps every bit above
+    # 2^-1064 of a value near 10^9026, some 31,000 mantissa bits: more than
+    # Python's 4,300-digit int-to-str limit, so the CLI rounds it to the
+    # printed digits first.  The value is the B_6 term of the Stirling sum
+    # differentiated 25 times, 29!/30240 t^-30; every other term is 10^-300
+    # times smaller
+    argv = ["eval", "--spec", "3,5", "--t", "1e-300", "--derivative", "20", "--prec", "1024"]
+    record = run_json(argv, capsys)
+    assert factorial(29) // 30240 == 292386309316789085798400000
+    assert record["value"] == {"decimal": "2.923863093167890857984e+9026", "digits": 310}
 
 
 def test_eval_csv_lists_all_derivative_orders(capsys):
@@ -315,12 +329,13 @@ def test_cmcheck_csv_has_one_row_per_grid_point_and_order(capsys):
     assert len(lines) == 1 + 10 * 5
 
 
-# sha256 of a `cmcheck` CSV that prints every (t, k) value row, recorded
-# while the report still rounded each value when it was built: values
-# rounded only when read must print the same bytes
+# sha256 of a `cmcheck` CSV that prints every (t, k) value row: values
+# rounded only when read print the bytes of values rounded when built.
+# Re-recorded when each phi_{n,j} became its shifted Bernoulli tail: 30
+# rows at t < 0.8 moved in their last digits, each toward its 512-bit value
 CMCHECK_CSV_ARGV = ["cmcheck", "--spec", "0,3", "--r", "3", "--max-order", "12",
                     "--grid", "log:1e-3:1e4:30", "--format", "csv"]  # fmt: skip
-CMCHECK_CSV_DIGEST = "07a08c62ff595d74065c6813f6201c492d94883e70d406e7eb6ee684f36e4946"
+CMCHECK_CSV_DIGEST = "5860b6d890019c7285313883fbb589daaa79953fd4872eae16536f3c71428195"
 
 
 def test_cmcheck_csv_golden_bytes(capsys):

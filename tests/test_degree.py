@@ -914,3 +914,41 @@ def test_t_to_the_19_over_4_times_q_is_not_cm():
     ]
     assert all(v < 0 for v in values)
     assert [mp.nstr(v, 9) for v in values] == ["-1.37244007e+31"] * 2
+
+
+@pytest.mark.parametrize("t", ["0.05", 1, 30])
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1), Fraction(3)])
+def test_passing_exponents_are_closed_downward_at_each_point(t, a):
+    # (-1)^k (t^(r-a) phi)^(k) = sum_j C(k,j) a(a+1)...(a+j-1) t^(-a-j)
+    #                            (-1)^(k-j) (t^r phi)^(k-j),
+    # the product rule for t^-a (t^r phi): the orders for r - a are
+    # nonnegative combinations of those for r, so if orders 0..K pass at t
+    # for r they pass for r - a, as degree_bracket's bisection assumes.
+    # Q passes at r = 4; phi(0,3) does not, and still obeys the identity
+    r, top = 4, 8
+    tv = as_mpf(t, POLICY.internal_bits())
+    for spec in (Q, PHI03):
+        at_r = [signed_derivative(spec, r, k, tv, POLICY) for k in range(top + 1)]
+        below = [signed_derivative(spec, r - a, k, tv, POLICY) for k in range(top + 1)]
+        with mp.workprec(4 * POLICY.working_bits):
+            av = mp.mpf(a.numerator) / a.denominator
+            for k in range(top + 1):
+                combined = sum(
+                    comb(k, j) * mp.rf(av, j) * tv ** (-av - j) * at_r[k - j] for j in range(k + 1)
+                )
+                assert abs(combined - below[k]) <= 2**-100 * max(1, abs(below[k])), (spec, k)
+        if spec == Q:
+            assert all(v > 0 for v in at_r) and all(v > 0 for v in below)
+
+
+def test_q_order_200_scan_pins_its_degree_below_4_745():
+    # ROADMAP item 4(a): at order 200 on log:24:40:3 every t lies below the
+    # shift target at 128 bits, and t^(949/200) Q is not CM (orders 192..200
+    # fail at t ~ 30.98), while r = 237/50 = 4.74 passes every order
+    grid = Grid.parse("log:24:40:3")
+    rep = cm_check(Q, Fraction(949, 200), 200, grid, POLICY)
+    assert rep.verdict == "violation"
+    assert [k for _, k, _ in rep.violations] == list(range(192, 201))
+    assert len({t for t, _, _ in rep.violations}) == 1
+    assert 30 < rep.violations[0][0] < 31 and not rep.inconclusive
+    assert cm_check(Q, Fraction(237, 50), 200, grid, POLICY).verdict == "pass"

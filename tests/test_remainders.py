@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import random
 from fractions import Fraction
-from math import lcm
 
 import mpmath as mp
 import pytest
@@ -29,7 +28,6 @@ from cmdeg import (
     log_gamma,
     phi_derivatives,
     pole_order,
-    polygamma_block,
     q_value,
 )
 
@@ -140,7 +138,6 @@ def test_form_for_hands_out_a_copy():
     form.psi.clear()
     form.powers.clear()
     form.loggamma = Fraction(7)
-    remainders_module._phi_terms.cache_clear()  # the terms are read from the form again
     assert [v._mpf_ for v in phi_derivatives(spec, 2, 0, POLICY)] == before
     assert form_for(spec) == reference_phi_form(1, 1)
 
@@ -202,14 +199,15 @@ def _golden_digest(cases):
 
 
 def test_phi_derivatives_golden_bits_assembly():
-    # pins every value below the shift target, at 128, 256 and 512 bits;
-    # re-recorded when the assembly became one exact sum rounded once
+    # pins every value below the shift target, at 128, 256 and 512 bits,
+    # where each phi_{n,j} is its Bernoulli tail shifted past the target
+    # and back
     ts = (Fraction(1, 1000), "0.37", 2, "37.5")
     cases = [(n, m, t, 128) for n in range(PHI_N_MAX + 1) for m in range(PHI_M_MAX + 1) for t in ts]
     cases += [(n, m, "0.37", bits) for n, m in ((0, 0), (2, 2), (8, 6)) for bits in (256, 512)]
     assert all(as_mpf(t, 53) < polygamma_module._shift_target(bits) for _, _, t, bits in cases)
     assert _golden_digest(cases) == (
-        "aa8a0c062df45be978620eef16734f70ff572058b20fc4c770ac46f4aa6f0c24"
+        "dba3b1892f737951705c84578d22710501649464887b10edc5ae4c57374e9446"
     )
 
 
@@ -221,75 +219,6 @@ def test_phi_derivatives_golden_bits_tail():
     assert _golden_digest(cases) == (
         "ebb197ba85221f3b30d3f831f943b7ab065048626aa2516435b1e248849d25ee"
     )
-
-
-def _mpf_pieces_for(forms, tv, policy):
-    """Reference for the elementary pieces: mpf arithmetic under workprec."""
-    pieces = {"const": mp.mpf(1)}
-    psi_orders = sorted({i for f in forms for i in f.psi})
-    if psi_orders:
-        block = polygamma_block(psi_orders[-1], tv, policy)
-        for i in psi_orders:
-            pieces[("psi", i)] = block[i]
-    if any(f.loggamma for f in forms):
-        pieces["loggamma"] = log_gamma(tv, policy)
-    with mp.workprec(policy.internal_bits(abs(int(mp.mag(tv))) + 8)):
-        for p in sorted({p for f in forms for p in f.powers}):
-            pieces[("pow", p)] = tv**p
-        lt = mp.log(tv)
-        pieces["log"] = lt
-        pieces["tlog"] = tv * lt
-        pieces["log2pi"] = mp.log(2 * mp.pi)
-    return pieces
-
-
-def _exact(raw):
-    """A raw mpf tuple as an exact Fraction."""
-    sign, man, exp, _ = raw
-    return (-1) ** sign * man * Fraction(2) ** exp
-
-
-def _fraction_assemble(form, pieces, base_bits):
-    """Reference for the assembly: sum c * piece exactly in Fraction (the
-    pieces given as Fractions), rounded to nearest once at base_bits + 32
-    plus the bits of the largest term, bounded with the common denominator
-    D as |c * piece| < 2^(bits(c * D * piece) - bits(D) + 1)."""
-    terms = list(remainders_module._iter_terms(form))
-    products = [c * pieces[key] for c, key in terms]
-    den = lcm(*(c.denominator for c, _ in terms))
-
-    def bits(x):  # |x| < 2^bits(x) <= 2|x| for a dyadic x != 0
-        x = abs(x)
-        return x.numerator.bit_length() - x.denominator.bit_length() + 1 if x else 0
-
-    top = max(bits(p * den) for p in products) - den.bit_length() + 1
-    total = sum(products)
-    prec = base_bits + 32 + max(0, top)
-    return mp.libmp.from_rational(total.numerator, total.denominator, prec, mp.libmp.round_nearest)
-
-
-@pytest.mark.parametrize("bits", [64, 128, 512])
-def test_assembly_is_the_exact_sum_rounded_once(bits):
-    # the raw-tuple pieces are the bits mpf arithmetic gives, and every
-    # assembled value is their exact rational combination rounded once,
-    # with no tolerance
-    policy = PrecisionPolicy(bits)
-    for t in ("1e-12", "1e-3", "0.37", "2", "37.5", "9000", "1e8"):
-        tv = as_mpf(t, policy.internal_bits())
-        for n in range(PHI_N_MAX + 1):
-            for m in range(PHI_M_MAX + 1):
-                forms = [remainders_module._phi_form(n, m + i) for i in range(13)]
-                pol = remainders_module._elevated(policy, forms[0].cancel_gap, int(mp.mag(tv)))
-                pieces = remainders_module._pieces_for(forms, tv, pol)
-                reference = _mpf_pieces_for(forms, tv, pol)
-                for key, piece in pieces.items():
-                    assert piece[:3] == reference[key]._mpf_[:3], (t, n, m, key)
-                # the assembly path itself, also where phi_derivatives takes the tail
-                values = remainders_module._assembled({(n, m): 12}, tv, policy)
-                exact = {key: _exact(piece) for key, piece in pieces.items()}
-                for i, form in enumerate(forms):
-                    ref = _fraction_assemble(form, exact, pol.working_bits)
-                    assert values[n, m + i][:3] == ref[:3], (t, n, m, i)
 
 
 def _oracle_value(form, tv, lg, psi, lt, l2pi):
@@ -334,25 +263,24 @@ def test_family_relative_accuracy_against_mpmath():
 @pytest.mark.parametrize("bits", [64, 128, 512])
 @pytest.mark.parametrize("n", [0, 8])
 def test_tail_agrees_with_assembly_at_the_threshold(n, bits):
-    # phi_{n,0..18} by the tail and by the elevated assembly, just below
-    # and just above the threshold; at 64 bits the n = 8 tail cannot reach
-    # order 18 at t ~ 22 and falls back, but reaches order 12
+    # phi_{n,0..18} by the shifted tail just below and just above the
+    # threshold, against the member's elementary form assembled by mpmath
+    # (lnGamma, psi and logs at working_bits + 200 bits beyond the form's
+    # cancellation); at 64 bits and t0 +- 1/3 the n = 8 tail at w = 22 grows
+    # before order 18's target and shifts on to w = 44
     policy = PrecisionPolicy(bits)
     bound = mp.mpf(2) ** (precision_module.GUARD_BITS - bits)
-    for delta in (Fraction(-1, 1000), Fraction(1, 3)):
+    for delta in (Fraction(-1, 3), Fraction(-1, 1000), Fraction(1, 3)):
         tv = as_mpf(polygamma_module._shift_target(bits) + delta, policy.internal_bits())
-        cells = {(n, 0): 18}
-        tails = remainders_module._tails(cells, tv, policy)
-        if tails is None:
-            assert (bits, n) == (64, 8), delta
-            cells = {(n, 0): 12}
-            tails = remainders_module._tails(cells, tv, policy)
-        assembled = remainders_module._assembled(cells, tv, policy)
-        assert tails.keys() == assembled.keys()
-        with mp.workprec(4 * bits):
-            for nj, v in tails.items():
-                got, want = mp.make_mpf(v), mp.make_mpf(assembled[nj])
-                assert abs(got - want) <= bound * abs(want), (delta, nj)
+        row = phi_derivatives(RemainderSpec(n=n, m=0), tv, 18, policy)
+        form = form_for(RemainderSpec(n=n, m=0))
+        with mp.workprec(bits + 200 + (2 * n + 22) * int(mp.mag(tv))):
+            pieces = mp.loggamma(tv), [mp.psi(k, tv) for k in range(18)], mp.log(tv)
+            pieces += (mp.log(2 * mp.pi),)
+            for i, got in enumerate(row):
+                want = _oracle_value(form, tv, *pieces)
+                assert abs(got - want) <= bound * abs(want), (delta, i)
+                form = differentiate(form)
 
 
 def test_tail_relative_accuracy_against_mpmath():
@@ -380,55 +308,54 @@ def test_tail_relative_accuracy_against_mpmath():
     assert checked >= 30
 
 
-def test_forced_fallback_gives_the_assembly_bits(monkeypatch):
-    # with the threshold lowered to t = 5, the 512-bit tail grows before
-    # its target, and phi_derivatives falls back to the assembly's bits
-    policy = PrecisionPolicy(512)
-    spec = RemainderSpec(n=2, m=1)
-    cases = [(t, i_max) for t in (5, "7.5", 20) for i_max in (0, 12)]
-    before = [phi_derivatives(spec, t, i_max, policy) for t, i_max in cases]
-    attempts = []
-    series_tail = remainders_module._series_tail
-
-    def spy(*args):
-        attempts.append(series_tail(*args))
-        return attempts[-1]
-
-    monkeypatch.setattr(remainders_module, "_shift_target", lambda bits: 5)
-    monkeypatch.setattr(remainders_module, "_series_tail", spy)
-    after = [phi_derivatives(spec, t, i_max, policy) for t, i_max in cases]
-    assert attempts == [None] * len(cases)
-    assert [[v._mpf_ for v in row] for row in after] == [[v._mpf_ for v in row] for row in before]
+def _shifted_oracle(n, j, tv, bits):
+    """phi_{n,j}(tv) from its elementary form and mpmath's lnGamma and psi
+    at tv + 1 with the recurrence terms ln tv and (-1)^k k!/tv^(k+1), at
+    working_bits + 200 bits beyond the form's cancellation: quick down to
+    tv = 1e-300, where no piece cancels the pole that dominates."""
+    form = remainders_module._phi_form(n, j)
+    with mp.workprec(bits + 200 + form.cancel_gap * max(0, int(mp.mag(tv)))):
+        lg, l2pi = mp.loggamma(tv + 1) - mp.log(tv), mp.log(2 * mp.pi)
+        psi = {k: mp.psi(k, tv + 1) - (-1) ** k * mp.factorial(k) / tv ** (k + 1) for k in form.psi}
+        return _oracle_value(form, tv, lg, psi, mp.log(tv), l2pi)
 
 
-def test_tails_try_the_highest_n_first(monkeypatch):
-    # at 53 bits and t = 18, just past the shift target, the tails of
-    # n = 4..8 grow before their target: the highest n is tried first, so
-    # one failed series call decides the fallback for the whole table
-    policy = PrecisionPolicy(53)
-    cells = {(n, 3): 12 for n in range(PHI_N_MAX + 1)}
-    assert 18 >= polygamma_module._shift_target(53)
-    attempts = []
-    series_tail = remainders_module._series_tail
-
-    def spy(first, *args):
-        attempts.append((first, series_tail(first, *args)))
-        return attempts[-1][1]
-
-    monkeypatch.setattr(remainders_module, "_series_tail", spy)
-    rows = remainders_module._phi_rows(cells, 18, policy)
-    assert attempts == [(PHI_N_MAX + 1, None)]
-    assembled = remainders_module._assembled(cells, as_mpf(18, policy.internal_bits()), policy)
-    for (n, m), row in rows.items():
-        assert [v._mpf_ for v in row[::2]] == [assembled[n, m + i] for i in range(0, 13, 2)]
+def test_shifted_tail_relative_accuracy_against_mpmath():
+    # a seeded sample below the threshold, t = 10^u with u in [-300, 0] or
+    # [-3, log10 t0], where each tail is summed at t + N and shifted back,
+    # and the corner where a 64-bit n = 8 tail near t0 shifts further
+    rng = random.Random("shifted-tail-accuracy")
+    cases = []
+    for _ in range(40):
+        bits = rng.choice((53, 64, 128, 256, 512))
+        top = mp.log10(polygamma_module._shift_target(bits))
+        u = rng.uniform(-300, 0) if rng.random() < 0.25 else rng.uniform(-3, float(top))
+        t = f"{10 ** (u % 1):.15f}e{int(u // 1)}"
+        cases.append((rng.randint(0, PHI_N_MAX), rng.randint(0, PHI_M_MAX), rng.randint(0, 12), bits, t))
+    target = polygamma_module._shift_target(64)
+    cases += [(8, 0, i, 64, target + d) for d in (Fraction(-1, 3), Fraction(1, 3)) for i in (12, 18)]
+    for n, m, i, bits, t in cases:
+        policy = PrecisionPolicy(bits)
+        tv = as_mpf(t, policy.internal_bits())
+        assert tv < polygamma_module._shift_target(bits) + 1
+        got = phi_derivatives(RemainderSpec(n=n, m=m), tv, i, policy)[i]
+        want = _shifted_oracle(n, m + i, tv, bits)
+        with mp.workprec(4 * bits):
+            if i % 2:
+                want = -want
+            bound = mp.mpf(2) ** (precision_module.GUARD_BITS - bits)
+            assert abs(got - want) <= bound * abs(want), (n, m, i, bits, t)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_table_row_equals_standalone_row_past_the_threshold(bits):
-    # past the threshold a cell's bits do not depend on the other cells
+    # a cell's bits do not depend on the other cells, past the threshold
+    # and below it
     policy = PrecisionPolicy(bits)
     cells = {(n, m): 12 for n in range(4) for m in range(4)}
-    for t in (polygamma_module._shift_target(bits) + Fraction(1, 2), "9000", "1e8"):
+    threshold = polygamma_module._shift_target(bits)
+    below = (Fraction(1, 1000), "0.37", threshold - Fraction(1, 2))
+    for t in below + (threshold + Fraction(1, 2), "9000", "1e8"):
         tv = as_mpf(t, policy.internal_bits())
         table = degree_module._scope(cells)
         for n, m in cells:
