@@ -23,8 +23,9 @@ are read; the few violation entries are rounded at once.
 Every scan of one public call reads phi^(0..max_order)(t) from one scope,
 which evaluates its cells once per (t, policy) and aligns each row once.
 Each phi_{n,j} is its own shifted Bernoulli tail, so a cell's row has the
-bits of ``phi_derivatives`` in every scope: ``cm_check`` and
-``degree_bracket`` scope their own member, ``conjecture_scan`` its table.
+bits of ``phi_derivatives`` in every scope (``cm_check`` and
+``degree_bracket`` scope their member, ``conjecture_scan`` its table) unless
+a higher order of its n there forces a further shift (64 bits, t near 22).
 
 The passing exponents at a point are closed downward.  For a > 0 the
 product rule gives

@@ -12,10 +12,14 @@ The algorithm is the classical shift-and-series scheme:
 ``polygamma_block`` evaluates every order 0..k_max at one point: the shift
 is shared, and each B_2i / w^(2i) is formed once and serves the series of
 all orders, scaled per order by an integer and a power of 1/w.
-``polygamma(k)`` is order k of a block.  ``_series_tail`` evaluates, for
-``cmdeg.remainders``, the series' remainders after their first terms.
-
-All three run through one shift loop, ``_shift_and_sum``; each supplies
+``polygamma(k)`` is order k of a block.  A block from a low order k_lo
+leaves the orders below it out of the series and the unshift's sums; the
+orders it returns keep the full block's bits unless a skipped order alone
+would force a further shift, and the low orders' terms shrink fastest (a
+seeded sample of (k_lo, k_max, t, working_bits) finds no case).  With
+``first`` >= 1, ``polygamma_block`` and ``log_gamma`` return the series
+tails below instead, from which ``cmdeg.remainders`` evaluates every
+member.  All run through one shift loop, ``_shift_and_sum``; each supplies
 its own series and its own way of undoing the shift.
 
 Fixed-point arithmetic.  The shift loop, both series and both unshifts run
@@ -74,27 +78,24 @@ representation and the reasons for each part:
   value, not one per shift.
 
 Blocks are memoised per process on exactly what the computation reads:
-(k_max, t, working_bits).  A smaller k_max is never served from a prefix
-of a larger block: the internal precision and the shift both depend on
-k_max, so the low orders of a larger block can differ in the last bits
-from a block computed for them.  ln Gamma values are not memoised: a
-derivative scope asks for one per (t, policy), so a memo of them would
-only miss.
+(k_lo, k_max, t, working_bits).  A smaller k_max is never served from a
+prefix of a larger block: the internal precision and the shift both depend
+on k_max, so the low orders of a larger block can differ in the last bits
+from a block computed for them.  ln Gamma values and series tails are not
+memoised: a derivative scope asks for one per (t, policy), so a memo of
+them would only miss.
 
 The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
 achieved bound and shifts further when a high derivative order requires it.
 
-Series tails.  ``_series_tail`` evaluates, at every t > 0, the remainders
-R_k of the series of ln Gamma and psi^(k) after their leading terms and
-first - 1 Bernoulli terms, as ``cmdeg.remainders`` needs them.  It shifts
-the remainder itself: the two series loops from index ``first`` sum R_k(w)
-at w = t + N, and the recurrence and the explicit terms of the series'
-head at t and at w undo the shift.  Order k is held at scale P0 + (2 first
-+ k) bitlen(floor w), where the first term of its tail keeps P0 =
-working_bits + PAD_BITS bits; its bits depend only on (first, k, t,
-working_bits).  From the shift target on, N = 0.
+Series tails.  ``_series_tail`` shifts a remainder R_k itself, the series
+of ln Gamma or psi^(k) from Bernoulli term ``first`` on: the series loops
+sum R_k(w) at w = t + N, and the recurrence and the head's explicit terms
+at t and at w undo the shift.  Order k is held at scale P0 + (2 first + k)
+bitlen(floor w), so the first term of its tail keeps P0 = working_bits +
+PAD_BITS bits.  From the shift target on, N = 0.
 """
 
 from __future__ import annotations
@@ -343,13 +344,23 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     return polygamma_block(as_index(k, "derivative order"), t, policy)[k]
 
 
-def polygamma_block(k_max: int, t, policy: PrecisionPolicy | None = None) -> list[mp.mpf]:
+def polygamma_block(
+    k_max: int, t, policy: PrecisionPolicy | None = None, *, k_lo: int = 0, first: int = 0
+) -> list[mp.mpf]:
     """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
-    series pass, under the accuracy contract of :func:`polygamma`."""
+    series pass, under the accuracy contract of :func:`polygamma`; the
+    orders below ``k_lo`` are not evaluated and read None.  With ``first``
+    in 1..TAIL_FIRST_MAX, each psi^(k)(t) minus its series' leading terms
+    and first - 1 Bernoulli terms instead, accurate relative to its value."""
     as_index(k_max, "k_max")
+    as_index(k_lo, "k_lo", 0, k_max)
+    as_index(first, "first", 0, TAIL_FIRST_MAX)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "polygamma")
-    return list(_block(k_max, tv, policy.working_bits))
+    if first:
+        tails = _series_tail(first, k_lo, k_max, tv, policy.working_bits)
+        return [None] * k_lo + [mp.make_mpf(v) for v in tails]
+    return [None] * k_lo + list(_block(k_lo, k_max, tv, policy.working_bits))
 
 
 def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int) -> list[int]:
@@ -368,15 +379,15 @@ def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int
 
 
 @lru_cache(maxsize=4096)
-def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
-    """psi^(0)(t) .. psi^(k_max)(t)."""
-    num, lift = _exact(tv)[0], int(tv).bit_length()
+def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
+    """psi^(k_lo)(t) .. psi^(k_max)(t)."""
+    num, orders, lift = _exact(tv)[0], range(k_lo, k_max + 1), int(tv).bit_length()
 
     def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
         # the shifted-through points t+1 .. w-1, and k!/t^(k+1) exactly, floored once
         sums = _power_sums(num, sh, steps, k_max, scale, lift)
-        results, den = [], 1
-        for k, tail in enumerate(tails):
+        results, den = [], num**k_lo
+        for k, tail in zip(orders, tails):
             den *= num
             jump = factorial(k) * sums[k]
             if steps:
@@ -390,11 +401,11 @@ def _block(k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
         _magnitude_compensation(k_max, tv),
         lift,
         0,
-        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target),
+        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target, k_lo),
         unshift,
         f"polygamma block up to order {k_max}",
     )
-    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in enumerate(results))
+    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in zip(orders, results))
 
 
 def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> int:
@@ -409,10 +420,15 @@ def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> 
     return tail - _fixed_log(product, dropped - steps * sh, scale)
 
 
-def log_gamma(t, policy: PrecisionPolicy | None = None) -> mp.mpf:
-    """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma."""
+def log_gamma(t, policy: PrecisionPolicy | None = None, *, first: int = 0) -> mp.mpf:
+    """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma.
+    With ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
+    terms and first - 1 Bernoulli terms instead, relative to its value."""
+    as_index(first, "first", 0, TAIL_FIRST_MAX)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "log_gamma")
+    if first:
+        return mp.make_mpf(_series_tail(first, -1, -1, tv, policy.working_bits)[0])
     widen = max(0, -mag_bits(tv))  # the scale only: the series runs at w >= 10
     result, scale = _shift_and_sum(
         tv, policy.working_bits, 6, widen, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
@@ -450,9 +466,10 @@ def _inverse_polynomial(den: int, terms, powers: list[int], sh: int, scale: int)
     return (acc << scale) // (den * powers[top])
 
 
-#: The tails of cmdeg.remainders (first <= PHI_N_MAX + 1 = 9) read the
-#: recurrence's part of their corrections from one pass at this term's scale.
-_SHARED_FIRST = 9
+#: Series tails start at a term first <= TAIL_FIRST_MAX.  Each reads its
+#: recurrence part from one memoised pass at the scale of this term's tail,
+#: which the tails of every first term at one t share.
+TAIL_FIRST_MAX = 9
 
 
 @lru_cache(maxsize=64)
@@ -461,53 +478,48 @@ def _recurrence(
 ) -> tuple:
     """The part of each order's correction that no head term carries, for
     t = num / 2^sh shifted by ``steps`` to w, order k at 2^(scale + k lift):
-    k! sum_{l=1}^{N-1} (t+l)^-(k+1) for k >= 0, plus ln(t/w) for k = 0;
-    -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t - (w - 1/2) ln w + N] for
-    k = -1.  Each order's value depends only on its own k."""
+    k! sum_{l=1}^{N-1} (t+l)^-(k+1), plus ln(t/w) for k = 0; for k_max = -1,
+    ln Gamma's -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t - (w - 1/2) ln w +
+    N].  Each order's value depends only on its own k."""
     w = num + (steps << sh)
-    sums = _power_sums(num, sh, steps, k_max, scale, lift) if k_max >= 0 else ()
     if k_lo <= 0:  # 2 bits finer than order 0, 2 + lift finer than order -1
         log_t, log_w = _fixed_log(num, -sh, scale + 2), _fixed_log(w, -sh, scale + 2)
-    out = []
-    for k in range(k_lo, k_max + 1):
-        if k < 0:
-            logs = (2 * num - (1 << sh)) * log_t - (2 * w - (1 << sh)) * log_w >> (sh + 3 + lift)
-            s = scale - lift
-            out.append(_unshift_log_gamma(0, num, sh, steps, s) - logs - (steps << s))
-        else:
-            out.append(factorial(k) * sums[k] + ((log_t - log_w) >> 2 if k == 0 else 0))
+    if k_max < 0:
+        logs = (2 * num - (1 << sh)) * log_t - (2 * w - (1 << sh)) * log_w >> (sh + 3 + lift)
+        s = scale - lift
+        return (_unshift_log_gamma(0, num, sh, steps, s) - logs - (steps << s),)
+    sums = _power_sums(num, sh, steps, k_max, scale, lift)
+    out = [factorial(k) * sums[k] for k in range(k_lo, k_max + 1)]
+    if k_lo == 0:
+        out[0] += (log_t - log_w) >> 2
     return tuple(out)
 
 
 def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list:
-    """R_k(t), the terms i >= first of the asymptotic series of ln Gamma
-    (order k = -1) and of psi^(k), k = k_lo..k_max, as raw mpf tuples
-    accurate relative to their values.  The tails are summed at w = t + N
-    and the shift is undone by
+    """R_k(t), the terms i >= first of the asymptotic series of psi^(k),
+    k = k_lo..k_max, or of ln Gamma alone (k_lo = k_max = -1), as raw mpf
+    tuples accurate relative to their values.  The tails are summed at
+    w = t + N and the shift is undone by
 
         R_k(t) = R_k(w) + (-1)^(k+1) [k! sum_{l<N} (t+l)^-(k+1)
                                       - sum_p c_p (t^-p - w^-p) - logs],
 
-    with c_p from ``_head``, logs ln(w/t) for k = 0, and for k = -1 the sum
-    ln(t (t+1) ... (w-1)) and logs (t - 1/2) ln t - (w - 1/2) ln w + N
-    (DLMF 5.5.2, 5.11.1).  The bracket, at each order's scale, comes first:
-    the remainders are completely monotonic, so |R_k(t)| is at least
-    |R_k(w)| and at least the bracket, and order k's series stops at its
-    first term below 2^(8-P0) times the larger of its first term and the
-    bracket capped at 1.  Each value is rounded once, keeping the bits of
-    its tail plus 8 and every bit above 2^(-8-P0), for the absolute
-    contract; the power sums hold about P0 + 18 bitlen(floor w) bits
-    relative to k! sum (t+l)^-(k+1), which bounds the absolute accuracy of
-    a large value at high k near t = 1.  At N = 0 it is the tail, exactly.
-    The recurrence's part is formed at the scale of term ``_SHARED_FIRST``
-    and memoised, so the tails of several first terms at one t share it.
+    with c_p from ``_head`` and the logs of ``_recurrence`` (DLMF 5.5.2,
+    5.11.1).  This correction comes first: the remainders are completely
+    monotonic, so |R_k(t)| is at least |R_k(w)| and the correction, and
+    order k's series stops at its first term below 2^(8-P0) times the
+    larger of its first term and the correction capped at 1.  Each value is
+    rounded once, keeping the bits of its tail plus 8 and every bit above
+    2^(-8-P0), for the absolute contract; the power sums hold about P0 +
+    18 bitlen(floor w) bits relative to their value, which bounds the
+    absolute accuracy of a large value at high k near t = 1.
     """
     num, orders = _exact(t)[0], range(k_lo, k_max + 1)
 
     def series(w: int, sh: int, scale: int, target: int) -> list | None:
         lift, steps, jumps = (w >> sh).bit_length(), (w - num) >> sh, [0] * len(orders)
         if steps:
-            shared = scale + 2 * (max(first, _SHARED_FIRST) - first) * lift
+            shared = scale + 2 * (TAIL_FIRST_MAX - first) * lift
             rest = _recurrence(num, sh, steps, k_lo, k_max, shared, lift)
             w_powers, t_powers = [1], [1]
             for _ in range(2 * first + k_max):
@@ -519,13 +531,10 @@ def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int
                 jumps[i] += _inverse_polynomial(den, at_w, w_powers, sh, s)
                 jumps[i] += _inverse_polynomial(den, at_t, t_powers, sh, s)
         floors = [min(abs(j), 1 << (scale + k * lift)) for k, j in zip(orders, jumps)]
-        tails = []
-        if k_lo < 0:
-            tails.append(_stirling_series(w, sh, scale - lift, target >> lift, first, floors[0]))
-        if k_max >= 0:
-            low = max(k_lo, 0)
-            psi = _psi_series(k_max, w, w, sh, scale, target, low, first, floors[low - k_lo :])
-            tails += psi or [None]
+        if k_max < 0:
+            tails = [_stirling_series(w, sh, scale - lift, target >> lift, first, floors[0])]
+        else:
+            tails = _psi_series(k_max, w, w, sh, scale, target, k_lo, first, floors) or [None]
         return None if None in tails else list(zip(tails, jumps))
 
     def unshift(pairs: list, num: int, sh: int, steps: int, scale: int) -> list:

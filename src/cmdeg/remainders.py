@@ -16,13 +16,14 @@ Differentiating R_n term by term gives the Bernoulli tail
 
 which for real t > 0 envelops its remainder (DLMF 5.11(ii)).  Every
 member is evaluated as this tail, at every t > 0, by one shift-and-series
-evaluator (``polygamma._series_tail``): the remainder itself is shifted to
-w = t + N past the polygamma shift target t0 = max(10, working_bits/3),
-summed there relative to its own size, and the shift is undone by a
-fixed-point correction made of the recurrence of ln Gamma and psi and the
-explicit Bernoulli coefficients of the Stirling partial sum (DLMF 5.5.2,
-5.11.1).
-From t0 on, N = 0.  No member needs ln Gamma, a polygamma block, an
+evaluator: ``polygamma_block(..., first=n+1)`` and ``log_gamma(...,
+first=n+1)`` return the tails of the series of psi^(k) and of ln Gamma
+(``polygamma._series_tail``).  The remainder itself is shifted to w = t + N
+past the polygamma shift target t0 = max(10, working_bits/3), summed there
+relative to its own size, and the shift is undone by a fixed-point
+correction made of the recurrence of ln Gamma and psi and the explicit
+Bernoulli coefficients of the Stirling partial sum (DLMF 5.5.2, 5.11.1).
+From t0 on, N = 0.  No member needs psi or ln Gamma themselves, an
 elevated precision or a cancelling sum of pieces.
 
 :class:`ElementaryForm`, :func:`differentiate` and :func:`form_for` write
@@ -49,9 +50,7 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli
 from .errors import InvalidSpec
-from .polygamma import _series_tail, polygamma
-# bound here too: perfbench/tracer.py spans the names cmdeg.remainders.<name>
-from .polygamma import log_gamma, polygamma_block  # noqa: F401
+from .polygamma import TAIL_FIRST_MAX, log_gamma, polygamma, polygamma_block
 from .precision import PrecisionPolicy, as_index, as_point, mag_bits
 
 __all__ = [
@@ -67,7 +66,7 @@ __all__ = [
     "pole_order",
 ]
 
-PHI_N_MAX = 8
+PHI_N_MAX = TAIL_FIRST_MAX - 1  # phi_{n,j} is the series tail from term n + 1
 PHI_M_MAX = 6
 #: Each named special and the (n, m) of the family member it labels.
 _SPECIALS = {"Q": (2, 2), "PsiGap": (0, 1), "TrigammaGap3": (1, 2)}
@@ -203,11 +202,9 @@ def form_for(spec: RemainderSpec) -> ElementaryForm:
 
 def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
     """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max.
-    phi_{n,j} = (-1)^(n+j) R_{j-1}, with R_k the tail i > n of the series
-    of psi^(k) (of ln Gamma for k = -1) from ``_series_tail``, so
-    phi_{n,m}^(i) = (-1)^i phi_{n,m+i} = (-1)^(n+m) R_{m+i-1}.  One tail per
-    distinct n serves all its orders, and a value's bits depend only on
-    (n, m + i, t, policy), not on the other cells."""
+    phi_{n,m}^(i) = (-1)^i phi_{n,m+i} = (-1)^(n+m) R_{m+i-1}, with R_k the
+    tail i > n of the series of psi^(k) (of ln Gamma for k = -1): one block
+    of tails per distinct n, from the lowest order a cell reads."""
     tv = as_point(t, policy.internal_bits(), "evaluation")
     orders: dict = {}
     for (n, m), i_max in cells.items():
@@ -215,12 +212,13 @@ def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
         orders[n] = (min(lo, m), max(hi, m + i_max))
     tails = {}
     for n, (lo, hi) in orders.items():
-        tail = _series_tail(n + 1, lo - 1, hi - 1, tv, policy.working_bits)
-        tails[n] = dict(zip(range(lo, hi + 1), tail))
+        tails[n] = [log_gamma(tv, policy, first=n + 1) if lo == 0 else None]
+        if hi:
+            tails[n] += polygamma_block(hi - 1, tv, policy, k_lo=max(lo - 1, 0), first=n + 1)
     rows = {}
     for (n, m), i_max in cells.items():
-        row = [tails[n][m + i] for i in range(i_max + 1)]
-        rows[n, m] = [mp.make_mpf(libmp.mpf_neg(v) if (n + m) % 2 else v) for v in row]
+        row = tails[n][m : m + i_max + 1]
+        rows[n, m] = [mp.make_mpf(libmp.mpf_neg(v._mpf_)) if (n + m) % 2 else v for v in row]
     return rows
 
 

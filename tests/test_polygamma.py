@@ -211,6 +211,51 @@ def test_block_and_log_gamma_relative_accuracy(t, bits):
         assert abs(log_gamma(t, policy) - expected) <= bound * max(1, abs(expected))
 
 
+def _series_head(k, first, t):
+    """The terms of the asymptotic series of psi^(k) (of ln Gamma for
+    k = -1) before Bernoulli term ``first``, in mpmath at the precision in
+    force."""
+    if k < 0:
+        head = (t - mp.mpf(1) / 2) * mp.log(t) - t + mp.log(2 * mp.pi) / 2
+        return head + sum(
+            mp.bernoulli(2 * i) / (2 * i * (2 * i - 1) * t ** (2 * i - 1)) for i in range(1, first)
+        )
+    sign = (-1) ** (k + 1)
+    head = mp.log(t) if k == 0 else sign * mp.factorial(k - 1) / t**k
+    head += sign * mp.factorial(k) / (2 * t ** (k + 1))
+    for i in range(1, first):
+        coeff = mp.bernoulli(2 * i) * mp.factorial(2 * i + k - 1) / mp.factorial(2 * i)
+        head += sign * coeff / t ** (2 * i + k)
+    return head
+
+
+@pytest.mark.parametrize("t", ["1e-4", "0.37", "2.5", "37.5", "9000"])
+def test_block_and_log_gamma_tails_against_mpmath(t):
+    # with first >= 1 a block holds psi^(k) minus its series' head, and
+    # log_gamma ln Gamma minus its Stirling head, each relative to its value
+    policy = PrecisionPolicy(working_bits=128)
+    bound = mp.mpf(2) ** (GUARD_BITS - policy.working_bits)
+    for first in (1, 4, polygamma_module.TAIL_FIRST_MAX):
+        tails = polygamma_block(8, t, policy, k_lo=2, first=first)
+        assert tails[:2] == [None, None]
+        tail = log_gamma(t, policy, first=first)
+        with mp.workprec(600 + 40 * first):
+            tv = mp.mpf(t)
+            for k in range(2, 9):
+                want = mp.psi(k, tv) - _series_head(k, first, tv)
+                assert abs(tails[k] - want) <= bound * abs(want), (first, k)
+            want = mp.loggamma(tv) - _series_head(-1, first, tv)
+            assert abs(tail - want) <= bound * abs(want), first
+
+
+@pytest.mark.parametrize("first", [-1, polygamma_module.TAIL_FIRST_MAX + 1, 1.0, True])
+def test_tail_first_term_out_of_range_rejected(first):
+    with pytest.raises(InvalidIndex):
+        polygamma_block(3, 1, POLICY, first=first)
+    with pytest.raises(InvalidIndex):
+        log_gamma(1, POLICY, first=first)
+
+
 def test_determinism():
     a = polygamma(2, "3.25", POLICY)
     b = polygamma(2, "3.25", POLICY)
@@ -343,9 +388,9 @@ def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
     calls = []
     series = polygamma_module._psi_series
 
-    def counting(k_max, *args):
+    def counting(k_max, t, w, sh, scale, target, k_lo):
         calls.append(k_max)
-        return series(k_max, *args)
+        return series(k_max, t, w, sh, scale, target, k_lo)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", counting)
     polygamma_block(14, "0.8", POLICY)
@@ -358,19 +403,40 @@ def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
     assert calls == []
 
 
-def test_tail_series_skips_orders_below_the_row(monkeypatch):
-    # phi_derivatives sums the series only for the orders its row reads:
-    # phi_{1,3..8} reads the tails of psi^(2..7)
+def test_low_order_block_has_the_full_block_bits():
+    # a seeded sample of (k_lo, k_max, t, bits): every order a block from
+    # k_lo returns has the bits of the same order in the full block
+    rng = random.Random("low-order-block")
+    for _ in range(40):
+        k_max = rng.randint(0, 18)
+        k_lo = rng.randint(0, k_max)
+        t = rng.choice(("1e-300", "1e-3", "0.37", "1", "2.5", "37.5", "171", "9000", "1e6"))
+        policy = PrecisionPolicy(working_bits=rng.choice((64, 128, 256, 512)))
+        low = polygamma_block(k_max, t, policy, k_lo=k_lo)
+        full = polygamma_block(k_max, t, policy)
+        assert low[:k_lo] == [None] * k_lo
+        assert bits_of(low[k_lo:]) == bits_of(full[k_lo:]), (k_lo, k_max, t, policy)
+
+
+def test_low_order_block_series_skips_lower_orders(monkeypatch):
+    # the series is asked for k_lo..k_max only, by a block and by
+    # phi_derivatives, whose tails read psi^(2..7) for phi_{1,3..8}
+    clear_memos()
     calls = []
     series = polygamma_module._psi_series
 
-    def counting(k_max, t, w, sh, scale, target, k_lo, *args):
+    def counting(k_max, t, w, sh, scale, target, k_lo, *tail):
         calls.append((k_lo, k_max))
-        return series(k_max, t, w, sh, scale, target, k_lo, *args)
+        return series(k_max, t, w, sh, scale, target, k_lo, *tail)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", counting)
+    polygamma_block(9, "0.8", POLICY, k_lo=4)
+    assert set(calls) == {(4, 9)}
+    calls.clear()
     phi_derivatives(RemainderSpec(n=1, m=3), "0.7", 5, POLICY)
     assert set(calls) == {(2, 7)}
+    with pytest.raises(InvalidIndex):
+        polygamma_block(3, 1, POLICY, k_lo=4)
 
 
 def test_memo_hands_out_no_shared_list():
@@ -420,20 +486,20 @@ def test_block_accuracy_down_to_tiny_t():
     for _ in range(30):
         bits = rng.choice((53, 64, 128, 512, 1024))
         k_max = rng.randint(0, 24)
-        k_min = rng.randint(0, k_max)  # the lowest order checked
+        k_lo = rng.randint(0, k_max)
         u = rng.uniform(-300, 2.3)
         tv = as_mpf(f"{10 ** (u % 1):.15f}e{int(u // 1)}", bits + 32)
-        block = polygamma_block(k_max, tv, PrecisionPolicy(working_bits=bits))
+        block = polygamma_block(k_max, tv, PrecisionPolicy(working_bits=bits), k_lo=k_lo)
         bound = mp.mpf(2) ** (GUARD_BITS - bits)
-        for k in range(k_min, k_max + 1):
+        for k in range(k_lo, k_max + 1):
             with mp.workprec(3 * bits + 400):
                 shifted = mp.psi(k, tv + 1)
             term_bits = max(0, int(mp.mag(mp.factorial(k) / tv ** (k + 1))))
             with mp.workprec(3 * bits + 400 + term_bits):
                 expected = shifted - (-1) ** k * mp.factorial(k) / tv ** (k + 1)
                 err = abs(block[k] - expected)
-                assert err <= bound, (bits, k_min, k_max, tv, k)
-                assert k == 0 or err <= bound * abs(expected), (bits, k_min, k_max, tv, k)
+                assert err <= bound, (bits, k_lo, k_max, tv, k)
+                assert k == 0 or err <= bound * abs(expected), (bits, k_lo, k_max, tv, k)
 
 
 def test_order_200_block_against_mpmath(monkeypatch):

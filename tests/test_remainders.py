@@ -347,6 +347,33 @@ def test_shifted_tail_relative_accuracy_against_mpmath():
             assert abs(got - want) <= bound * abs(want), (n, m, i, bits, t)
 
 
+def test_absolute_contract_to_order_18_at_every_t():
+    # the absolute bound, not only the relative one, for every derivative
+    # order up to 18, from t = 1e-12 to past the threshold: a large value
+    # near t = 0 keeps every bit above 2^-(working_bits + 40).  Near t = 1
+    # and above order ~35 the shift's power sums miss it (ROADMAP item 3).
+    rng = random.Random("absolute-contract")
+    cases = [(1, 0, 18, 53, "0.8693188531042777")]
+    cases += [(8, 6, 18, 53, t) for t in ("0.5", "1", "2.5")]
+    for _ in range(30):
+        bits = rng.choice((53, 64, 128, 256))
+        top = mp.log10(polygamma_module._shift_target(bits) + 1)
+        u = rng.uniform(-12, float(top))
+        t = f"{10 ** (u % 1):.15f}e{int(u // 1)}"
+        cases.append((rng.randint(0, PHI_N_MAX), rng.randint(0, PHI_M_MAX), rng.randint(0, 18), bits, t))
+    for n, m, i, bits, t in cases:
+        policy = PrecisionPolicy(bits)
+        tv = as_mpf(t, policy.internal_bits())
+        got = phi_derivatives(RemainderSpec(n=n, m=m), tv, i, policy)[i]
+        size = max(0, int(mp.mag(got)))
+        want = _shifted_oracle(n, m + i, tv, bits + size)
+        with mp.workprec(2 * bits + 200 + size):
+            if i % 2:
+                want = -want
+            bound = mp.mpf(2) ** (precision_module.GUARD_BITS - bits)
+            assert abs(got - want) <= bound, (n, m, i, bits, t)
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_table_row_equals_standalone_row_past_the_threshold(bits):
     # a cell's bits do not depend on the other cells, past the threshold
