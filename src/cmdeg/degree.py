@@ -7,25 +7,30 @@ This module scans the sign pattern of
     (-1)^k d^k/dt^k [ t^r phi(t) ]
         = (-1)^k sum_j C(k,j) r(r-1)...(r-j+1) t^(r-j) phi^(k-j)(t)
 
-over finite grids and derivative orders.  Each grid point gets one row of
-these sums covering every order at once: the coefficients r(r-1)...(r-j+1)
-t^(r-j) are formed once per point and shared by all k.
+over finite grids and derivative orders, one row of sums per grid point
+covering every order.  With r = p/q and the Taylor coefficients
+v_i = t^i phi^(i)(t) / i! of x -> phi(t + t x), the sum of order k is
 
-The rows run on Python integers.  The coefficients are rounded once, at
-working_bits + 64 bits; each coefficient and each phi^(i) is then read as
-its exact mantissa and exponent, so every product-rule term is an exact
-integer product and every sum is exact.  A row is a list of integer pairs
-(signed value, largest |term|) at one exponent, and ``classify_sign``
-compares such a pair exactly.  A report keeps these exact rows and rounds
-a value back to mpf, at working_bits + 64 bits, only when its ``values``
-are read; the few violation entries are rounded at once.
+    t^(r-k) q^(-k) (-1)^k sum_j a_{k,j} v_{k-j},
+    a_{k,j} = k!/j! q^(k-j) p(p-q)...(p-(j-1)q).
+
+The a_{k,j} are exact integers, one table per (p, q, max_order), and t
+enters through the v_i alone, whose row stays narrow at high orders (for
+phi = t^(-s), v_i grows like i^(s-1) where t^i phi^(i) grows like i!).
+Each v_i is rounded once, at working_bits + 64 bits, so every term is an
+exact integer product at one exponent and every sum is exact.  A row holds
+the integer pairs (signed value, largest |term|) without the positive
+factor t^(r-k) q^(-k), which ``classify_sign`` does not need; a report
+multiplies by it, rounding to mpf at working_bits + 64 bits, only when its
+``values`` are read, and its few violation entries at once.
 
 Every scan of one public call reads phi^(0..max_order)(t) from one scope,
-which evaluates its cells once per (t, policy) and aligns each row once.
-Each phi_{n,j} is its own shifted Bernoulli tail, so a cell's row has the
-bits of ``phi_derivatives`` in every scope (``cm_check`` and
-``degree_bracket`` scope their member, ``conjecture_scan`` its table) unless
-a higher order of its n there forces a further shift (64 bits, t near 22).
+which evaluates its cells once per (t, policy) and forms each cell's phi
+and Taylor rows once.  Each phi_{n,j} is its own shifted Bernoulli tail,
+so a cell's row has the bits of ``phi_derivatives`` in every scope
+(``cm_check`` and ``degree_bracket`` scope their member, ``conjecture_scan``
+its table) unless a higher order of its n there forces a further shift
+(64 bits, t near 22).
 
 The passing exponents at a point are closed downward.  For a > 0 the
 product rule gives
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 import mpmath as mp
 from mpmath import libmp
@@ -167,74 +172,86 @@ def _aligned_row(ders: list[mp.mpf]) -> tuple[tuple, int]:
     return aligned([man_exp(d._mpf_) for d in ders])
 
 
-def _scope(cells: dict):
-    """Scope of each cell (n, m): max_order, evaluated once per (t, policy)."""
-    rows = {}
+class _scope:
+    """Where the scans of one public call read phi^(0..max_order)(t): each
+    cell (n, m): max_order is evaluated once per (t, policy), and its
+    aligned phi row and its Taylor row are each formed once."""
 
-    def row(spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
-        if (t, policy) not in rows:
-            rows[t, policy] = {nm: _aligned_row(d) for nm, d in _phi_rows(cells, t, policy).items()}
-        return rows[t, policy][spec.family_indices]
+    def __init__(self, cells: dict):
+        self.cells, self.rows, self.taylor_rows = cells, {}, {}
 
-    return row
+    def __call__(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
+        """The aligned phi row of ``spec`` at (t, policy): (mantissas, exponent)."""
+        if (t, policy) not in self.rows:
+            phi = _phi_rows(self.cells, t, policy)
+            self.rows[t, policy] = {nm: _aligned_row(d) for nm, d in phi.items()}
+        return self.rows[t, policy][spec.family_indices]
 
-
-@lru_cache(maxsize=4096)
-def _coefficients(r: Fraction, max_order: int, t: mp.mpf, prec: int) -> tuple[tuple, int]:
-    """C_j = r(r-1)...(r-j+1) t^(r-j) for j = 0..max_order, up to the first
-    zero falling factorial, rounded at ``prec`` and aligned: (mantissas,
-    exponent).  The falling factorials are exact when r is an integer; the
-    powers come from one exp(r ln t) and repeated multiplication by 1/t."""
-    coeffs = []
-    falling = Fraction(1)
-    with mp.workprec(prec):
-        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))._mpf_
-        inv_t = (1 / t)._mpf_
-        for j in range(max_order + 1):
-            if falling == 0:
-                break
-            falling_raw = (mp.mpf(falling.numerator) / falling.denominator)._mpf_
-            coeffs.append(man_exp(libmp.mpf_mul(falling_raw, power, prec, libmp.round_nearest)))
-            power = libmp.mpf_mul(power, inv_t, prec, libmp.round_nearest)
-            falling *= r - j
-    return aligned(coeffs)
+    def taylor(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
+        """The ``_taylor_row`` of ``spec`` at (t, policy)."""
+        key = spec.family_indices, t, policy
+        if key not in self.taylor_rows:
+            self.taylor_rows[key] = _taylor_row(self(spec, t, policy), t, policy)
+        return self.taylor_rows[key]
 
 
-def _signed_row(
-    r: Fraction,
-    max_order: int,
-    t: mp.mpf,
-    ders: tuple[tuple, int],
-    policy: PrecisionPolicy,
-) -> tuple[int, list[tuple[int, int]]]:
-    """(exp, [(value, scale) for k = 0..max_order]), all exact integers:
-    the signed derivative (-1)^k [t^r phi]^(k)(t) is value * 2^exp, and the
-    largest |term| of its product-rule sum is scale * 2^exp.
+def _taylor_row(ders: tuple[tuple, int], t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
+    """v_i = t^i phi^(i)(t) / i! from the aligned phi row ``ders``, aligned:
+    each t^i / i! is carried _SUM_GUARD_BITS higher, and its product with the
+    exact phi^(i) is rounded once at working_bits + _SUM_GUARD_BITS."""
+    prec = policy.working_bits + _SUM_GUARD_BITS
+    mantissas, exp = ders
+    ratio, row = libmp.fone, []  # ratio = t^i / i!
+    for i, m in enumerate(mantissas):
+        row.append(man_exp(libmp.mpf_mul(ratio, libmp.from_man_exp(m, exp), prec, libmp.round_nearest)))
+        ratio = libmp.mpf_mul(ratio, t._mpf_, prec + _SUM_GUARD_BITS, libmp.round_nearest)
+        ratio = libmp.mpf_div(ratio, libmp.from_int(i + 1), prec + _SUM_GUARD_BITS, libmp.round_nearest)
+    return aligned(row)
 
-    The coefficients C_j = r(r-1)...(r-j+1) t^(r-j) are shared by every
-    order and every member, rounded at working_bits + _SUM_GUARD_BITS and
-    memoised per (r, max_order, t, precision), and aligned at one exponent.
-    The phi^(i) arrive from the scope already aligned, as ``ders`` =
-    (mantissas, exponent), so every term C(k,j) C_j phi^(k-j) of every
-    order is an exact integer at the same exponent and the sums do not
-    round.
-    """
-    coeffs, c_exp = _coefficients(r, max_order, t, policy.working_bits + _SUM_GUARD_BITS)
-    ders, d_exp = ders
-    row = []
-    binomials = [1]  # C(k, j) for j = 0..k
+
+@lru_cache(maxsize=32)
+def _table(p: int, q: int, max_order: int) -> tuple[tuple, ...]:
+    """The integers a_{k,j} for k = 0..max_order, row k up to j = k or to the
+    first zero falling factorial: row k - 1 times k q, then p(p-q)...(p-(k-1)q)."""
+    table, row, falling = [], [], 1
     for k in range(max_order + 1):
-        terms = list(map(mul, binomials, map(mul, coeffs, ders[k::-1])))
+        row = [k * q * a for a in row] + ([falling] if falling else [])
+        falling *= p - k * q
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _signed_row(r: Fraction, max_order: int, taylor: tuple[tuple, int]) -> tuple[int, list]:
+    """(exp, [(value, scale) for k = 0..max_order]), exact integers: the sum
+    of order k is value * 2^exp and its largest |term| is scale * 2^exp, both
+    without the factor t^(r-k) q^(-k)."""
+    taylor, exp = taylor
+    row = []
+    for k, coeffs in enumerate(_table(r.numerator, r.denominator, max_order)):
+        terms = list(map(mul, coeffs, taylor[k::-1]))
         total = sum(terms)
         row.append((-total if k % 2 else total, max(map(abs, terms))))
-        binomials = [1, *map(add, binomials, binomials[1:]), 1]
-    return c_exp + d_exp, row
+    return exp, row
 
 
-def _report_value(value: int, exp: int, working_bits: int) -> mp.mpf:
-    """value * 2^exp rounded to the row's working_bits + _SUM_GUARD_BITS."""
+@lru_cache(maxsize=256)
+def _factors(t: mp.mpf, r: Fraction, max_order: int, working_bits: int) -> tuple:
+    """t^(r-k) q^(-k) for k = 0..max_order as raw mpf, 16 bits above a row's
+    precision: one exp(r ln t), then repeated division by q t."""
+    prec = working_bits + _SUM_GUARD_BITS + 16
+    with mp.workprec(prec):
+        factors = [mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(t))._mpf_]
+    qt = libmp.mpf_mul(t._mpf_, libmp.from_int(r.denominator))
+    for _ in range(max_order):
+        factors.append(libmp.mpf_div(factors[-1], qt, prec, libmp.round_nearest))
+    return tuple(factors)
+
+
+def _report_value(value: int, exp: int, working_bits: int, factor: tuple) -> mp.mpf:
+    """value * 2^exp times a factor of ``_factors``, rounded once to the row's
+    working_bits + _SUM_GUARD_BITS."""
     prec = working_bits + _SUM_GUARD_BITS
-    return mp.make_mpf(libmp.from_man_exp(value, exp, prec, libmp.round_nearest))
+    return mp.make_mpf(libmp.mpf_mul(libmp.from_man_exp(value, exp), factor, prec, libmp.round_nearest))
 
 
 def signed_derivative(
@@ -250,8 +267,9 @@ def signed_derivative(
     rv = _as_rational(r)
     tv = as_point(t, policy.internal_bits(), "evaluation")
     ders = _aligned_row(phi_derivatives(spec, tv, k, policy))
-    exp, row = _signed_row(rv, k, tv, ders, policy)
-    return _report_value(row[k][0], exp, policy.working_bits)
+    exp, row = _signed_row(rv, k, _taylor_row(ders, tv, policy))
+    factor = _factors(tv, rv, k, policy.working_bits)[k]
+    return _report_value(row[k][0], exp, policy.working_bits, factor)
 
 
 def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
@@ -283,13 +301,17 @@ class CmCheckReport:
     violations: tuple  # (t, k, value), ordered by (t, k)
     inconclusive: tuple  # (t, k)
     # every exact (t, k, value, scale, exp, bits), ordered by (t, k): a row
-    # of ``_signed_row`` at ``bits`` working bits, as classify_sign read it
+    # of ``_signed_row`` at ``bits`` working bits, as classify_sign read it,
+    # without its factor t^(r-k) q^(-k)
     rows: tuple
 
     @cached_property
     def values(self) -> tuple:
         """Every (t, k, value), ordered by (t, k), rounded when first read."""
-        return tuple((t, k, _report_value(v, exp, bits)) for t, k, v, _, exp, bits in self.rows)
+        return tuple(
+            (t, k, _report_value(v, exp, bits, _factors(t, self.r, self.max_order, bits)[k]))
+            for t, k, v, _, exp, bits in self.rows
+        )
 
 
 def cm_check(
@@ -319,10 +341,10 @@ def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
     inconclusive = []
     rows = []
     for tv in grid.values(policy.internal_bits()):
-        exp, row = _signed_row(rv, max_order, tv, scope(spec, tv, policy), policy)
+        exp, row = _signed_row(rv, max_order, scope.taylor(spec, tv, policy))
         classes = [classify_sign(value, scale, policy) for value, scale in row]
         if "borderline" in classes:
-            exp2, row2 = _signed_row(rv, max_order, tv, scope(spec, tv, doubled), doubled)
+            exp2, row2 = _signed_row(rv, max_order, scope.taylor(spec, tv, doubled))
         for k, ((value, scale), cls) in enumerate(zip(row, classes)):
             entry_exp, bits = exp, policy.working_bits
             if cls == "borderline":
@@ -333,7 +355,8 @@ def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
             if cls == "borderline":
                 inconclusive.append((tv, k))
             elif cls == "violation":
-                violations.append((tv, k, _report_value(value, entry_exp, bits)))
+                factor = _factors(tv, rv, max_order, bits)[k]
+                violations.append((tv, k, _report_value(value, entry_exp, bits, factor)))
     if violations:
         verdict = "violation"
     elif inconclusive:

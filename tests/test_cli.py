@@ -332,10 +332,13 @@ def test_cmcheck_csv_has_one_row_per_grid_point_and_order(capsys):
 # sha256 of a `cmcheck` CSV that prints every (t, k) value row: values
 # rounded only when read print the bytes of values rounded when built.
 # Re-recorded when each phi_{n,j} became its shifted Bernoulli tail: 30
-# rows at t < 0.8 moved in their last digits, each toward its 512-bit value
+# rows at t < 0.8 moved in their last digits, each toward its 512-bit value.
+# Re-recorded when the sums became an integer table dotted with the Taylor
+# row t^i phi^(i) / i!: 3 rows at t < 0.03, where the terms cancel by about
+# 2^60, moved in their last digits
 CMCHECK_CSV_ARGV = ["cmcheck", "--spec", "0,3", "--r", "3", "--max-order", "12",
                     "--grid", "log:1e-3:1e4:30", "--format", "csv"]  # fmt: skip
-CMCHECK_CSV_DIGEST = "5860b6d890019c7285313883fbb589daaa79953fd4872eae16536f3c71428195"
+CMCHECK_CSV_DIGEST = "579c175209704bae1144d6826e0a58e4bb3c66b4b41444fa23b4d22df5ac188b"
 
 
 def test_cmcheck_csv_golden_bytes(capsys):

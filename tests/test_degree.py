@@ -13,7 +13,7 @@ import dataclasses
 import importlib
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -112,18 +112,26 @@ def test_grid_points_are_rounded_to_the_requested_precision(spacing):
 
 
 def test_cm_check_gives_phi_and_the_signed_sums_one_t(monkeypatch):
-    # phi rounds t to internal_bits; t^r in the signed sums must see that t
+    # phi rounds t to internal_bits; the Taylor row t^i phi^(i) / i! and the
+    # reported factors t^(r-k) q^(-k) must see that t
     seen = []
-    real = degree_module._signed_row
+    real_taylor, real_factors = degree_module._taylor_row, degree_module._factors
 
-    def spy(r, max_order, tv, ders, policy):
-        seen.append((tv, policy))
-        return real(r, max_order, tv, ders, policy)
+    def taylor(ders, tv, policy):
+        seen.append(tv)
+        return real_taylor(ders, tv, policy)
 
-    monkeypatch.setattr(degree_module, "_signed_row", spy)
-    cm_check(Q, 4, 4, Grid.parse("log:1e-3:1e4:12"), POLICY)
+    def factors(tv, r, max_order, bits):
+        seen.append(tv)
+        return real_factors(tv, r, max_order, bits)
+
+    monkeypatch.setattr(degree_module, "_taylor_row", taylor)
+    monkeypatch.setattr(degree_module, "_factors", factors)
+    rep = cm_check(Q, Fraction(9, 2), 4, Grid.parse("log:1e-3:1e4:12"), POLICY)
     assert len(seen) >= 12
-    assert all(as_mpf(t, POLICY.internal_bits())._mpf_ == t._mpf_ for t, _ in seen)
+    assert len(rep.values) == 12 * 5
+    assert len(seen) >= 12 + 12 * 5
+    assert all(as_mpf(t, POLICY.internal_bits())._mpf_ == t._mpf_ for t in seen)
 
 
 def test_grid_values_deterministic_across_instances():
@@ -319,18 +327,59 @@ ROW_CASES = [
 
 @pytest.mark.parametrize("spec, r, t, policy", ROW_CASES)
 def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
-    # r = 2 has zero falling factorials from j = 3 on; r = 0 keeps only j = 0
+    # r = 2 has zero falling factorials from j = 3 on; r = 0 keeps only j = 0.
+    # A row entry times t^(r-k) q^(-k) is the signed derivative of order k.
     tv = as_mpf(t, policy.internal_bits())
     ders = phi_derivatives(spec, tv, 12, policy)
-    exp, row = degree_module._signed_row(r, 12, tv, degree_module._aligned_row(ders), policy)
+    taylor = degree_module._taylor_row(degree_module._aligned_row(ders), tv, policy)
+    exp, row = degree_module._signed_row(r, 12, taylor)
     ref = _per_term_row(r, 12, tv, ders, 2 * policy.working_bits)
     assert len(row) == 13
     with mp.workprec(2 * policy.working_bits):
-        for (value, scale), (ref_value, ref_scale) in zip(row, ref):
-            value, scale = mp.ldexp(mp.mpf(value), exp), mp.ldexp(mp.mpf(scale), exp)
+        power = mp.exp(mp.mpf(r.numerator) / r.denominator * mp.log(tv))
+        for k, ((value, scale), (ref_value, ref_scale)) in enumerate(zip(row, ref)):
+            factor = mp.ldexp(power / (r.denominator * tv) ** k, exp)
+            value, scale = mp.mpf(value) * factor, mp.mpf(scale) * factor
             tol = mp.mpf(2) ** -policy.working_bits * ref_scale
             assert abs(value - ref_value) <= tol
             assert abs(scale - ref_scale) <= tol
+
+
+def _falling(r, j):
+    out = Fraction(1)
+    for i in range(j):
+        out *= r - i
+    return out
+
+
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(2), Fraction(61, 20), Fraction(949, 200)])
+@pytest.mark.parametrize("t", [Fraction(3, 7), Fraction(37, 4)])
+def test_sum_table_identity_is_exact(r, t):
+    # t^(r-k) q^(-k) sum_j a_{k,j} t^(k-j) x_{k-j} / (k-j)!
+    #     = sum_j C(k,j) r(r-1)...(r-j+1) t^(r-j) x_{k-j}
+    # for any x_i, in exact rationals: the common factor t^r is divided out.
+    # r = 2 stops each row of the table at the zero falling factorial.
+    p, q = r.numerator, r.denominator
+    xs = [Fraction((-1) ** i * (2 * i + 1), i * i + 3) for i in range(13)]
+    table = degree_module._table(p, q, 12)
+    assert len(table) == 13
+    for k, coeffs in enumerate(table):
+        assert len(coeffs) == (k + 1 if q > 1 else min(k + 1, p + 1))
+        taylor = sum(a * t ** (k - j) * xs[k - j] / factorial(k - j) for j, a in enumerate(coeffs))
+        left = taylor / (t**k * q**k)
+        right = sum(comb(k, j) * _falling(r, j) / t**j * xs[k - j] for j in range(k + 1))
+        assert left == right, (r, t, k)
+
+
+@pytest.mark.parametrize("r", [Fraction(61, 20), Fraction(3)])
+def test_signed_derivative_is_the_report_value_bit_for_bit(r):
+    grid = Grid.parse("log:1e-3:1e4:9")
+    rep = cm_check(TRIGAP, r, 8, grid, POLICY)
+    bits = [row[-1] for row in rep.rows]
+    first = [entry for entry, b in zip(rep.values, bits) if b == POLICY.working_bits]
+    assert len(first) > len(rep.values) // 2
+    for t, k, value in first:
+        assert signed_derivative(TRIGAP, r, k, t, POLICY)._mpf_ == value._mpf_, (t, k)
 
 
 @pytest.mark.parametrize("k", [-1, 1.5, "2", None, True])
@@ -454,7 +503,8 @@ def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
 
 
 def clear_memos():
-    degree_module._coefficients.cache_clear()
+    degree_module._table.cache_clear()
+    degree_module._factors.cache_clear()
     Grid._points.cache_clear()
     polygamma_module._block.cache_clear()
 
@@ -465,8 +515,9 @@ def test_report_values_are_rounded_from_the_exact_rows_when_read():
     assert rep.violations
     assert {bits for *_, bits in rep.rows} == {POLICY.working_bits, DOUBLED.working_bits}
     assert "values" not in vars(rep)  # nothing has read them yet
+    factors = degree_module._factors
     eager = tuple(
-        (t, k, degree_module._report_value(value, exp, bits))
+        (t, k, degree_module._report_value(value, exp, bits, factors(t, rep.r, 8, bits)[k]))
         for t, k, value, _, exp, bits in rep.rows
     )
     assert [(t, k, v._mpf_) for t, k, v in rep.values] == [(t, k, v._mpf_) for t, k, v in eager]
@@ -887,20 +938,39 @@ def test_members_beyond_the_family_stay_per_cell_errors(monkeypatch):
     assert all(c.error.startswith("InvalidSpec") for c in rep.cells if c.error)
 
 
-def test_table_builds_one_coefficient_row_per_exponent_point_and_precision(monkeypatch):
-    keys = []
-    real = degree_module._signed_row
+def test_one_sum_table_per_exponent_and_one_taylor_row_per_cell_point_and_precision(monkeypatch):
+    # a half-integer lattice: two denominators q, doubled-precision reruns,
+    # and exponents shared by the cells
+    exponents, requests, builds = [], [], []
+    real_row, real_taylor, real_request = (
+        degree_module._signed_row,
+        degree_module._taylor_row,
+        degree_module._scope.taylor,
+    )
 
-    def spy(r, max_order, tv, ders, policy):
-        keys.append((r, max_order, tv, policy.working_bits))
-        return real(r, max_order, tv, ders, policy)
+    def row(r, max_order, taylor):
+        exponents.append((r.numerator, r.denominator, max_order))
+        return real_row(r, max_order, taylor)
 
-    monkeypatch.setattr(degree_module, "_signed_row", spy)
-    degree_module._coefficients.cache_clear()
-    conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
-    assert DOUBLED.working_bits in {bits for *_, bits in keys}
-    assert len(keys) > len(set(keys))  # the cells share exponents and points
-    assert degree_module._coefficients.cache_info().misses == len(set(keys))
+    def request(scope, spec, tv, policy):
+        requests.append((spec.family_indices, tv, policy))
+        return real_request(scope, spec, tv, policy)
+
+    def taylor(ders, tv, policy):
+        builds.append((tv, policy))
+        return real_taylor(ders, tv, policy)
+
+    monkeypatch.setattr(degree_module, "_signed_row", row)
+    monkeypatch.setattr(degree_module._scope, "taylor", request)
+    monkeypatch.setattr(degree_module, "_taylor_row", taylor)
+    degree_module._table.cache_clear()
+    conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY, lattice_step=Fraction(1, 2))
+    assert {q for _, q, _ in exponents} == {1, 2}
+    assert DOUBLED in {policy for _, policy in builds}
+    assert len(exponents) > len(set(exponents))  # the cells share exponents and points
+    assert degree_module._table.cache_info().misses == len(set(exponents))
+    assert len(requests) > len(set(requests))  # the exponents, both q among them, share rows
+    assert len(builds) == len(set(requests))
 
 
 def test_t_to_the_19_over_4_times_q_is_not_cm():
