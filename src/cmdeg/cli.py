@@ -190,7 +190,7 @@ def _report_record(report: CmCheckReport) -> dict:
         },
         "precision_bits": bits,
         "verdict": report.verdict,
-        "violation_count": len(report.violations),
+        "violation_count": len(report.violation_rows),
         "inconclusive_count": len(report.inconclusive),
         "violations": [
             {"t": _real(t, bits), "k": k, "value": _real(v, bits)}
@@ -211,7 +211,8 @@ def _report_rows(report: CmCheckReport) -> list[list[str]]:
 def _run_cmcheck(args) -> tuple[dict, list[list[str]]]:
     spec = _spec_from_args(args)
     report = cm_check(spec, args.r, args.max_order, args.grid, args.policy)
-    return _report_record(report), _report_rows(report)
+    # only CSV prints every value: JSON and text leave them unrounded
+    return _report_record(report), _report_rows(report) if args.format == "csv" else []
 
 
 def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
@@ -230,7 +231,7 @@ def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
         "lower_evidence": {
             "verdict": bracket.lower_evidence.verdict,
             "r": str(bracket.lower_evidence.r),
-            "violation_count": len(bracket.lower_evidence.violations),
+            "violation_count": len(bracket.lower_evidence.violation_rows),
             "inconclusive_count": len(bracket.lower_evidence.inconclusive),
         },
     }

@@ -17,20 +17,22 @@ v_i = t^i phi^(i)(t) / i! of x -> phi(t + t x), the sum of order k is
 The a_{k,j} are exact integers, one table per (p, q, max_order), and t
 enters through the v_i alone, whose row stays narrow at high orders (for
 phi = t^(-s), v_i grows like i^(s-1) where t^i phi^(i) grows like i!).
-Each v_i is rounded once, at working_bits + 64 bits, so every term is an
-exact integer product at one exponent and every sum is exact.  A row holds
-the integer pairs (signed value, largest |term|) without the positive
-factor t^(r-k) q^(-k), which ``classify_sign`` does not need; a report
-multiplies by it, rounding to mpf at working_bits + 64 bits, only when its
-``values`` are read, and its few violation entries at once.
+Each v_i is rounded once, at working_bits + 64 bits, from the raw phi^(i)
+and one chain t^i / i! per (t, precision), so every term is an exact
+integer product at one exponent and every sum is exact.  A row holds the
+integer pairs (signed value, largest |term|) without the positive factor
+t^(r-k) q^(-k), which ``classify_sign`` does not need; a report multiplies
+by it, rounding to mpf at working_bits + 64 bits, only when its ``values``
+or its ``violations`` are read.  A scan that only counts its violations
+rounds nothing.
 
 Every scan of one public call reads phi^(0..max_order)(t) from one scope,
-which evaluates its cells once per (t, policy) and forms each cell's phi
-and Taylor rows once.  Each phi_{n,j} is its own shifted Bernoulli tail,
-so a cell's row has the bits of ``phi_derivatives`` in every scope
-(``cm_check`` and ``degree_bracket`` scope their member, ``conjecture_scan``
-its table) unless a higher order of its n there forces a further shift
-(64 bits, t near 22).
+which evaluates its cells once per (t, policy) and forms each cell's
+Taylor row once, when a scan first asks for it.  Each phi_{n,j} is its own
+shifted Bernoulli tail, so a cell's row has the bits of ``phi_derivatives``
+in every scope (``cm_check`` and ``degree_bracket`` scope their member,
+``conjecture_scan`` its table) unless a higher order of its n there forces
+a further shift (64 bits, t near 22).
 
 The passing exponents at a point are closed downward.  For a > 0 the
 product rule gives
@@ -174,39 +176,51 @@ def _aligned_row(ders: list[mp.mpf]) -> tuple[tuple, int]:
 
 class _scope:
     """Where the scans of one public call read phi^(0..max_order)(t): each
-    cell (n, m): max_order is evaluated once per (t, policy), and its
-    aligned phi row and its Taylor row are each formed once."""
+    cell (n, m): max_order is evaluated once per (t, policy), and its Taylor
+    row is formed once, when a scan first asks for it."""
 
     def __init__(self, cells: dict):
         self.cells, self.rows, self.taylor_rows = cells, {}, {}
 
+    def _row(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> list[mp.mpf]:
+        if (t, policy) not in self.rows:
+            self.rows[t, policy] = _phi_rows(self.cells, t, policy)
+        return self.rows[t, policy][spec.family_indices]
+
     def __call__(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
         """The aligned phi row of ``spec`` at (t, policy): (mantissas, exponent)."""
-        if (t, policy) not in self.rows:
-            phi = _phi_rows(self.cells, t, policy)
-            self.rows[t, policy] = {nm: _aligned_row(d) for nm, d in phi.items()}
-        return self.rows[t, policy][spec.family_indices]
+        return _aligned_row(self._row(spec, t, policy))
 
     def taylor(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
         """The ``_taylor_row`` of ``spec`` at (t, policy)."""
         key = spec.family_indices, t, policy
         if key not in self.taylor_rows:
-            self.taylor_rows[key] = _taylor_row(self(spec, t, policy), t, policy)
+            self.taylor_rows[key] = _taylor_row(self._row(spec, t, policy), t, policy)
         return self.taylor_rows[key]
 
 
-def _taylor_row(ders: tuple[tuple, int], t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
-    """v_i = t^i phi^(i)(t) / i! from the aligned phi row ``ders``, aligned:
-    each t^i / i! is carried _SUM_GUARD_BITS higher, and its product with the
-    exact phi^(i) is rounded once at working_bits + _SUM_GUARD_BITS."""
+@lru_cache(maxsize=1024)
+def _ratios(t: mp.mpf, length: int, working_bits: int) -> tuple:
+    """t^i / i! for i < length as raw mpf, each step rounded _SUM_GUARD_BITS
+    above a Taylor row's precision.  The cells of a scope share one chain
+    per (t, policy); each cell asks for it once per point in turn, so the
+    bound must exceed a scope's points (276 for the 8 x 6 table by default)."""
+    prec = working_bits + 2 * _SUM_GUARD_BITS
+    ratios = [libmp.fone]
+    for i in range(1, length):
+        ratio = libmp.mpf_mul(ratios[-1], t._mpf_, prec, libmp.round_nearest)
+        ratios.append(libmp.mpf_div(ratio, libmp.from_int(i), prec, libmp.round_nearest))
+    return tuple(ratios)
+
+
+def _taylor_row(ders: list[mp.mpf], t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
+    """v_i = t^i phi^(i)(t) / i! from phi^(0..i_max)(t) ``ders``, aligned:
+    each product of the exact phi^(i) with t^i / i! of ``_ratios`` is
+    rounded once at working_bits + _SUM_GUARD_BITS."""
     prec = policy.working_bits + _SUM_GUARD_BITS
-    mantissas, exp = ders
-    ratio, row = libmp.fone, []  # ratio = t^i / i!
-    for i, m in enumerate(mantissas):
-        row.append(man_exp(libmp.mpf_mul(ratio, libmp.from_man_exp(m, exp), prec, libmp.round_nearest)))
-        ratio = libmp.mpf_mul(ratio, t._mpf_, prec + _SUM_GUARD_BITS, libmp.round_nearest)
-        ratio = libmp.mpf_div(ratio, libmp.from_int(i + 1), prec + _SUM_GUARD_BITS, libmp.round_nearest)
-    return aligned(row)
+    ratios = _ratios(t, len(ders), policy.working_bits)
+    return aligned([man_exp(libmp.mpf_mul(a, d._mpf_, prec, libmp.round_nearest))
+                    for a, d in zip(ratios, ders)])
 
 
 @lru_cache(maxsize=32)
@@ -266,8 +280,7 @@ def signed_derivative(
     policy = policy or PrecisionPolicy()
     rv = _as_rational(r)
     tv = as_point(t, policy.internal_bits(), "evaluation")
-    ders = _aligned_row(phi_derivatives(spec, tv, k, policy))
-    exp, row = _signed_row(rv, k, _taylor_row(ders, tv, policy))
+    exp, row = _signed_row(rv, k, _taylor_row(phi_derivatives(spec, tv, k, policy), tv, policy))
     factor = _factors(tv, rv, k, policy.working_bits)[k]
     return _report_value(row[k][0], exp, policy.working_bits, factor)
 
@@ -290,7 +303,8 @@ def classify_sign(value, scale, policy: PrecisionPolicy) -> str:
 
 @dataclass(frozen=True)
 class CmCheckReport:
-    """Outcome of a sign scan of (-1)^k [t^r phi]^(k) over a grid."""
+    """Outcome of a sign scan of (-1)^k [t^r phi]^(k) over a grid: exact
+    rows, whose ``values`` and ``violations`` are rounded when first read."""
 
     spec: RemainderSpec
     r: Fraction
@@ -298,20 +312,25 @@ class CmCheckReport:
     grid: Grid
     working_bits: int
     verdict: str  # "pass" | "violation" | "inconclusive"
-    violations: tuple  # (t, k, value), ordered by (t, k)
+    violation_rows: tuple  # each violation's exact (t, k, value, exp, bits), by (t, k)
     inconclusive: tuple  # (t, k)
     # every exact (t, k, value, scale, exp, bits), ordered by (t, k): a row
     # of ``_signed_row`` at ``bits`` working bits, as classify_sign read it,
     # without its factor t^(r-k) q^(-k)
     rows: tuple
 
+    def _rounded(self, t, k, value, exp, bits) -> tuple:
+        return t, k, _report_value(value, exp, bits, _factors(t, self.r, self.max_order, bits)[k])
+
     @cached_property
     def values(self) -> tuple:
         """Every (t, k, value), ordered by (t, k), rounded when first read."""
-        return tuple(
-            (t, k, _report_value(v, exp, bits, _factors(t, self.r, self.max_order, bits)[k]))
-            for t, k, v, _, exp, bits in self.rows
-        )
+        return tuple(self._rounded(t, k, v, exp, bits) for t, k, v, _, exp, bits in self.rows)
+
+    @cached_property
+    def violations(self) -> tuple:
+        """Each violating (t, k, value); ``violation_rows`` counts them unrounded."""
+        return tuple(self._rounded(*entry) for entry in self.violation_rows)
 
 
 def cm_check(
@@ -355,8 +374,7 @@ def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
             if cls == "borderline":
                 inconclusive.append((tv, k))
             elif cls == "violation":
-                factor = _factors(tv, rv, max_order, bits)[k]
-                violations.append((tv, k, _report_value(value, entry_exp, bits, factor)))
+                violations.append((tv, k, value, entry_exp, bits))
     if violations:
         verdict = "violation"
     elif inconclusive:
@@ -370,7 +388,7 @@ def _cm_check(spec, r, max_order, grid, policy, scope) -> CmCheckReport:
         grid=grid,
         working_bits=policy.working_bits,
         verdict=verdict,
-        violations=tuple(violations),
+        violation_rows=tuple(violations),
         inconclusive=tuple(inconclusive),
         rows=tuple(rows),
     )

@@ -8,6 +8,7 @@ expansion coefficients against their published exact values.
 """
 
 import hashlib
+import importlib
 import json
 from math import factorial
 
@@ -16,6 +17,9 @@ import pytest
 
 from cmdeg import PrecisionPolicy, q_value
 from cmdeg.cli import main
+
+cli_module = importlib.import_module("cmdeg.cli")
+degree_module = importlib.import_module("cmdeg.degree")
 
 # frozen decimal prefixes (see module docstring)
 Q1_PREFIX = "0.011600733514893103"
@@ -304,6 +308,29 @@ def test_cmcheck_violation(capsys):
     first = record["violations"][0]
     assert first["k"] >= 1
     assert first["value"]["decimal"].startswith("-")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cmcheck_rounds_only_the_violations_it_prints(fmt, monkeypatch, capsys):
+    # JSON and text print the violations, never the CSV rows of every value
+    def no_rows(report):
+        raise AssertionError("built the CSV rows")
+
+    rounded = []
+    real_value = degree_module._report_value
+
+    def value(*args):
+        rounded.append(args)
+        return real_value(*args)
+
+    monkeypatch.setattr(cli_module, "_report_rows", no_rows)
+    monkeypatch.setattr(degree_module, "_report_value", value)
+    argv = ["cmcheck", "--special", "Q", "--r", "5.05", "--grid", "log:1e-2:1e2:10",
+            "--max-order", "4", "--format", fmt]  # fmt: skip
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and rounded
+    if fmt == "json":
+        assert len(rounded) == json.loads(out)["violation_count"]
 
 
 def test_cmcheck_csv_has_one_row_per_grid_point_and_order(capsys):

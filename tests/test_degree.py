@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+cli_module = importlib.import_module("cmdeg.cli")
 degree_module = importlib.import_module("cmdeg.degree")
 polygamma_module = importlib.import_module("cmdeg.polygamma")
+precision_module = importlib.import_module("cmdeg.precision")
 
 from cmdeg import (
     PHI_M_MAX,
@@ -331,7 +333,7 @@ def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
     # A row entry times t^(r-k) q^(-k) is the signed derivative of order k.
     tv = as_mpf(t, policy.internal_bits())
     ders = phi_derivatives(spec, tv, 12, policy)
-    taylor = degree_module._taylor_row(degree_module._aligned_row(ders), tv, policy)
+    taylor = degree_module._taylor_row(ders, tv, policy)
     exp, row = degree_module._signed_row(r, 12, taylor)
     ref = _per_term_row(r, 12, tv, ders, 2 * policy.working_bits)
     assert len(row) == 13
@@ -343,6 +345,77 @@ def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
             tol = mp.mpf(2) ** -policy.working_bits * ref_scale
             assert abs(value - ref_value) <= tol
             assert abs(scale - ref_scale) <= tol
+
+
+def _per_cell_taylor_row(ders, t, policy):
+    """A Taylor row as each cell formed it before the chain t^i / i! was
+    shared: from the aligned phi row, rebuilding the chain step by step."""
+    libmp, prec = mp.libmp, policy.working_bits + 64
+    mantissas, exp = ders
+    ratio, row = libmp.fone, []
+    for i, m in enumerate(mantissas):
+        row.append(libmp.mpf_mul(ratio, libmp.from_man_exp(m, exp), prec, libmp.round_nearest))
+        ratio = libmp.mpf_mul(ratio, t._mpf_, prec + 64, libmp.round_nearest)
+        ratio = libmp.mpf_div(ratio, libmp.from_int(i + 1), prec + 64, libmp.round_nearest)
+    return precision_module.aligned([precision_module.man_exp(v) for v in row])
+
+
+def test_shared_chain_gives_the_per_cell_taylor_rows_bit_for_bit():
+    cases = {(p.values[0], p.values[2], p.values[3]) for p in ROW_CASES}
+    cases = [(spec, as_mpf(t, policy.internal_bits()), policy, 12) for spec, t, policy in cases]
+    t_q = Grid.parse("log:24:40:3").values(POLICY.internal_bits())[1]  # t ~ 30.98
+    assert 30.9 < t_q < 31
+    for spec, tv, policy, order in cases + [(Q, t_q, POLICY, 200)]:
+        ders = phi_derivatives(spec, tv, order, policy)
+        want = _per_cell_taylor_row(degree_module._aligned_row(ders), tv, policy)
+        assert degree_module._taylor_row(ders, tv, policy) == want, (spec, tv, policy)
+
+
+def test_a_scope_builds_one_chain_per_point_and_policy(monkeypatch):
+    cells = {(n, m): 12 for n in range(4) for m in range(4)}
+    points = RERUN_GRID.values(POLICY.internal_bits())
+    degree_module._ratios.cache_clear()
+    scope = degree_module._scope(cells)
+    for tv, policy in product(points, (POLICY, DOUBLED)):
+        for n, m in cells:
+            scope.taylor(RemainderSpec(n=n, m=m), tv, policy)
+    info = degree_module._ratios.cache_info()
+    assert info.misses == info.currsize == 2 * len(points)
+    assert info.hits == (len(cells) - 1) * 2 * len(points)
+    # a table scan as well: one chain per (t, policy) it evaluates
+    evaluations, _ = _count_rows_and_taylor_rows(monkeypatch)
+    degree_module._ratios.cache_clear()
+    conjecture_scan(3, 3, max_order=12, grid=RERUN_GRID, policy=POLICY)
+    assert degree_module._ratios.cache_info().misses == len(evaluations)
+
+
+def test_a_table_scan_rounds_nothing_until_its_violations_are_read(monkeypatch):
+    rounded = []
+    real_value, real_factors = degree_module._report_value, degree_module._factors
+
+    def value(*args):
+        rounded.append(args)
+        return real_value(*args)
+
+    def factors(*args):
+        rounded.append(args)
+        return real_factors(*args)
+
+    monkeypatch.setattr(degree_module, "_report_value", value)
+    monkeypatch.setattr(degree_module, "_factors", factors)
+    rep = conjecture_scan(2, 2, max_order=12, grid=RERUN_GRID, policy=POLICY)
+    assert rounded == []
+    for cell in rep.cells:
+        cli_module._bracket_record(cell.bracket, POLICY.working_bits)  # counts its violations
+        assert "violations" not in vars(cell.bracket.lower_evidence)
+    assert rounded == []
+    evidence = next(c.bracket.violation_evidence for c in rep.cells if c.bracket.violation_evidence)
+    assert len(evidence.violation_rows) > 0 and "violations" not in vars(evidence)
+    assert len(evidence.violations) == len(evidence.violation_rows)
+    assert rounded
+    for (t, k, value), (*_, bits) in zip(evidence.violations, evidence.violation_rows):
+        want = signed_derivative(evidence.spec, evidence.r, k, t, PrecisionPolicy(bits))
+        assert value._mpf_ == want._mpf_, (t, k)
 
 
 def _falling(r, j):
@@ -504,6 +577,7 @@ def test_classify_sign_runs_once_per_point_and_order_plus_reruns(monkeypatch):
 
 def clear_memos():
     degree_module._table.cache_clear()
+    degree_module._ratios.cache_clear()
     degree_module._factors.cache_clear()
     Grid._points.cache_clear()
     polygamma_module._block.cache_clear()
@@ -846,26 +920,27 @@ def test_table_cells_match_standalone_brackets(step):
         ), (cell.n, cell.m)
 
 
-def _count_rows_and_alignments(monkeypatch):
-    """Spy on the scope: every (t, policy) it evaluates, and every row it aligns."""
-    evaluations, alignments = [], []
-    real_rows, real_aligned = degree_module._phi_rows, degree_module._aligned_row
+def _count_rows_and_taylor_rows(monkeypatch):
+    """Spy on the scope: every (t, policy) it evaluates, and every Taylor row
+    it forms, as (the phi row it came from, t, policy)."""
+    evaluations, builds = [], []
+    real_rows, real_taylor = degree_module._phi_rows, degree_module._taylor_row
 
     def counted(cells, t, policy):
         evaluations.append((t, policy))
         return real_rows(cells, t, policy)
 
-    def aligned(ders):
-        alignments.append(ders)
-        return real_aligned(ders)
+    def taylor(ders, t, policy):
+        builds.append((id(ders), t, policy))  # the scope keeps every phi row alive
+        return real_taylor(ders, t, policy)
 
     monkeypatch.setattr(degree_module, "_phi_rows", counted)
-    monkeypatch.setattr(degree_module, "_aligned_row", aligned)
-    return evaluations, alignments
+    monkeypatch.setattr(degree_module, "_taylor_row", taylor)
+    return evaluations, builds
 
 
 def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
-    evaluations, alignments = _count_rows_and_alignments(monkeypatch)
+    evaluations, builds = _count_rows_and_taylor_rows(monkeypatch)
 
     def one_cell(*args):
         raise AssertionError("a table scan evaluated a member on its own")
@@ -877,10 +952,13 @@ def test_table_is_evaluated_once_per_grid_point_and_policy(monkeypatch):
     reruns = [t for t, policy in evaluations if policy == DOUBLED]
     assert reruns and len(set(reruns)) == len(reruns)
     assert len(base) + len(reruns) == len(evaluations)
-    assert len(alignments) == len(rep.cells) * len(evaluations)  # each cell's row once
+    # each cell's Taylor row at most once per (t, policy), and every cell
+    # reads every point of the grid
+    assert len(set(builds)) == len(builds) <= len(rep.cells) * len(evaluations)
+    assert sum(policy == POLICY for *_, policy in builds) == len(rep.cells) * len(base)
 
 
-def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
+def test_bracket_evaluates_each_point_and_forms_each_taylor_row_once(monkeypatch):
     # a fractional lattice with doubled-precision reruns and an integer
     # fallback: every scan of the bracket reads one scope
     scanned = []
@@ -890,7 +968,7 @@ def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
         scanned.append(degree_module._as_rational(r))
         return real_check(spec, r, *args)
 
-    evaluations, alignments = _count_rows_and_alignments(monkeypatch)
+    evaluations, builds = _count_rows_and_taylor_rows(monkeypatch)
     monkeypatch.setattr(degree_module, "_cm_check", check)
     br = degree_bracket(PHI03, Fraction(1, 2), 8, RERUN_GRID, POLICY)
     assert (br.lower, br.scan_violation_r) == (2, 3)
@@ -900,7 +978,7 @@ def test_bracket_evaluates_and_aligns_each_row_once(monkeypatch):
         POLICY.internal_bits()
     )
     assert any(policy == DOUBLED for _, policy in evaluations)
-    assert len(alignments) == len(evaluations)
+    assert [(t, policy) for _, t, policy in builds] == evaluations
 
 
 @pytest.mark.parametrize(
