@@ -169,11 +169,6 @@ def _as_rational(x) -> Fraction:
 # derivative scopes: where a scan reads phi^(0..max_order)(t).  One scope
 # lives for one public call and serves all its lattice exponents and reruns.
 
-def _aligned_row(ders: list[mp.mpf]) -> tuple[tuple, int]:
-    """phi^(0..i_max) as exact integers at one exponent: (mantissas, exponent)."""
-    return aligned([man_exp(d._mpf_) for d in ders])
-
-
 class _scope:
     """Where the scans of one public call read phi^(0..max_order)(t): each
     cell (n, m): max_order is evaluated once per (t, policy), and its Taylor
@@ -186,10 +181,6 @@ class _scope:
         if (t, policy) not in self.rows:
             self.rows[t, policy] = _phi_rows(self.cells, t, policy)
         return self.rows[t, policy][spec.family_indices]
-
-    def __call__(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
-        """The aligned phi row of ``spec`` at (t, policy): (mantissas, exponent)."""
-        return _aligned_row(self._row(spec, t, policy))
 
     def taylor(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
         """The ``_taylor_row`` of ``spec`` at (t, policy)."""

@@ -1,62 +1,47 @@
 """Digamma, polygamma and log-gamma evaluation to policy-controlled accuracy.
 
-The algorithm is the classical shift-and-series scheme:
+One shift-and-series evaluator, ``_series_tail``, computes everything.  It
+sums the asymptotic series of psi^(k), k = k_lo..k_max, or of ln Gamma from
+Bernoulli term ``first`` on, R_k:
 
-1. shift the argument upward by the recurrence
-       psi^(k)(w) = psi^(k)(w+1) + (-1)^k k! / w^(k+1)
-   (and ln Gamma(w) = ln Gamma(w+1) - ln w) until it is large enough,
-2. evaluate the Bernoulli asymptotic series at the shifted point,
-   truncated at its smallest term,
-3. undo the shift.
+1. shift the argument upward, t -> w = t + N, until w is large enough,
+2. sum R_k(w), truncated at its smallest term,
+3. undo the shift by a correction made of the recurrence
+       psi^(k)(t) = psi^(k)(t+1) + (-1)^(k+1) k! / t^(k+1)
+   (ln Gamma(t) = ln Gamma(t+1) - ln t) and the series' head, its terms
+   before ``first``, at w and at t (DLMF 5.5.2, 5.11.1).
 
-``polygamma_block`` evaluates every order 0..k_max at one point: the shift
-is shared, and each B_2i / w^(2i) is formed once and serves the series of
-all orders, scaled per order by an integer and a power of 1/w.
-``polygamma(k)`` is order k of a block.  A block from a low order k_lo
-leaves the orders below it out of the series and the unshift's sums; the
-orders it returns keep the full block's bits unless a skipped order alone
-would force a further shift, and the low orders' terms shrink fastest (a
-seeded sample of (k_lo, k_max, t, working_bits) finds no case).  With
-``first`` >= 1, ``polygamma_block`` and ``log_gamma`` return the series
-tails below instead, from which ``cmdeg.remainders`` evaluates every
-member.  All run through one shift loop, ``_shift_and_sum``; each supplies
-its own series and its own way of undoing the shift.
+``first`` = 0 is the whole function: the tail from term 1 plus its head,
+(-1)^(k+1) [(k-1)! x^-k + k!/2 x^-(k+1)], plus ln x for k = 0, and
+(x - 1/2) ln x - x + ln(2 pi)/2 for ln Gamma.  The head is taken once, at
+x = w; at t only the recurrence terms k!/t^(k+1) remain.
+``polygamma_block`` and ``log_gamma`` return the whole functions, or with
+``first`` >= 1 the tails from which ``cmdeg.remainders`` evaluates every
+member; ``polygamma(k)`` is the block of order k alone.
 
-Fixed-point arithmetic.  The shift loop, both series and both unshifts run
-on plain Python integers; mpmath only supplies the logarithms and the final
-rounding.  Each integer is only as wide as its own value needs.  The
-representation and the reasons for each part:
+Fixed-point arithmetic.  The shift, the series and the correction run on
+plain Python integers, and each value is rounded once; mpmath only
+supplies the logarithms and the rounding.  The representation and the
+reasons for each part:
 
 * t is held exactly as num / 2^sh, read from its mantissa and exponent, so
   the shifts t, t+1, ..., w-1 are exact integers num + j 2^sh and each
   1/(t+j) costs one integer division.
-* Every other quantity is an integer X standing for X / 2^scale.  The
-  internal precision P0 = working_bits + PAD_BITS + compensation sets the
-  absolute truncation target 2^(8-P0).  A block's compensation is the size
-  of the largest recurrence term k!/t^(k+1), k <= k_max, at the actual t,
-  plus 4: bitlen(k_max!) + 4 - (k_max+1) (mag_bits(t) - 1), at least 4.
-  The unshift multiplies each power sum by k!, and these bits keep the
-  product absolutely accurate; at t >= 2 the terms shrink like t^-(k+1),
-  so an order-200 block at t ~ 31 needs 800 bits fewer than bitlen(200!).
-  ln Gamma's compensation is 6.
-* Order k of a block is held at its own scale P0 + (k+1) lift, lift =
-  bitlen(floor t) (0 for t < 1), and its powers of 1/w carry 2^(k lift) as
-  (2^lift / w)^k.  At large t a value is tiny (psi^(k)(t) ~ (k-1)!/t^k),
-  and an absolute 2^(-P0) would keep only P0 - k log2 t of its bits; the
-  (k+1) lift keeps P0 bits relative to psi^(k)(t), and a low order does
-  not carry the lift of the block's highest order.  It is bitlen(floor t),
-  not bitlen(floor w), because each order is wanted relative to psi^(k)
-  at the unshifted t: the series target below is set that way, and w^-k
-  needs no more than that absolute accuracy.  ln Gamma has one scale,
-  P0 + widen + bitlen(floor w): ln Gamma(2) = 0, so its noise bits there
-  depend on the scale.
-* At t < 1 the recurrence term k!/t^(k+1) at j = 0 is (k+1) |log2 t| bits
-  larger than at t = 1.  The block adds it exactly, k! 2^(scale + (k+1)
-  sh) / num^(k+1) floored once, so the series and the steps j >= 1 (where
-  t + j >= 1) run at P0.  ln Gamma's ``widen`` adds |log2 t| bits to its
-  scale for t < 1; they do not tighten its target: the series runs at
-  w >= 10, where no term is that large, and a target tightened by them
-  only forces more shifts (three Stirling passes at t = 1e-300, 128 bits).
+* Every other quantity is an integer X standing for X / 2^scale.  Order k
+  is held at scale P0 + (2 max(first, 1) + k) bitlen(floor w), so the
+  first term of its tail keeps P0 = working_bits + PAD_BITS + compensation
+  bits.  A whole function's compensation is the size of its largest
+  recurrence term k!/t^(k+1), k <= k_max, plus 4: bitlen(k_max!) + 4 -
+  (k_max+1) (mag_bits(t) - 1), at least 4.  The correction multiplies each
+  power sum by k!, and these bits keep the product absolutely accurate; at
+  t >= 2 the terms shrink like t^-(k+1), so an order-200 block at t ~ 31
+  needs 800 bits fewer than bitlen(200!).  A tail's compensation is 0, so
+  a large tail at high k near t = 1 can miss the absolute bound; its
+  relative accuracy holds.
+* The head's terms and k!/t^(k+1) are each one exact rational, floored
+  once, so at t < 1 the recurrence term, (k+1) |log2 t| bits larger than
+  at t = 1, costs no series precision: the series and the power sums run
+  at w >= 10, where no term is that large.
 * w^(-2i) underflows at any fixed scale while |B_2i| grows past 2^400 (512
   working bits, w ~ 171), so B_2i w^(-2i) at 2^scale alone would be only
   2^(-scale) * |B_2i| accurate.  It is therefore held as v / 2^e with
@@ -67,21 +52,12 @@ representation and the reasons for each part:
   cut costs under 2^-8 of a unit, and its width depends on order k alone.
   Late terms, far below the target, thus multiply a few bits, not a few
   hundred.
-* Order k >= 1 stops at its first term below 2^(8-P0) * min(1, (k-1)!
-  t^-k), the absolute target scaled down to the smallest value
-  |psi^(k)(t)| can take, so every order is accurate relative to its value;
-  order 0 and ln Gamma keep the absolute target.  Each order runs its own
-  loop over i, the highest first: its terms grow first, so a series that
-  must shift further stops early.
 * ln Gamma undoes its shift with one log of the product t(t+1)...(w-1),
   carried to scale + _FIXED_GUARD_BITS significant bits: one log per
   value, not one per shift.
 
-Blocks are memoised per process on exactly what the computation reads:
-(k_lo, k_max, t, working_bits).  A smaller k_max is never served from a
-prefix of a larger block: the internal precision and the shift both depend
-on k_max, so the low orders of a larger block can differ in the last bits
-from a block computed for them.  ln Gamma values and series tails are not
+Only the correction's power sums and logs are memoised, per (t, shift,
+scale): the tails of every ``first`` at one t share them.  Values are not
 memoised: a derivative scope asks for one per (t, policy), so a memo of
 them would only miss.
 
@@ -89,13 +65,7 @@ The shift target max(10, working_bits/3) makes the smallest series term
 comfortably smaller than the absolute error target, so the smallest-term
 truncation rule meets the accuracy contract; the loop still verifies the
 achieved bound and shifts further when a high derivative order requires it.
-
-Series tails.  ``_series_tail`` shifts a remainder R_k itself, the series
-of ln Gamma or psi^(k) from Bernoulli term ``first`` on: the series loops
-sum R_k(w) at w = t + N, and the recurrence and the head's explicit terms
-at t and at w undo the shift.  Order k is held at scale P0 + (2 first + k)
-bitlen(floor w), so the first term of its tail keeps P0 = working_bits +
-PAD_BITS bits.  From the shift target on, N = 0.
+From the shift target on, N = 0.
 """
 
 from __future__ import annotations
@@ -166,60 +136,41 @@ def _inverse_even_powers(w: int, sh: int, scale: int):
 
 def _psi_series(
     k_max: int,
-    t: int,
     w: int,
     sh: int,
     scale: int,
     target: int,
-    k_lo: int = 0,
-    first: int = 0,
-    floors: list[int] | None = None,
+    k_lo: int,
+    first: int,
+    floor,
 ) -> list[int] | None:
-    """Asymptotic series for psi^(k_lo)(w) .. psi^(k_max)(w) at large w =
-    w / 2^sh; t / 2^sh is the unshifted argument.  Order k is an integer at
-    2^(scale + k lift), lift = bitlen(floor t), its powers of w carrying
+    """The terms i >= first >= 1 of the asymptotic series of psi^(k_lo)(w)
+    .. psi^(k_max)(w) at large w = w / 2^sh.  Order k is an integer at
+    2^(scale + k lift), lift = bitlen(floor w), its powers of w carrying
     2^(k lift).
 
     B_2i / w^(2i) is formed once per i and shared by every order: order
     k's term is that value times the integer (2i+k-1)!/(2i)! and w^(-k)
     (times 1/(2i) for k = 0).  Each order runs its own loop over i, from
-    k_max down, and is truncated at its own smallest term, below
-    ``target`` / 2^scale (for k >= 1 scaled by min(1, (k-1)! t^-k)).
-    Returns None as soon as an order's terms grow before reaching its
-    target (caller must shift further).
-
-    With ``first`` >= 1 only the series' tail is summed: the terms
-    i >= first, without the leading terms.  Order k then stops at its first
-    term below target / 2^scale times the first of its terms, or times
-    ``floors[k - k_lo]`` if that is larger.
+    k_max down, and stops at its first term below target / 2^scale times
+    the larger of its first term and ``floor(k)``.  Returns None as
+    soon as an order's terms grow before reaching its target (caller must
+    shift further).
     """
-    lift = (t >> sh).bit_length()
+    lift = (w >> sh).bit_length()
     u = (1 << (scale + sh + lift)) // w
-    upow = [1 << scale]  # (2^lift / w)^k for k = 0 .. k_max+1
-    for _ in range(k_max + 1):
+    upow = [1 << scale]  # (2^lift / w)^k for k = 0 .. k_max
+    for _ in range(k_max):
         upow.append(upow[-1] * u >> scale)
-    start = max(first, 1)
-    powers = islice(_inverse_even_powers(w, sh, scale), start - 1, None)
-    shared = []  # B_2i w^(-2i) at 2^e, as (value, e), for i = start, start+1, ...
+    powers = islice(_inverse_even_powers(w, sh, scale), first - 1, None)
+    shared = []  # B_2i w^(-2i) at 2^e, as (value, e), for i = first, first+1, ...
     sums = [0] * (k_max + 1 - k_lo)
     for k in range(k_max, k_lo - 1, -1):  # the highest order's terms grow first
-        if first:  # a tail: no leading terms, and its goal comes from its first term
-            total = goal = 0
-        elif k:
-            # (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
-            #              + sum_i B_2i (2i+k-1)!/((2i)! w^(2i+k)) ]
-            total = factorial(k - 1) * upow[k] + (factorial(k) * upow[k + 1] >> (lift + 1))
-            # (k-1)! t^-k = lead / t_k at 2^(k lift)
-            lead, t_k = factorial(k - 1) << (k * (sh + lift)), t**k
-            goal = target * min(lead, t_k << k * lift) // t_k
-        else:
-            # ln w - 1/(2w) - sum_i B_2i / (2i w^(2i))
-            total = _fixed_log(w, -sh, scale) - ((1 << (scale + sh - 1)) // w)
-            goal = target
+        total = 0
         # (2i+k-1)!/(2i)! times w^-k; order 0 divides by 2i instead
-        factor = upow[k] * (factorial(2 * start + k - 1) // factorial(2 * start) if k else 1)
+        factor = upow[k] * (factorial(2 * first + k - 1) // factorial(2 * first) if k else 1)
         prev = inf
-        for n, i in enumerate(count(start)):
+        for n, i in enumerate(count(first)):
             if n == len(shared):
                 b = bernoulli(2 * i)
                 v, e = next(powers)
@@ -239,7 +190,7 @@ def _psi_series(
             if size > prev:
                 return None  # terms growing before target met
             if i == first:
-                goal = max(size, floors[k - k_lo] if floors else 0) * target >> scale
+                goal = max(size, floor(k)) * target >> scale
             if size <= goal:
                 break
             prev = size
@@ -247,34 +198,14 @@ def _psi_series(
     return sums
 
 
-def _from_fixed(x: int, scale: int, working_bits: int) -> mp.mpf:
-    """The integer x at 2^scale as an mpf, rounded to nearest once at
-    working_bits + 8 bits plus its magnitude above 1: the absolute-error
-    contract holds even for values much larger than 1."""
-    prec = working_bits + max(0, abs(x).bit_length() - scale) + 8
-    return mp.make_mpf(libmp.from_man_exp(x, -scale, prec, libmp.round_nearest))
-
-
-def _stirling_series(
-    w: int, sh: int, scale: int, target: int, first: int = 0, floor: int = 0
-) -> int | None:
-    """Stirling series for ln Gamma(w) at large w = w / 2^sh, as an integer
-    at 2^scale, truncated at its smallest term.  Returns None as soon as
-    the terms grow before reaching ``target`` (caller must shift further).
-    With ``first`` >= 1 only its tail, as in ``_psi_series``: the terms
-    i >= first, down to target / 2^scale times the first of them or
-    ``floor``, whichever is larger."""
-    total = 0
-    if not first:
-        half_log_2pi = libmp.to_fixed(
-            libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(scale + 8), 1), scale + 8), scale - 1
-        )
-        # (w - 1/2) ln w - w + ln(2 pi)/2
-        log_w = _fixed_log(w, -sh, scale)
-        total = ((2 * w - (1 << sh)) * log_w >> (sh + 1)) - (w << scale >> sh) + half_log_2pi
-    prev = inf
-    i = max(first, 1)
-    for v, e in islice(_inverse_even_powers(w, sh, scale), i - 1, None):
+def _stirling_series(w: int, sh: int, scale: int, target: int, first: int, floor: int) -> int | None:
+    """The terms i >= first >= 1 of the Stirling series for ln Gamma(w) at
+    large w = w / 2^sh, as an integer at 2^scale, down to target / 2^scale
+    times the larger of the first of them and ``floor``.  Returns None as
+    soon as the terms grow before reaching the target (caller must shift
+    further)."""
+    total, prev = 0, inf
+    for i, (v, e) in enumerate(islice(_inverse_even_powers(w, sh, scale), first - 1, None), first):
         # B_2i / (2i (2i-1) w^(2i-1)) = B_2i w w^(-2i) / (2i (2i-1))
         b = bernoulli(2 * i)
         term = (b.numerator * v * w >> (e + sh - scale)) // (
@@ -288,48 +219,6 @@ def _stirling_series(
         if abs(term) <= target:
             return total
         prev = abs(term)
-        i += 1
-
-
-def _shift_and_sum(
-    t: mp.mpf,
-    working_bits: int,
-    comp: int,
-    widen: int,
-    orders: int,
-    series,
-    unshift,
-    what: str,
-):
-    """The shift-and-series scheme at internal precision P0 = the policy's
-    internal bits for ``working_bits`` plus ``comp`` compensation bits.
-
-    Shifts t = num / 2^sh upward by 1 until ``series(w, sh, scale, target)``
-    converges at the shifted point w / 2^sh, raising the shift target each
-    time it does not, and returns ``(unshift(tail, num, sh, steps, scale),
-    scale)`` where ``steps`` = w - t, scale = P0 + widen + orders *
-    bitlen(floor w) and target = 2^(8-P0) at 2^scale.  A block passes
-    orders = 0 and widen = bitlen(floor t), and holds order k at 2^(scale +
-    k widen); ln Gamma passes orders = 1 and widen = |log2 t| for t < 1; a
-    series tail passes orders = 2 first and widen = 0.  ``widen`` bits do
-    not tighten the series target.  Raises PrecisionUnreachable once the
-    extra shifts exceed ``MAX_EXTRA_SHIFTS``.
-    """
-    p0 = PrecisionPolicy(working_bits).internal_bits(comp)
-    num, sh = _exact(t)
-    base = _shift_target(working_bits)
-    extra = 0
-    while True:
-        # fewest steps with t + steps >= base + extra
-        steps = max(0, -((num - ((base + extra) << sh)) >> sh))
-        w = num + (steps << sh)
-        scale = p0 + widen + orders * (w >> sh).bit_length()
-        tail = series(w, sh, scale, 1 << (scale - p0 + 8))
-        if tail is not None:
-            return unshift(tail, num, sh, steps, scale), scale
-        extra += max(base, (base + extra) // 2)
-        if extra > MAX_EXTRA_SHIFTS:
-            raise PrecisionUnreachable(f"{what}: shift budget exhausted")
 
 
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -338,10 +227,10 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
     Absolute error stays below ``2**(-working_bits + GUARD_BITS)``; values of
     large magnitude keep correspondingly many mantissa bits so the bound holds
     absolutely, not just relatively, and for k >= 1 the error is also below
-    that bound relative to the value.  Evaluated as the last order of
-    ``polygamma_block(k, t, policy)``.
+    that bound relative to the value.  Evaluated as the block of order k
+    alone, ``polygamma_block(k, t, policy, k_lo=k)``.
     """
-    return polygamma_block(as_index(k, "derivative order"), t, policy)[k]
+    return polygamma_block(as_index(k, "derivative order"), t, policy, k_lo=k)[k]
 
 
 def polygamma_block(
@@ -349,18 +238,30 @@ def polygamma_block(
 ) -> list[mp.mpf]:
     """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
     series pass, under the accuracy contract of :func:`polygamma`; the
-    orders below ``k_lo`` are not evaluated and read None.  With ``first``
-    in 1..TAIL_FIRST_MAX, each psi^(k)(t) minus its series' leading terms
-    and first - 1 Bernoulli terms instead, accurate relative to its value."""
+    orders below ``k_lo`` are not evaluated and read None.  Each order is
+    its series' tail from term 1 plus its head, in one fixed-point sum
+    rounded once.  With ``first`` in 1..TAIL_FIRST_MAX, each psi^(k)(t)
+    minus its series' leading terms and first - 1 Bernoulli terms instead,
+    accurate relative to its value."""
     as_index(k_max, "k_max")
     as_index(k_lo, "k_lo", 0, k_max)
     as_index(first, "first", 0, TAIL_FIRST_MAX)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "polygamma")
-    if first:
-        tails = _series_tail(first, k_lo, k_max, tv, policy.working_bits)
-        return [None] * k_lo + [mp.make_mpf(v) for v in tails]
-    return [None] * k_lo + list(_block(k_lo, k_max, tv, policy.working_bits))
+    values = _series_tail(first, k_lo, k_max, tv, policy.working_bits)
+    return [None] * k_lo + [mp.make_mpf(v) for v in values]
+
+
+def log_gamma(t, policy: PrecisionPolicy | None = None, *, first: int = 0) -> mp.mpf:
+    """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma:
+    its Stirling series' tail from term 1 plus (w - 1/2) ln w - w +
+    ln(2 pi)/2 at the shifted point w, less ln(t (t+1) ... (w-1)).  With
+    ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
+    terms and first - 1 Bernoulli terms instead, relative to its value."""
+    as_index(first, "first", 0, TAIL_FIRST_MAX)
+    policy = policy or PrecisionPolicy()
+    tv = as_point(t, policy.internal_bits(), "log_gamma")
+    return mp.make_mpf(_series_tail(first, -1, -1, tv, policy.working_bits)[0])
 
 
 def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int) -> list[int]:
@@ -378,64 +279,6 @@ def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int
     return sums
 
 
-@lru_cache(maxsize=4096)
-def _block(k_lo: int, k_max: int, tv: mp.mpf, working_bits: int) -> tuple[mp.mpf, ...]:
-    """psi^(k_lo)(t) .. psi^(k_max)(t)."""
-    num, orders, lift = _exact(tv)[0], range(k_lo, k_max + 1), int(tv).bit_length()
-
-    def unshift(tails: list[int], num: int, sh: int, steps: int, scale: int) -> list[int]:
-        # the shifted-through points t+1 .. w-1, and k!/t^(k+1) exactly, floored once
-        sums = _power_sums(num, sh, steps, k_max, scale, lift)
-        results, den = [], num**k_lo
-        for k, tail in zip(orders, tails):
-            den *= num
-            jump = factorial(k) * sums[k]
-            if steps:
-                jump += (factorial(k) << (scale + k * lift + (k + 1) * sh)) // den
-            results.append(tail + jump if k % 2 else tail - jump)
-        return results
-
-    results, scale = _shift_and_sum(
-        tv,
-        working_bits,
-        _magnitude_compensation(k_max, tv),
-        lift,
-        0,
-        lambda w, sh, scale, target: _psi_series(k_max, num, w, sh, scale, target, k_lo),
-        unshift,
-        f"polygamma block up to order {k_max}",
-    )
-    return tuple(_from_fixed(x, scale + k * lift, working_bits) for k, x in zip(orders, results))
-
-
-def _unshift_log_gamma(tail: int, num: int, sh: int, steps: int, scale: int) -> int:
-    # ln Gamma(t) = ln Gamma(w) - ln(t (t+1) ... (w-1)), the product kept to
-    # scale + _FIXED_GUARD_BITS significant bits times 2^dropped
-    product, dropped = 1, 0
-    for j in range(steps):
-        product *= num + (j << sh)
-        excess = max(0, product.bit_length() - scale - _FIXED_GUARD_BITS)
-        product >>= excess
-        dropped += excess
-    return tail - _fixed_log(product, dropped - steps * sh, scale)
-
-
-def log_gamma(t, policy: PrecisionPolicy | None = None, *, first: int = 0) -> mp.mpf:
-    """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma.
-    With ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
-    terms and first - 1 Bernoulli terms instead, relative to its value."""
-    as_index(first, "first", 0, TAIL_FIRST_MAX)
-    policy = policy or PrecisionPolicy()
-    tv = as_point(t, policy.internal_bits(), "log_gamma")
-    if first:
-        return mp.make_mpf(_series_tail(first, -1, -1, tv, policy.working_bits)[0])
-    widen = max(0, -mag_bits(tv))  # the scale only: the series runs at w >= 10
-    result, scale = _shift_and_sum(
-        tv, policy.working_bits, 6, widen, 1, _stirling_series, _unshift_log_gamma, "log_gamma"
-    )
-    return _from_fixed(result, scale, policy.working_bits)
-
-
 @lru_cache(maxsize=None)
 def _head(first: int, k: int) -> tuple:
     """The head of the series of order k (k = -1: ln Gamma) before term
@@ -443,7 +286,8 @@ def _head(first: int, k: int) -> tuple:
     terms c x^-p, namely (k-1)! x^-k (k >= 1), k!/2 x^-(k+1) (k >= 0) and
     B_2i (2i+k-1)!/(2i)! x^-(2i+k), 1 <= i < first.  As (D, at_w, at_t) over
     a common denominator D, each ((p, c D), ...) with p ascending: at_w the
-    terms, at_t their negatives plus the recurrence term k!/t^(k+1)."""
+    terms, at_t their negatives (none for the whole function, first = 0)
+    plus the recurrence term k!/t^(k+1)."""
     terms = {k + 1: Fraction(factorial(k), 2)} if k >= 0 else {}
     if k >= 1:
         terms[k] = Fraction(factorial(k - 1))
@@ -451,9 +295,9 @@ def _head(first: int, k: int) -> tuple:
         terms[2 * i + k] = bernoulli(2 * i) * Fraction(factorial(2 * i + k - 1), factorial(2 * i))
     den = lcm(*(c.denominator for c in terms.values()))
     at_w = {p: int(c * den) for p, c in terms.items()}
-    at_t = {p: -c for p, c in at_w.items()}
+    at_t = {p: -c for p, c in at_w.items()} if first else {}
     if k >= 0:
-        at_t[k + 1] += factorial(k) * den
+        at_t[k + 1] = at_t.get(k + 1, 0) + factorial(k) * den
     return den, tuple(sorted(at_w.items())), tuple(sorted(at_t.items()))
 
 
@@ -474,20 +318,36 @@ TAIL_FIRST_MAX = 9
 
 @lru_cache(maxsize=64)
 def _recurrence(
-    num: int, sh: int, steps: int, k_lo: int, k_max: int, scale: int, lift: int
+    num: int, sh: int, steps: int, k_lo: int, k_max: int, scale: int, lift: int, whole: bool
 ) -> tuple:
     """The part of each order's correction that no head term carries, for
     t = num / 2^sh shifted by ``steps`` to w, order k at 2^(scale + k lift):
     k! sum_{l=1}^{N-1} (t+l)^-(k+1), plus ln(t/w) for k = 0; for k_max = -1,
     ln Gamma's -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t - (w - 1/2) ln w +
-    N].  Each order's value depends only on its own k."""
+    N].  For the ``whole`` function the logs are the head's at w alone:
+    -ln w for k = 0, and (w - 1/2) ln w - w + ln(2 pi)/2 in place of the
+    bracket.  Each order's value depends only on its own k."""
     w = num + (steps << sh)
     if k_lo <= 0:  # 2 bits finer than order 0, 2 + lift finer than order -1
-        log_t, log_w = _fixed_log(num, -sh, scale + 2), _fixed_log(w, -sh, scale + 2)
+        log_t = 0 if whole else _fixed_log(num, -sh, scale + 2)
+        log_w = _fixed_log(w, -sh, scale + 2)
     if k_max < 0:
         logs = (2 * num - (1 << sh)) * log_t - (2 * w - (1 << sh)) * log_w >> (sh + 3 + lift)
         s = scale - lift
-        return (_unshift_log_gamma(0, num, sh, steps, s) - logs - (steps << s),)
+        # the product t (t+1) ... (w-1), kept to s + _FIXED_GUARD_BITS
+        # significant bits times 2^dropped
+        product, dropped = 1, 0
+        for j in range(steps):
+            product *= num + (j << sh)
+            excess = max(0, product.bit_length() - s - _FIXED_GUARD_BITS)
+            product >>= excess
+            dropped += excess
+        if whole:  # w - ln(2 pi)/2
+            two_pi = libmp.mpf_shift(libmp.mpf_pi(s + 8), 1)
+            rest = (w << s >> sh) - libmp.to_fixed(libmp.mpf_log(two_pi, s + 8), s - 1)
+        else:  # N
+            rest = steps << s
+        return (-_fixed_log(product, dropped - steps * sh, s) - logs - rest,)
     sums = _power_sums(num, sh, steps, k_max, scale, lift)
     out = [factorial(k) * sums[k] for k in range(k_lo, k_max + 1)]
     if k_lo == 0:
@@ -498,54 +358,75 @@ def _recurrence(
 def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list:
     """R_k(t), the terms i >= first of the asymptotic series of psi^(k),
     k = k_lo..k_max, or of ln Gamma alone (k_lo = k_max = -1), as raw mpf
-    tuples accurate relative to their values.  The tails are summed at
-    w = t + N and the shift is undone by
+    tuples accurate relative to their values; first = 0 is the whole
+    function, its head included.  The tails are summed from term
+    max(first, 1) at w = t + N and the shift is undone by
 
         R_k(t) = R_k(w) + (-1)^(k+1) [k! sum_{l<N} (t+l)^-(k+1)
                                       - sum_p c_p (t^-p - w^-p) - logs],
 
     with c_p from ``_head`` and the logs of ``_recurrence`` (DLMF 5.5.2,
-    5.11.1).  This correction comes first: the remainders are completely
-    monotonic, so |R_k(t)| is at least |R_k(w)| and the correction, and
-    order k's series stops at its first term below 2^(8-P0) times the
-    larger of its first term and the correction capped at 1.  Each value is
-    rounded once, keeping the bits of its tail plus 8 and every bit above
-    2^(-8-P0), for the absolute contract; the power sums hold about P0 +
-    18 bitlen(floor w) bits relative to their value, which bounds the
-    absolute accuracy of a large value at high k near t = 1.
+    5.11.1); the whole function keeps only the terms at w.  This correction
+    comes first: the remainders are completely monotonic, so |R_k(t)| is
+    at least |R_k(w)| and the correction, and order k's series stops at its
+    first term below 2^(8-P0) times the larger of its first term and the
+    correction capped at 1 (for a whole function the correction is nearly
+    its value).  Each value is rounded once, to the bits of its tail or
+    those above 2^-P0, whichever are more, plus 8 less the compensation:
+    every bit above 2^(-8-working_bits-PAD_BITS), for the absolute
+    contract.  The power sums are held at the whole function's own scale,
+    or for the tails of every ``first`` at the scale of term
+    TAIL_FIRST_MAX, which they share: about P0 + 18 bitlen(floor w) bits
+    relative to their value.  The whole function's compensation covers
+    this; it bounds the absolute accuracy of a large tail at high k near
+    t = 1.  Raises PrecisionUnreachable once the extra shifts exceed
+    ``MAX_EXTRA_SHIFTS``.
     """
-    num, orders = _exact(t)[0], range(k_lo, k_max + 1)
-
-    def series(w: int, sh: int, scale: int, target: int) -> list | None:
-        lift, steps, jumps = (w >> sh).bit_length(), (w - num) >> sh, [0] * len(orders)
-        if steps:
-            shared = scale + 2 * (TAIL_FIRST_MAX - first) * lift
-            rest = _recurrence(num, sh, steps, k_lo, k_max, shared, lift)
+    num, sh = _exact(t)
+    orders, start = range(k_lo, k_max + 1), max(first, 1)
+    comp = 0 if first else _magnitude_compensation(k_max, t)
+    p0 = PrecisionPolicy(working_bits).internal_bits(comp)
+    base, extra = _shift_target(working_bits), 0
+    while True:
+        # fewest steps with t + steps >= base + extra
+        steps = max(0, -((num - ((base + extra) << sh)) >> sh))
+        w = num + (steps << sh)
+        lift = (w >> sh).bit_length()
+        scale, jumps = p0 + 2 * start * lift, {}
+        if steps or not first:
+            shared = p0 + 2 * TAIL_FIRST_MAX * lift if first else scale
+            rest = _recurrence(num, sh, steps, k_lo, k_max, shared, lift, not first)
             w_powers, t_powers = [1], [1]
-            for _ in range(2 * first + k_max):
+            for _ in range(2 * start + k_max):
                 w_powers.append(w_powers[-1] * w)
                 t_powers.append(t_powers[-1] * num)
-            for i, (k, r) in enumerate(zip(orders, rest)):
+
+        def floor(k: int) -> int:
+            # order k's correction, formed when its series first asks for
+            # it (a failed attempt stops at the highest order), capped at 1
+            jump = 0
+            if steps or not first:
                 s, (den, at_w, at_t) = scale + k * lift, _head(first, k)
-                jumps[i] = r >> (shared - scale)
-                jumps[i] += _inverse_polynomial(den, at_w, w_powers, sh, s)
-                jumps[i] += _inverse_polynomial(den, at_t, t_powers, sh, s)
-        floors = [min(abs(j), 1 << (scale + k * lift)) for k, j in zip(orders, jumps)]
+                jump = rest[k - k_lo] >> (shared - scale)
+                jump += _inverse_polynomial(den, at_w, w_powers, sh, s)
+                if steps:
+                    jump += _inverse_polynomial(den, at_t, t_powers, sh, s)
+            jumps[k] = jump
+            return min(abs(jump), 1 << (scale + k * lift))
+
+        target = 1 << (scale - p0 + 8)
         if k_max < 0:
-            tails = [_stirling_series(w, sh, scale - lift, target >> lift, first, floors[0])]
+            tails = [_stirling_series(w, sh, scale - lift, target >> lift, start, floor(-1))]
         else:
-            tails = _psi_series(k_max, w, w, sh, scale, target, k_lo, first, floors) or [None]
-        return None if None in tails else list(zip(tails, jumps))
-
-    def unshift(pairs: list, num: int, sh: int, steps: int, scale: int) -> list:
-        lift = ((num >> sh) + steps).bit_length()
-        values = []
-        for k, (tail, jump) in zip(orders, pairs):
-            x, s = tail + jump if k % 2 else tail - jump, scale + k * lift
-            p0_bits = x.bit_length() - s + scale - 2 * first * lift  # the bits above 2^-P0
-            prec = max(tail.bit_length(), p0_bits) + 8
-            values.append(libmp.from_man_exp(x, -s, prec, libmp.round_nearest))
-        return values
-
-    what = f"series tail from term {first}"
-    return _shift_and_sum(t, working_bits, 0, 0, 2 * first, series, unshift, what)[0]
+            tails = _psi_series(k_max, w, sh, scale, target, k_lo, start, floor) or [None]
+        if None not in tails:
+            break
+        extra += max(base, (base + extra) // 2)
+        if extra > MAX_EXTRA_SHIFTS:
+            raise PrecisionUnreachable(f"series tail from term {first}: shift budget exhausted")
+    values = []
+    for k, tail in zip(orders, tails):
+        x, s = tail + jumps[k] if k % 2 else tail - jumps[k], scale + k * lift
+        prec = max(tail.bit_length(), x.bit_length() - s + p0) - comp + 8
+        values.append(libmp.from_man_exp(x, -s, prec, libmp.round_nearest))
+    return values

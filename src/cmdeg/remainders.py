@@ -15,11 +15,12 @@ Differentiating R_n term by term gives the Bernoulli tail
     phi_{n,j}(t) = (-1)^n sum_{i>n} B_2i (2i+j-2)!/(2i)! t^-(2i+j-1),
 
 which for real t > 0 envelops its remainder (DLMF 5.11(ii)).  Every
-member is evaluated as this tail, at every t > 0, by one shift-and-series
-evaluator: ``polygamma_block(..., first=n+1)`` and ``log_gamma(...,
-first=n+1)`` return the tails of the series of psi^(k) and of ln Gamma
-(``polygamma._series_tail``).  The remainder itself is shifted to w = t + N
-past the polygamma shift target t0 = max(10, working_bits/3), summed there
+member is evaluated as this tail, at every t > 0, by the one
+shift-and-series evaluator of ``cmdeg.polygamma``, which gives psi^(k) and
+ln Gamma as their tails from term 1 plus their heads:
+``polygamma_block(..., first=n+1)`` and ``log_gamma(..., first=n+1)``
+return the tails from term n+1.  The remainder itself is shifted to
+w = t + N past the shift target t0 = max(10, working_bits/3), summed there
 relative to its own size, and the shift is undone by a fixed-point
 correction made of the recurrence of ln Gamma and psi and the explicit
 Bernoulli coefficients of the Stirling partial sum (DLMF 5.5.2, 5.11.1).

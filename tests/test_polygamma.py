@@ -191,8 +191,26 @@ def test_block_matches_pointwise():
                         assert abs(value - expected) <= tol, (bits, k_max, t, k)
 
 
-@pytest.mark.parametrize("bits", [64, 128, 512, 1024])
-@pytest.mark.parametrize("t", ["1e-4", "0.3387", "3.5", "9000", "1e6"])
+def _near_shift_target(bits):
+    """t0 - 1/1000 and t0 + 1/3 (t0 = the shift target) as decimals: past
+    t0 a whole function's shift N drops to 0."""
+    t0 = polygamma_module._shift_target(bits)
+    return [
+        pytest.param(f"{t0 - 1}.999", bits, id=f"t0-0.001-{bits}"),
+        pytest.param(f"{t0}." + "3" * 400, bits, id=f"t0+0.333-{bits}"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "t, bits",
+    [
+        (t, bits)
+        for t in ("1e-4", "0.3387", "3.5", "9000", "1e6")
+        for bits in (64, 128, 512, 1024)
+    ]
+    + _near_shift_target(64)
+    + _near_shift_target(512),
+)
 def test_block_and_log_gamma_relative_accuracy(t, bits):
     # orders k >= 1 within 2^(GUARD_BITS - working_bits) of mpmath at four
     # times the bits *relative to the value*, which at large t is far below
@@ -310,18 +328,22 @@ def test_as_mpf_rounds_as_workprec_does(prec):
 
 
 def test_shift_budget_exhaustion_raises(monkeypatch):
-    # both users of the shared shift loop; a memoised value would bypass
-    # the patched series
-    polygamma_module._block.cache_clear()
-    # force each asymptotic series to keep reporting non-convergence
-    monkeypatch.setattr(polygamma_module, "_psi_series", lambda k_max, *args: None)
-    monkeypatch.setattr(polygamma_module, "_stirling_series", lambda w, sh, scale, target: None)
+    # the one shift loop, for the whole functions and for a tail, with each
+    # series forced to keep reporting non-convergence
+    monkeypatch.setattr(
+        polygamma_module, "_psi_series", lambda k_max, w, sh, scale, target, k_lo, first, floor: None
+    )
+    monkeypatch.setattr(
+        polygamma_module, "_stirling_series", lambda w, sh, scale, target, first, floor: None
+    )
     monkeypatch.setattr(polygamma_module, "MAX_EXTRA_SHIFTS", 50)
     policy = PrecisionPolicy(working_bits=64)
-    with pytest.raises(PrecisionUnreachable, match="polygamma block up to order 1"):
+    with pytest.raises(PrecisionUnreachable, match="series tail from term 0: shift budget"):
         polygamma(1, 1, policy)
-    with pytest.raises(PrecisionUnreachable, match="log_gamma"):
+    with pytest.raises(PrecisionUnreachable, match="series tail from term 0: shift budget"):
         log_gamma(1, policy)
+    with pytest.raises(PrecisionUnreachable, match="series tail from term 3: shift budget"):
+        polygamma_block(2, 1, policy, first=3)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 3])
@@ -329,7 +351,6 @@ def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
     # at t < 1 the block adds the j = 0 recurrence term exactly and keeps
     # the series target at 2^(8-P0); a target tightened by the (k+1)|log2 t|
     # bits of that term would make t = 1e-300 shift 5-6 times
-    polygamma_module._block.cache_clear()
     calls = []
     series = polygamma_module._psi_series
 
@@ -343,11 +364,11 @@ def test_tiny_t_block_needs_one_series_pass(k_max, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# per-process memo of blocks
+# the per-process memo of the correction's power sums and logs
 
 
 def clear_memos():
-    polygamma_module._block.cache_clear()
+    polygamma_module._recurrence.cache_clear()
 
 
 def bits_of(values):
@@ -383,26 +404,6 @@ def test_memo_ignores_ambient_precision():
     assert values[1] == values[0] == values[2] == values[3]
 
 
-def test_memo_never_serves_a_prefix_of_a_larger_block(monkeypatch):
-    clear_memos()
-    calls = []
-    series = polygamma_module._psi_series
-
-    def counting(k_max, t, w, sh, scale, target, k_lo):
-        calls.append(k_max)
-        return series(k_max, t, w, sh, scale, target, k_lo)
-
-    monkeypatch.setattr(polygamma_module, "_psi_series", counting)
-    polygamma_block(14, "0.8", POLICY)
-    assert set(calls) == {14}
-    calls.clear()
-    polygamma_block(11, "0.8", POLICY)
-    assert set(calls) == {11}
-    calls.clear()
-    polygamma_block(14, "0.8", POLICY)
-    assert calls == []
-
-
 def test_low_order_block_has_the_full_block_bits():
     # a seeded sample of (k_lo, k_max, t, bits): every order a block from
     # k_lo returns has the bits of the same order in the full block
@@ -425,9 +426,9 @@ def test_low_order_block_series_skips_lower_orders(monkeypatch):
     calls = []
     series = polygamma_module._psi_series
 
-    def counting(k_max, t, w, sh, scale, target, k_lo, *tail):
+    def counting(k_max, w, sh, scale, target, k_lo, *tail):
         calls.append((k_lo, k_max))
-        return series(k_max, t, w, sh, scale, target, k_lo, *tail)
+        return series(k_max, w, sh, scale, target, k_lo, *tail)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", counting)
     polygamma_block(9, "0.8", POLICY, k_lo=4)
@@ -461,8 +462,9 @@ def test_conjecture_table_warm_equals_cold(capsys):
 
 
 def test_log_gamma_tiny_t_needs_one_series_pass(monkeypatch):
-    # |log2 t| widens ln Gamma's scale only; were it to tighten the
-    # Stirling target too, t = 1e-300 would take three series passes
+    # ln(t (t+1) ... (w-1)) enters the correction exactly; were its
+    # |log2 t| bits to tighten the Stirling target, t = 1e-300 would take
+    # three series passes
     calls = []
     series = polygamma_module._stirling_series
 
@@ -483,12 +485,19 @@ def test_block_accuracy_down_to_tiny_t():
     # above 1.  The contract: absolute error below 2^(GUARD_BITS - bits),
     # and for k >= 1 also relative to the value.
     rng = random.Random("tiny-t-block")
+    cases = []
     for _ in range(30):
         bits = rng.choice((53, 64, 128, 512, 1024))
         k_max = rng.randint(0, 24)
         k_lo = rng.randint(0, k_max)
         u = rng.uniform(-300, 2.3)
-        tv = as_mpf(f"{10 ** (u % 1):.15f}e{int(u // 1)}", bits + 32)
+        cases.append((bits, k_max, k_lo, as_mpf(f"{10 ** (u % 1):.15f}e{int(u // 1)}", bits + 32)))
+    # t0 - 1/1000 and t0 + 1/3 (t0 = the shift target), where N drops to 0
+    for bits in (64, 512):
+        t0 = polygamma_module._shift_target(bits)
+        for t in (t0 - Fraction(1, 1000), t0 + Fraction(1, 3)):
+            cases.append((bits, 24, 0, as_mpf(t, bits + 32)))
+    for bits, k_max, k_lo, tv in cases:
         block = polygamma_block(k_max, tv, PrecisionPolicy(working_bits=bits), k_lo=k_lo)
         bound = mp.mpf(2) ** (GUARD_BITS - bits)
         for k in range(k_lo, k_max + 1):
@@ -513,7 +522,7 @@ def test_order_200_block_against_mpmath(monkeypatch):
     series = polygamma_module._psi_series
 
     def spying(*args):
-        scales.append(args[4])
+        scales.append(args[3])
         return series(*args)
 
     monkeypatch.setattr(polygamma_module, "_psi_series", spying)
@@ -526,3 +535,21 @@ def test_order_200_block_against_mpmath(monkeypatch):
             expected = mp.psi(k, tv)
             err = abs(block[k] - expected)
             assert err <= bound and (k == 0 or err <= bound * abs(expected)), k
+
+
+@pytest.mark.parametrize(
+    "k, t, bits",
+    [(51, "0.8693188531042777", 53), (66, "0.869", 53), (60, "0.9", 128), (70, "1.3", 64)],
+)
+def test_high_order_psi_near_one_meets_the_absolute_bound(k, t, bits):
+    # psi^(k)(t) ~ k!/t^(k+1) has hundreds of bits above 1 here, and the
+    # shift's power sums are multiplied by k!: the compensation of the
+    # whole function's internal precision keeps them absolutely accurate,
+    # alone and as the top order of a block
+    policy = PrecisionPolicy(working_bits=bits)
+    tv = as_mpf(t, policy.internal_bits())
+    values = polygamma(k, tv, policy), polygamma_block(k, tv, policy)[k]
+    with mp.workprec(4200):
+        expected = mp.psi(k, tv)
+        for value in values:
+            assert abs(value - expected) <= policy.abs_error_target
