@@ -215,13 +215,19 @@ def _run_cmcheck(args) -> tuple[dict, list[list[str]]]:
     return _report_record(report), _report_rows(report) if args.format == "csv" else []
 
 
+def _upper(bracket: DegreeBracket, bits: int) -> dict:
+    """The upper end, from the exact violation exponent if any (49/10 in binary prints noise)."""
+    exact = bracket.scan_violation_r
+    return _real(bracket.upper if exact is None else exact, bits)
+
+
 def _bracket_record(bracket: DegreeBracket, bits: int) -> dict:
     return {
         "spec": bracket.spec.label,
         "step": str(bracket.step),
         "precision_bits": bits,
         "lower": {"lattice": str(bracket.lower), **_real(bracket.lower, bits)},
-        "upper": _real(bracket.upper, bits),
+        "upper": _upper(bracket, bits),
         "upper_method": bracket.upper_method,
         "scan_violation_r": (
             str(bracket.scan_violation_r)
@@ -247,7 +253,7 @@ def _run_degree(args) -> tuple[dict, list[list[str]]]:
         [
             bracket.spec.label,
             _real(bracket.lower, bits)["decimal"],
-            _real(bracket.upper, bits)["decimal"],
+            _upper(bracket, bits)["decimal"],
         ],
     ]
     return record, rows
@@ -265,7 +271,7 @@ def _scan_rows(scan: ConjectureScanReport) -> list[list[str]]:
                     str(cell.n),
                     str(cell.m),
                     _real(cell.bracket.lower, bits)["decimal"],
-                    _real(cell.bracket.upper, bits)["decimal"],
+                    _upper(cell.bracket, bits)["decimal"],
                     str(cell.conjectured),
                 ]
             )
@@ -288,7 +294,7 @@ def _run_conjectures(args) -> tuple[dict, list[list[str]]]:
         }
         if cell.bracket is not None:
             entry["lower"] = _real(cell.bracket.lower, bits)
-            entry["upper"] = _real(cell.bracket.upper, bits)
+            entry["upper"] = _upper(cell.bracket, bits)
             entry["upper_method"] = cell.bracket.upper_method
         if cell.note:
             entry["note"] = cell.note

@@ -27,12 +27,12 @@ or its ``violations`` are read.  A scan that only counts its violations
 rounds nothing.
 
 Every scan of one public call reads phi^(0..max_order)(t) from one scope,
-which evaluates its cells once per (t, policy) and forms each cell's
-Taylor row once, when a scan first asks for it.  Each phi_{n,j} is its own
-shifted Bernoulli tail, so a cell's row has the bits of ``phi_derivatives``
-in every scope (``cm_check`` and ``degree_bracket`` scope their member,
-``conjecture_scan`` its table) unless a higher order of its n there forces
-a further shift (64 bits, t near 22).
+which evaluates its cells once per (t, policy), with one chain t^i / i! for
+the longest row, and forms each cell's Taylor row once, when a scan first
+asks for it.  Each phi_{n,j} is its own shifted Bernoulli tail, so a cell's
+row has the bits of ``phi_derivatives`` in every scope (``cm_check`` and
+``degree_bracket`` scope their member, ``conjecture_scan`` its table)
+unless a higher order of its n forces a further shift (64 bits, t near 22).
 
 The passing exponents at a point are closed downward.  For a > 0 the
 product rule gives
@@ -171,31 +171,33 @@ def _as_rational(x) -> Fraction:
 
 class _scope:
     """Where the scans of one public call read phi^(0..max_order)(t): each
-    cell (n, m): max_order is evaluated once per (t, policy), and its Taylor
-    row is formed once, when a scan first asks for it."""
+    cell (n, m): max_order is evaluated once per (t, policy), beside one
+    chain t^i / i! for the longest row, and its Taylor row is formed once,
+    when a scan first asks for it."""
 
     def __init__(self, cells: dict):
-        self.cells, self.rows, self.taylor_rows = cells, {}, {}
+        self.cells, self.rows, self.chains, self.taylor_rows = cells, {}, {}, {}
 
     def _row(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> list[mp.mpf]:
         if (t, policy) not in self.rows:
             self.rows[t, policy] = _phi_rows(self.cells, t, policy)
+            self.chains[t, policy] = _ratios(t, max(self.cells.values()) + 1, policy.working_bits)
         return self.rows[t, policy][spec.family_indices]
 
     def taylor(self, spec: RemainderSpec, t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
         """The ``_taylor_row`` of ``spec`` at (t, policy)."""
         key = spec.family_indices, t, policy
         if key not in self.taylor_rows:
-            self.taylor_rows[key] = _taylor_row(self._row(spec, t, policy), t, policy)
+            row = self._row(spec, t, policy)
+            self.taylor_rows[key] = _taylor_row(row, self.chains[t, policy], policy)
         return self.taylor_rows[key]
 
 
 @lru_cache(maxsize=1024)
 def _ratios(t: mp.mpf, length: int, working_bits: int) -> tuple:
     """t^i / i! for i < length as raw mpf, each step rounded _SUM_GUARD_BITS
-    above a Taylor row's precision.  The cells of a scope share one chain
-    per (t, policy); each cell asks for it once per point in turn, so the
-    bound must exceed a scope's points (276 for the 8 x 6 table by default)."""
+    above a Taylor row's precision; a shorter chain is its prefix.  A scope
+    asks once per (t, policy): the memo serves calls on one grid."""
     prec = working_bits + 2 * _SUM_GUARD_BITS
     ratios = [libmp.fone]
     for i in range(1, length):
@@ -204,12 +206,11 @@ def _ratios(t: mp.mpf, length: int, working_bits: int) -> tuple:
     return tuple(ratios)
 
 
-def _taylor_row(ders: list[mp.mpf], t: mp.mpf, policy: PrecisionPolicy) -> tuple[tuple, int]:
+def _taylor_row(ders: list[mp.mpf], ratios: tuple, policy: PrecisionPolicy) -> tuple[tuple, int]:
     """v_i = t^i phi^(i)(t) / i! from phi^(0..i_max)(t) ``ders``, aligned:
-    each product of the exact phi^(i) with t^i / i! of ``_ratios`` is
-    rounded once at working_bits + _SUM_GUARD_BITS."""
+    each product of the exact phi^(i) with t^i / i! of a ``_ratios`` chain
+    at least as long is rounded once at working_bits + _SUM_GUARD_BITS."""
     prec = policy.working_bits + _SUM_GUARD_BITS
-    ratios = _ratios(t, len(ders), policy.working_bits)
     return aligned([man_exp(libmp.mpf_mul(a, d._mpf_, prec, libmp.round_nearest))
                     for a, d in zip(ratios, ders)])
 
@@ -271,7 +272,8 @@ def signed_derivative(
     policy = policy or PrecisionPolicy()
     rv = _as_rational(r)
     tv = as_point(t, policy.internal_bits(), "evaluation")
-    exp, row = _signed_row(rv, k, _taylor_row(phi_derivatives(spec, tv, k, policy), tv, policy))
+    ders, ratios = phi_derivatives(spec, tv, k, policy), _ratios(tv, k + 1, policy.working_bits)
+    exp, row = _signed_row(rv, k, _taylor_row(ders, ratios, policy))
     factor = _factors(tv, rv, k, policy.working_bits)[k]
     return _report_value(row[k][0], exp, policy.working_bits, factor)
 

@@ -1,15 +1,18 @@
 """Digamma, polygamma and log-gamma evaluation to policy-controlled accuracy.
 
-One shift-and-series evaluator, ``_series_tail``, computes everything.  It
-sums the asymptotic series of psi^(k), k = k_lo..k_max, or of ln Gamma from
-Bernoulli term ``first`` on, R_k:
+One shift-and-series evaluator, ``_series_tail``, computes everything, and
+one series loop, ``_psi_series``, sums every order.  ln Gamma is order -1,
+psi^(-1) (Adamchik, J. Comput. Appl. Math. 100, 1998): its Stirling series
+(DLMF 5.11.1) and the series of psi^(k), k >= 0 (DLMF 5.15.8), share the
+term (-1)^(k+1) B_2i (2i+k-1)!/(2i)! x^-(2i+k).  The evaluator sums that
+series of psi^(k), k = k_lo..k_max, from Bernoulli term ``first`` on, R_k:
 
 1. shift the argument upward, t -> w = t + N, until w is large enough,
 2. sum R_k(w), truncated at its smallest term,
 3. undo the shift by a correction made of the recurrence
        psi^(k)(t) = psi^(k)(t+1) + (-1)^(k+1) k! / t^(k+1)
-   (ln Gamma(t) = ln Gamma(t+1) - ln t) and the series' head, its terms
-   before ``first``, at w and at t (DLMF 5.5.2, 5.11.1).
+   (ln Gamma(t) = ln Gamma(t+1) - ln t for k = -1) and the series' head,
+   its terms before ``first``, at w and at t (DLMF 5.5.2, 5.11.1).
 
 ``first`` = 0 is the whole function: the tail from term 1 plus its head,
 (-1)^(k+1) [(k-1)! x^-k + k!/2 x^-(k+1)], plus ln x for k = 0, and
@@ -145,17 +148,17 @@ def _psi_series(
     floor,
 ) -> list[int] | None:
     """The terms i >= first >= 1 of the asymptotic series of psi^(k_lo)(w)
-    .. psi^(k_max)(w) at large w = w / 2^sh.  Order k is an integer at
-    2^(scale + k lift), lift = bitlen(floor w), its powers of w carrying
-    2^(k lift).
+    .. psi^(k_max)(w) at large w = w / 2^sh, k_lo >= -1 with psi^(-1) =
+    ln Gamma.  Order k is an integer at 2^(scale + k lift), lift =
+    bitlen(floor w), its powers of w carrying 2^(k lift).
 
-    B_2i / w^(2i) is formed once per i and shared by every order: order
-    k's term is that value times the integer (2i+k-1)!/(2i)! and w^(-k)
-    (times 1/(2i) for k = 0).  Each order runs its own loop over i, from
-    k_max down, and stops at its first term below target / 2^scale times
-    the larger of its first term and ``floor(k)``.  Returns None as
-    soon as an order's terms grow before reaching its target (caller must
-    shift further).
+    B_2i / w^(2i) is formed once per i and shared by every order: order k's
+    term is that value times the integer (2i+k-1)!/(2i)! and w^(-k), or
+    times w / (2i (2i-1)) for ln Gamma (and divided by 2i for order 0).
+    Each order runs its own loop over i, from k_max down, and stops at its
+    first term below target / 2^scale times the larger of its first term and
+    ``floor(k)``.  Returns None as soon as an order's terms grow before
+    reaching its target: the caller shifts further.
     """
     lift = (w >> sh).bit_length()
     u = (1 << (scale + sh + lift)) // w
@@ -166,26 +169,24 @@ def _psi_series(
     shared = []  # B_2i w^(-2i) at 2^e, as (value, e), for i = first, first+1, ...
     sums = [0] * (k_max + 1 - k_lo)
     for k in range(k_max, k_lo - 1, -1):  # the highest order's terms grow first
-        total = 0
-        # (2i+k-1)!/(2i)! times w^-k; order 0 divides by 2i instead
-        factor = upow[k] * (factorial(2 * first + k - 1) // factorial(2 * first) if k else 1)
-        prev = inf
+        total, prev = 0, inf
+        if k > 0:  # (2i+k-1)!/(2i)! times w^-k
+            factor = upow[k] * (factorial(2 * first + k - 1) // factorial(2 * first))
         for n, i in enumerate(count(first)):
             if n == len(shared):
                 b = bernoulli(2 * i)
                 v, e = next(powers)
                 shared.append((b.numerator * v // b.denominator, e))
             value, e = shared[n]
-            # the value cut to 8 bits below the product's last place costs
-            # under 2^-8 of a unit, and the width is order k's own
-            cut = e - factor.bit_length() - 8
-            term = (value >> cut) * factor >> (e - cut) if cut > 0 else value * factor >> e
-            if k:
-                total += term
+            if k > 0:  # the value cut 8 bits below the product's last place: < 2^-8 of a unit
+                cut = e - factor.bit_length() - 8
+                term = (value >> cut) * factor >> (e - cut) if cut > 0 else value * factor >> e
                 factor = factor * ((2 * i + k + 1) * (2 * i + k)) // ((2 * i + 2) * (2 * i + 1))
-            else:
-                term //= 2 * i
-                total -= term
+            elif k == 0:  # the factor is 2^scale
+                term = (value >> (e - scale)) // (2 * i)
+            else:  # ln Gamma, at 2^(scale - lift): times w, exact, floored once
+                term = (value * w >> (e + sh + lift - scale)) // (2 * i * (2 * i - 1))
+            total += term
             size = abs(term)
             if size > prev:
                 return None  # terms growing before target met
@@ -194,31 +195,8 @@ def _psi_series(
             if size <= goal:
                 break
             prev = size
-        sums[k - k_lo] = -total if k and not k % 2 else total
+        sums[k - k_lo] = total if k % 2 else -total
     return sums
-
-
-def _stirling_series(w: int, sh: int, scale: int, target: int, first: int, floor: int) -> int | None:
-    """The terms i >= first >= 1 of the Stirling series for ln Gamma(w) at
-    large w = w / 2^sh, as an integer at 2^scale, down to target / 2^scale
-    times the larger of the first of them and ``floor``.  Returns None as
-    soon as the terms grow before reaching the target (caller must shift
-    further)."""
-    total, prev = 0, inf
-    for i, (v, e) in enumerate(islice(_inverse_even_powers(w, sh, scale), first - 1, None), first):
-        # B_2i / (2i (2i-1) w^(2i-1)) = B_2i w w^(-2i) / (2i (2i-1))
-        b = bernoulli(2 * i)
-        term = (b.numerator * v * w >> (e + sh - scale)) // (
-            b.denominator * 2 * i * (2 * i - 1)
-        )
-        if abs(term) > prev:
-            return None
-        total += term
-        if i == first:
-            target = max(abs(term), floor) * target >> scale
-        if abs(term) <= target:
-            return total
-        prev = abs(term)
 
 
 def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
@@ -253,10 +231,11 @@ def polygamma_block(
 
 
 def log_gamma(t, policy: PrecisionPolicy | None = None, *, first: int = 0) -> mp.mpf:
-    """ln Gamma(t) for t > 0 under the same accuracy contract as polygamma:
+    """ln Gamma(t) = psi^(-1)(t) for t > 0 under the accuracy contract of
+    polygamma, summed as order -1 by the series loop of polygamma_block:
     its Stirling series' tail from term 1 plus (w - 1/2) ln w - w +
-    ln(2 pi)/2 at the shifted point w, less ln(t (t+1) ... (w-1)).  With
-    ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
+    ln(2 pi)/2 at the shifted point w, less ln(t (t+1) ... (w-1)).
+    With ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
     terms and first - 1 Bernoulli terms instead, relative to its value."""
     as_index(first, "first", 0, TAIL_FIRST_MAX)
     policy = policy or PrecisionPolicy()
@@ -357,10 +336,10 @@ def _recurrence(
 
 def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list:
     """R_k(t), the terms i >= first of the asymptotic series of psi^(k),
-    k = k_lo..k_max, or of ln Gamma alone (k_lo = k_max = -1), as raw mpf
-    tuples accurate relative to their values; first = 0 is the whole
-    function, its head included.  The tails are summed from term
-    max(first, 1) at w = t + N and the shift is undone by
+    k = k_lo..k_max, with psi^(-1) = ln Gamma (k_lo = k_max = -1), as raw
+    mpf tuples accurate relative to their values; first = 0 is the whole
+    function, its head included.  ``_psi_series`` sums every order from
+    term max(first, 1) at w = t + N, and the shift is undone by
 
         R_k(t) = R_k(w) + (-1)^(k+1) [k! sum_{l<N} (t+l)^-(k+1)
                                       - sum_p c_p (t^-p - w^-p) - logs],
@@ -383,7 +362,7 @@ def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int
     ``MAX_EXTRA_SHIFTS``.
     """
     num, sh = _exact(t)
-    orders, start = range(k_lo, k_max + 1), max(first, 1)
+    start = max(first, 1)
     comp = 0 if first else _magnitude_compensation(k_max, t)
     p0 = PrecisionPolicy(working_bits).internal_bits(comp)
     base, extra = _shift_target(working_bits), 0
@@ -414,18 +393,14 @@ def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int
             jumps[k] = jump
             return min(abs(jump), 1 << (scale + k * lift))
 
-        target = 1 << (scale - p0 + 8)
-        if k_max < 0:
-            tails = [_stirling_series(w, sh, scale - lift, target >> lift, start, floor(-1))]
-        else:
-            tails = _psi_series(k_max, w, sh, scale, target, k_lo, start, floor) or [None]
-        if None not in tails:
+        tails = _psi_series(k_max, w, sh, scale, 1 << (scale - p0 + 8), k_lo, start, floor)
+        if tails is not None:
             break
         extra += max(base, (base + extra) // 2)
         if extra > MAX_EXTRA_SHIFTS:
             raise PrecisionUnreachable(f"series tail from term {first}: shift budget exhausted")
     values = []
-    for k, tail in zip(orders, tails):
+    for k, tail in enumerate(tails, k_lo):
         x, s = tail + jumps[k] if k % 2 else tail - jumps[k], scale + k * lift
         prec = max(tail.bit_length(), x.bit_length() - s + p0) - comp + 8
         values.append(libmp.from_man_exp(x, -s, prec, libmp.round_nearest))

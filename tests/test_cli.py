@@ -426,6 +426,26 @@ def test_degree_fine_step(capsys):
     assert record["scan_violation_r"] is None
 
 
+NON_DYADIC = ["--step", "1/10", "--grid", "log:1e-2:1e2:12", "--max-order", "8"]
+
+
+def test_a_non_dyadic_violation_end_prints_its_exact_decimal(capsys):
+    # 49/10 has no finite binary expansion: rounded to 128 bits, its 40
+    # digits end in ...0005.  Every record and row prints the exact end.
+    degree = ["degree", "--special", "Q"] + NON_DYADIC
+    record = run_json(degree, capsys)
+    assert record["scan_violation_r"] == "49/10"
+    assert record["upper"] == {"decimal": "4.9", "digits": 40}
+    assert run_cli(degree + ["--format", "csv"], capsys) == (0, "spec,lower,upper\nQ,4.0,4.9\n")
+    assert "\nupper: 4.9\n" in run_cli(degree + ["--format", "text"], capsys)[1]
+    table = ["conjectures", "--n-max", "2", "--m-max", "2"] + NON_DYADIC
+    cells = {(c["n"], c["m"]): c for c in run_json(table, capsys)["cells"]}
+    assert cells[2, 1]["upper"]["decimal"] == "3.9"
+    assert cells[2, 2]["upper"]["decimal"] == "4.9"
+    lines = run_cli(table + ["--format", "csv"], capsys)[1].splitlines()
+    assert lines[-2:] == ["2,1,3.0,3.9,3", "2,2,4.0,4.9,4"]
+
+
 def test_conjectures_record(capsys):
     record = run_json(
         [

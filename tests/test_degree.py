@@ -117,17 +117,17 @@ def test_cm_check_gives_phi_and_the_signed_sums_one_t(monkeypatch):
     # phi rounds t to internal_bits; the Taylor row t^i phi^(i) / i! and the
     # reported factors t^(r-k) q^(-k) must see that t
     seen = []
-    real_taylor, real_factors = degree_module._taylor_row, degree_module._factors
+    real_ratios, real_factors = degree_module._ratios, degree_module._factors
 
-    def taylor(ders, tv, policy):
+    def ratios(tv, length, bits):
         seen.append(tv)
-        return real_taylor(ders, tv, policy)
+        return real_ratios(tv, length, bits)
 
     def factors(tv, r, max_order, bits):
         seen.append(tv)
         return real_factors(tv, r, max_order, bits)
 
-    monkeypatch.setattr(degree_module, "_taylor_row", taylor)
+    monkeypatch.setattr(degree_module, "_ratios", ratios)
     monkeypatch.setattr(degree_module, "_factors", factors)
     rep = cm_check(Q, Fraction(9, 2), 4, Grid.parse("log:1e-3:1e4:12"), POLICY)
     assert len(seen) >= 12
@@ -333,8 +333,8 @@ def test_product_rule_row_matches_per_term_sum(spec, r, t, policy):
     # A row entry times t^(r-k) q^(-k) is the signed derivative of order k.
     tv = as_mpf(t, policy.internal_bits())
     ders = phi_derivatives(spec, tv, 12, policy)
-    taylor = degree_module._taylor_row(ders, tv, policy)
-    exp, row = degree_module._signed_row(r, 12, taylor)
+    chain = degree_module._ratios(tv, 13, policy.working_bits)
+    exp, row = degree_module._signed_row(r, 12, degree_module._taylor_row(ders, chain, policy))
     ref = _per_term_row(r, 12, tv, ders, 2 * policy.working_bits)
     assert len(row) == 13
     with mp.workprec(2 * policy.working_bits):
@@ -369,25 +369,34 @@ def test_shared_chain_gives_the_per_cell_taylor_rows_bit_for_bit():
         ders = phi_derivatives(spec, tv, order, policy)
         aligned = precision_module.aligned([precision_module.man_exp(d._mpf_) for d in ders])
         want = _per_cell_taylor_row(aligned, tv, policy)
-        assert degree_module._taylor_row(ders, tv, policy) == want, (spec, tv, policy)
+        chain = degree_module._ratios(tv, order + 1, policy.working_bits)
+        assert degree_module._taylor_row(ders, chain, policy) == want, (spec, tv, policy)
 
 
 def test_a_scope_builds_one_chain_per_point_and_policy(monkeypatch):
+    chains = []
+    real_ratios = degree_module._ratios
+
+    def ratios(tv, length, bits):
+        chains.append((tv, bits))
+        return real_ratios(tv, length, bits)
+
+    monkeypatch.setattr(degree_module, "_ratios", ratios)
     cells = {(n, m): 12 for n in range(4) for m in range(4)}
     points = RERUN_GRID.values(POLICY.internal_bits())
-    degree_module._ratios.cache_clear()
     scope = degree_module._scope(cells)
     for tv, policy in product(points, (POLICY, DOUBLED)):
         for n, m in cells:
             scope.taylor(RemainderSpec(n=n, m=m), tv, policy)
-    info = degree_module._ratios.cache_info()
-    assert info.misses == info.currsize == 2 * len(points)
-    assert info.hits == (len(cells) - 1) * 2 * len(points)
-    # a table scan as well: one chain per (t, policy) it evaluates
+    pairs = product(points, (POLICY, DOUBLED))
+    assert chains == [(tv, policy.working_bits) for tv, policy in pairs]
+    # a table scan as well, on more points than the memo of chains holds
+    # (1,024): one chain per (t, policy) it evaluates, not one per cell
     evaluations, _ = _count_rows_and_taylor_rows(monkeypatch)
-    degree_module._ratios.cache_clear()
-    conjecture_scan(3, 3, max_order=12, grid=RERUN_GRID, policy=POLICY)
-    assert degree_module._ratios.cache_info().misses == len(evaluations)
+    chains.clear()
+    conjecture_scan(1, 1, max_order=4, grid=Grid.parse("log:1e-2:1e2:1100"), policy=POLICY)
+    assert len(evaluations) >= 1100
+    assert chains == [(tv, policy.working_bits) for tv, policy in evaluations]
 
 
 def test_a_table_scan_rounds_nothing_until_its_violations_are_read(monkeypatch):
@@ -924,18 +933,28 @@ def test_table_cells_match_standalone_brackets(step):
 def _count_rows_and_taylor_rows(monkeypatch):
     """Spy on the scope: every (t, policy) it evaluates, and every Taylor row
     it forms, as (the phi row it came from, t, policy)."""
-    evaluations, builds = [], []
-    real_rows, real_taylor = degree_module._phi_rows, degree_module._taylor_row
+    evaluations, builds, chain_ts = [], [], {}
+    real_rows, real_ratios, real_taylor = (
+        degree_module._phi_rows,
+        degree_module._ratios,
+        degree_module._taylor_row,
+    )
 
     def counted(cells, t, policy):
         evaluations.append((t, policy))
         return real_rows(cells, t, policy)
 
-    def taylor(ders, t, policy):
-        builds.append((id(ders), t, policy))  # the scope keeps every phi row alive
-        return real_taylor(ders, t, policy)
+    def ratios(t, length, bits):
+        chain = real_ratios(t, length, bits)
+        chain_ts[id(chain)] = t  # the scope keeps every chain alive
+        return chain
+
+    def taylor(ders, chain, policy):
+        builds.append((id(ders), chain_ts[id(chain)], policy))  # and every phi row
+        return real_taylor(ders, chain, policy)
 
     monkeypatch.setattr(degree_module, "_phi_rows", counted)
+    monkeypatch.setattr(degree_module, "_ratios", ratios)
     monkeypatch.setattr(degree_module, "_taylor_row", taylor)
     return evaluations, builds
 

@@ -209,7 +209,11 @@ def _near_shift_target(bits):
         for bits in (64, 128, 512, 1024)
     ]
     + _near_shift_target(64)
-    + _near_shift_target(512),
+    + _near_shift_target(512)
+    # at 24 bits, with two t whose whole ln Gamma lies so near a rounding
+    # boundary that a change of the series' floor moves it a unit in the last place
+    + [(t, 24) for t in ("0.020743130072327396", "0.012646575886921967", "1e-4", "3.5", "9000")]
+    + _near_shift_target(24),
 )
 def test_block_and_log_gamma_relative_accuracy(t, bits):
     # orders k >= 1 within 2^(GUARD_BITS - working_bits) of mpmath at four
@@ -247,17 +251,25 @@ def _series_head(k, first, t):
     return head
 
 
-@pytest.mark.parametrize("t", ["1e-4", "0.37", "2.5", "37.5", "9000"])
-def test_block_and_log_gamma_tails_against_mpmath(t):
+@pytest.mark.parametrize(
+    "t, bits",
+    [
+        pytest.param(t, bits, id=t if bits == 128 else f"{t}-{bits}")  # 128 bits: the bare t
+        for bits in (64, 128, 512)
+        for t in ("1e-4", "0.37", "2.5", "37.5", "9000",
+                  f"{polygamma_module._shift_target(bits) - 1}.999")  # t0 - 1/1000
+    ],
+)
+def test_block_and_log_gamma_tails_against_mpmath(t, bits):
     # with first >= 1 a block holds psi^(k) minus its series' head, and
     # log_gamma ln Gamma minus its Stirling head, each relative to its value
-    policy = PrecisionPolicy(working_bits=128)
+    policy = PrecisionPolicy(working_bits=bits)
     bound = mp.mpf(2) ** (GUARD_BITS - policy.working_bits)
     for first in (1, 4, polygamma_module.TAIL_FIRST_MAX):
         tails = polygamma_block(8, t, policy, k_lo=2, first=first)
         assert tails[:2] == [None, None]
         tail = log_gamma(t, policy, first=first)
-        with mp.workprec(600 + 40 * first):
+        with mp.workprec(bits + 472 + 40 * first):
             tv = mp.mpf(t)
             for k in range(2, 9):
                 want = mp.psi(k, tv) - _series_head(k, first, tv)
@@ -332,9 +344,6 @@ def test_shift_budget_exhaustion_raises(monkeypatch):
     # series forced to keep reporting non-convergence
     monkeypatch.setattr(
         polygamma_module, "_psi_series", lambda k_max, w, sh, scale, target, k_lo, first, floor: None
-    )
-    monkeypatch.setattr(
-        polygamma_module, "_stirling_series", lambda w, sh, scale, target, first, floor: None
     )
     monkeypatch.setattr(polygamma_module, "MAX_EXTRA_SHIFTS", 50)
     policy = PrecisionPolicy(working_bits=64)
@@ -466,13 +475,13 @@ def test_log_gamma_tiny_t_needs_one_series_pass(monkeypatch):
     # |log2 t| bits to tighten the Stirling target, t = 1e-300 would take
     # three series passes
     calls = []
-    series = polygamma_module._stirling_series
+    series = polygamma_module._psi_series
 
     def counting(*args):
         calls.append(args[0])
         return series(*args)
 
-    monkeypatch.setattr(polygamma_module, "_stirling_series", counting)
+    monkeypatch.setattr(polygamma_module, "_psi_series", counting)
     log_gamma("1e-300", POLICY)
     assert len(calls) == 1
 
