@@ -18,9 +18,10 @@ series of psi^(k), k = k_lo..k_max, from Bernoulli term ``first`` on, R_k:
 (-1)^(k+1) [(k-1)! x^-k + k!/2 x^-(k+1)], plus ln x for k = 0, and
 (x - 1/2) ln x - x + ln(2 pi)/2 for ln Gamma.  The head is taken once, at
 x = w; at t only the recurrence terms k!/t^(k+1) remain.
-``polygamma_block`` and ``log_gamma`` return the whole functions, or with
-``first`` >= 1 the tails from which ``cmdeg.remainders`` evaluates every
-member; ``polygamma(k)`` is the block of order k alone.
+``polygamma_block`` returns the whole functions, ln Gamma as order -1 when
+k_lo = -1, or with ``first`` >= 1 the tails from which ``cmdeg.remainders``
+evaluates every member; ``polygamma(k)`` and ``log_gamma`` are its blocks
+of order k and -1 alone.
 
 Fixed-point arithmetic.  The shift, the series and the correction run on
 plain Python integers, and each value is rounded once; mpmath only
@@ -214,33 +215,31 @@ def polygamma(k: int, t, policy: PrecisionPolicy | None = None) -> mp.mpf:
 def polygamma_block(
     k_max: int, t, policy: PrecisionPolicy | None = None, *, k_lo: int = 0, first: int = 0
 ) -> list[mp.mpf]:
-    """psi^(0)(t) .. psi^(k_max)(t) sharing one argument shift and one
-    series pass, under the accuracy contract of :func:`polygamma`; the
-    orders below ``k_lo`` are not evaluated and read None.  Each order is
-    its series' tail from term 1 plus its head, in one fixed-point sum
-    rounded once.  With ``first`` in 1..TAIL_FIRST_MAX, each psi^(k)(t)
+    """psi^(k_lo)(t) .. psi^(k_max)(t) sharing one argument shift and one
+    series pass, under the accuracy contract of :func:`polygamma`; orders
+    below k_lo >= 0 read None, and k_lo = -1 appends psi^(-1) = ln Gamma, so
+    ``block[k]`` is psi^(k) for every k in -1..k_max (k_max >= -1).  Each
+    order is its series' tail from term 1 plus its head, in one fixed-point
+    sum rounded once.  With ``first`` in 1..TAIL_FIRST_MAX, each psi^(k)(t)
     minus its series' leading terms and first - 1 Bernoulli terms instead,
     accurate relative to its value."""
-    as_index(k_max, "k_max")
-    as_index(k_lo, "k_lo", 0, k_max)
+    as_index(k_max, "k_max", -1)
+    as_index(k_lo, "k_lo", -1, k_max)
     as_index(first, "first", 0, TAIL_FIRST_MAX)
     policy = policy or PrecisionPolicy()
     tv = as_point(t, policy.internal_bits(), "polygamma")
-    values = _series_tail(first, k_lo, k_max, tv, policy.working_bits)
-    return [None] * k_lo + [mp.make_mpf(v) for v in values]
+    values = [mp.make_mpf(v) for v in _series_tail(first, k_lo, k_max, tv, policy.working_bits)]
+    return [None] * k_lo + values if k_lo >= 0 else values[1:] + values[:1]
 
 
 def log_gamma(t, policy: PrecisionPolicy | None = None, *, first: int = 0) -> mp.mpf:
     """ln Gamma(t) = psi^(-1)(t) for t > 0 under the accuracy contract of
-    polygamma, summed as order -1 by the series loop of polygamma_block:
+    polygamma, ``polygamma_block(-1, t, policy, k_lo=-1, first=first)[-1]``:
     its Stirling series' tail from term 1 plus (w - 1/2) ln w - w +
-    ln(2 pi)/2 at the shifted point w, less ln(t (t+1) ... (w-1)).
-    With ``first`` in 1..TAIL_FIRST_MAX, minus its Stirling series' leading
-    terms and first - 1 Bernoulli terms instead, relative to its value."""
-    as_index(first, "first", 0, TAIL_FIRST_MAX)
-    policy = policy or PrecisionPolicy()
-    tv = as_point(t, policy.internal_bits(), "log_gamma")
-    return mp.make_mpf(_series_tail(first, -1, -1, tv, policy.working_bits)[0])
+    ln(2 pi)/2 at w, less ln(t (t+1) ... (w-1)).  With ``first`` in
+    1..TAIL_FIRST_MAX, minus its Stirling series' leading terms and
+    first - 1 Bernoulli terms instead, relative to its value."""
+    return polygamma_block(-1, t, policy, k_lo=-1, first=first)[-1]
 
 
 def _power_sums(num: int, sh: int, steps: int, k_max: int, scale: int, lift: int) -> list[int]:
@@ -299,18 +298,22 @@ TAIL_FIRST_MAX = 9
 def _recurrence(
     num: int, sh: int, steps: int, k_lo: int, k_max: int, scale: int, lift: int, whole: bool
 ) -> tuple:
-    """The part of each order's correction that no head term carries, for
-    t = num / 2^sh shifted by ``steps`` to w, order k at 2^(scale + k lift):
-    k! sum_{l=1}^{N-1} (t+l)^-(k+1), plus ln(t/w) for k = 0; for k_max = -1,
-    ln Gamma's -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t - (w - 1/2) ln w +
-    N].  For the ``whole`` function the logs are the head's at w alone:
-    -ln w for k = 0, and (w - 1/2) ln w - w + ln(2 pi)/2 in place of the
-    bracket.  Each order's value depends only on its own k."""
+    """The part of each order's correction, k = k_lo..k_max, that no head
+    term carries, for t = num / 2^sh shifted by ``steps`` to w, order k at
+    2^(scale + k lift): k! sum_{l=1}^{N-1} (t+l)^-(k+1), plus ln(t/w) for
+    k = 0, and for ln Gamma (k = -1) -ln(t (t+1) ... (w-1)) - [(t - 1/2) ln t
+    - (w - 1/2) ln w + N].  For the ``whole`` function the logs are the
+    head's at w alone: -ln w for k = 0, and (w - 1/2) ln w - w + ln(2 pi)/2
+    in place of the bracket.  Each order's value depends only on its own k."""
     w = num + (steps << sh)
+    sums = _power_sums(num, sh, steps, k_max, scale, lift) if k_max >= 0 else []
+    out = [factorial(k) * sums[k] for k in range(max(k_lo, 0), k_max + 1)]
     if k_lo <= 0:  # 2 bits finer than order 0, 2 + lift finer than order -1
         log_t = 0 if whole else _fixed_log(num, -sh, scale + 2)
         log_w = _fixed_log(w, -sh, scale + 2)
-    if k_max < 0:
+    if k_lo <= 0 <= k_max:
+        out[0] += (log_t - log_w) >> 2
+    if k_lo < 0:
         logs = (2 * num - (1 << sh)) * log_t - (2 * w - (1 << sh)) * log_w >> (sh + 3 + lift)
         s = scale - lift
         # the product t (t+1) ... (w-1), kept to s + _FIXED_GUARD_BITS
@@ -326,17 +329,13 @@ def _recurrence(
             rest = (w << s >> sh) - libmp.to_fixed(libmp.mpf_log(two_pi, s + 8), s - 1)
         else:  # N
             rest = steps << s
-        return (-_fixed_log(product, dropped - steps * sh, s) - logs - rest,)
-    sums = _power_sums(num, sh, steps, k_max, scale, lift)
-    out = [factorial(k) * sums[k] for k in range(k_lo, k_max + 1)]
-    if k_lo == 0:
-        out[0] += (log_t - log_w) >> 2
+        out.insert(0, -_fixed_log(product, dropped - steps * sh, s) - logs - rest)
     return tuple(out)
 
 
 def _series_tail(first: int, k_lo: int, k_max: int, t: mp.mpf, working_bits: int) -> list:
     """R_k(t), the terms i >= first of the asymptotic series of psi^(k),
-    k = k_lo..k_max, with psi^(-1) = ln Gamma (k_lo = k_max = -1), as raw
+    k = k_lo..k_max, with psi^(-1) = ln Gamma (k_lo = -1), as raw
     mpf tuples accurate relative to their values; first = 0 is the whole
     function, its head included.  ``_psi_series`` sums every order from
     term max(first, 1) at w = t + N, and the shift is undone by

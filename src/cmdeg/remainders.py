@@ -17,9 +17,9 @@ Differentiating R_n term by term gives the Bernoulli tail
 which for real t > 0 envelops its remainder (DLMF 5.11(ii)).  Every
 member is evaluated as this tail, at every t > 0, by the one
 shift-and-series evaluator of ``cmdeg.polygamma``, which gives psi^(k) and
-ln Gamma as their tails from term 1 plus their heads:
-``polygamma_block(..., first=n+1)`` and ``log_gamma(..., first=n+1)``
-return the tails from term n+1.  The remainder itself is shifted to
+ln Gamma = psi^(-1) as their tails from term 1 plus their heads: one
+``polygamma_block(..., first=n+1)`` per n, ln Gamma its order -1, returns
+the tails from term n+1.  The remainder itself is shifted to
 w = t + N past the shift target t0 = max(10, working_bits/3), summed there
 relative to its own size, and the shift is undone by a fixed-point
 correction made of the recurrence of ln Gamma and psi and the explicit
@@ -204,21 +204,22 @@ def form_for(spec: RemainderSpec) -> ElementaryForm:
 def _phi_rows(cells: dict, t, policy: PrecisionPolicy) -> dict:
     """phi_{n,m}^(0..i_max) at t for each ``cells`` entry (n, m): i_max.
     phi_{n,m}^(i) = (-1)^i phi_{n,m+i} = (-1)^(n+m) R_{m+i-1}, with R_k the
-    tail i > n of the series of psi^(k) (of ln Gamma for k = -1): one block
-    of tails per distinct n, from the lowest order a cell reads."""
+    tail i > n of the series of psi^(k) (of ln Gamma for k = -1), read as
+    ``block[k]``: one block per distinct n, from the lowest order a cell reads."""
     tv = as_point(t, policy.internal_bits(), "evaluation")
     orders: dict = {}
     for (n, m), i_max in cells.items():
         lo, hi = orders.get(n, (m, m + i_max))
         orders[n] = (min(lo, m), max(hi, m + i_max))
-    tails = {}
-    for n, (lo, hi) in orders.items():
-        tails[n] = [log_gamma(tv, policy, first=n + 1) if lo == 0 else None]
-        if hi:
-            tails[n] += polygamma_block(hi - 1, tv, policy, k_lo=max(lo - 1, 0), first=n + 1)
+    blocks = {
+        n: polygamma_block(hi - 1, tv, policy, k_lo=lo - 1, first=n + 1)
+        if hi
+        else [log_gamma(tv, policy, first=n + 1)]  # ln Gamma alone
+        for n, (lo, hi) in orders.items()
+    }
     rows = {}
     for (n, m), i_max in cells.items():
-        row = tails[n][m : m + i_max + 1]
+        row = [blocks[n][k] for k in range(m - 1, m + i_max)]
         rows[n, m] = [mp.make_mpf(libmp.mpf_neg(v._mpf_)) if (n + m) % 2 else v for v in row]
     return rows
 

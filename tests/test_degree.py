@@ -769,6 +769,33 @@ def test_lower_end_is_a_passing_integer(monkeypatch, step, passes, calls, lower)
     assert br.scan_violation_r == 5
 
 
+def test_inconclusive_midpoint_falls_back_to_a_linear_sweep(monkeypatch):
+    # the bisection of Q's quarter lattice meets an inconclusive scan at
+    # 15/4; the sweep of (5/2, 5) then takes the smallest violation (17/4)
+    # and the largest pass below it (7/2), a fractional end that walks down
+    # past the inconclusive 3 to the passing integer 2
+    verdicts = {Fraction(x): v for x, v in [
+        ("0", "pass"), ("5", "violation"), ("5/2", "pass"), ("15/4", "inconclusive"),
+        ("11/4", "pass"), ("3", "inconclusive"), ("13/4", "pass"), ("7/2", "pass"),
+        ("4", "inconclusive"), ("17/4", "violation"), ("9/2", "violation"),
+        ("19/4", "violation"), ("2", "pass"),
+    ]}  # fmt: skip
+    calls = []
+
+    def fake(spec, r, max_order, grid, policy, scope):
+        r = degree_module._as_rational(r)
+        calls.append(r)
+        return SimpleNamespace(r=r, verdict=verdicts[r])
+
+    monkeypatch.setattr(degree_module, "_cm_check", fake)
+    br = degree_bracket(Q, Fraction(1, 4), max_order=2, grid=TINY_GRID, policy=POLICY)
+    assert calls == list(verdicts)  # each exponent scanned once, in this order
+    assert br.lower == 2 and br.lower_evidence.r == 2
+    assert br.scan_violation_r == Fraction(17, 4) and br.violation_evidence.r == Fraction(17, 4)
+    assert br.upper_method == "scan_violation"
+    assert br.upper == mp.mpf(17) / 4
+
+
 @pytest.mark.parametrize("n", range(PHI_N_MAX + 1))
 @pytest.mark.parametrize("m", range(PHI_M_MAX + 1))
 def test_pole_order_is_the_small_t_exponent(n, m):

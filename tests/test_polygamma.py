@@ -286,6 +286,69 @@ def test_tail_first_term_out_of_range_rejected(first):
         log_gamma(1, POLICY, first=first)
 
 
+#: (bits, t, k_max) at which the whole ln Gamma (first = 0) of a block from
+#: k_lo = -1 rounds otherwise than log_gamma: the whole function's magnitude
+#: compensation comes from the block's k_max, so its scale and its rounding
+#: move with k_max.  Tails (first >= 1) take no compensation.
+_MOVED_WHOLE_LOG_GAMMA = {
+    (64, "1e-3", 12), (64, "0.37", 12), (64, "3.7", 0), (64, "3.7", 12),
+    (64, "t0-1/3", 0), (64, "t0-1/3", 12), (64, "t0+1/3", 0), (64, "t0+1/3", 12),
+    (128, "3.7", 0), (128, "3.7", 12), (128, "t0-1/3", 0), (128, "t0-1/3", 12),
+    (128, "t0+1/3", 0), (128, "t0+1/3", 12),
+    (512, "0.37", 12), (512, "3.7", 0), (512, "3.7", 12), (512, "t0-1/3", 0),
+    (512, "t0-1/3", 12), (512, "t0+1/3", 0), (512, "t0+1/3", 12),
+}  # fmt: skip
+
+
+def test_log_gamma_is_order_minus_one_of_the_block():
+    # a block from k_lo = -1 ends with ln Gamma, block[k] = psi^(k) for k in
+    # -1..k_max; its psi orders have the bits of the block from k_lo = 0,
+    # and its ln Gamma those of log_gamma, but for the listed whole values,
+    # which still meet the contract
+    moved = set()
+    for bits in (64, 128, 512):
+        policy = PrecisionPolicy(working_bits=bits)
+        t0 = polygamma_module._shift_target(bits)
+        points = {"1e-3": "1e-3", "0.37": "0.37", "3.7": "3.7",
+                  "t0-1/3": t0 - Fraction(1, 3), "t0+1/3": t0 + Fraction(1, 3)}  # fmt: skip
+        for label, t in points.items():
+            tv = as_mpf(t, policy.internal_bits())
+            for first in (0, 1, 3, 9):
+                for k_max in (0, 12):
+                    block = polygamma_block(k_max, tv, policy, k_lo=-1, first=first)
+                    psi = polygamma_block(k_max, tv, policy, first=first)
+                    assert bits_of(block[:-1]) == bits_of(psi), (bits, label, first, k_max)
+                    alone = log_gamma(tv, policy, first=first)
+                    if block[-1]._mpf_ == alone._mpf_:
+                        continue
+                    assert first == 0, (bits, label, first, k_max)
+                    moved.add((bits, label, k_max))
+                    with mp.workprec(2 * bits + 64):
+                        expected = mp.loggamma(tv)
+                    bound = mp.mpf(2) ** (GUARD_BITS - bits) * max(1, abs(expected))
+                    assert abs(block[-1] - expected) <= bound, (bits, label, k_max)
+    assert moved == _MOVED_WHOLE_LOG_GAMMA
+    assert bits_of(polygamma_block(-1, "0.37", POLICY, k_lo=-1)) == bits_of([log_gamma("0.37")])
+    with pytest.raises(InvalidIndex):
+        polygamma_block(-1, "0.37", POLICY)  # order -1 only from k_lo = -1
+    with pytest.raises(InvalidIndex):
+        polygamma_block(-2, "0.37", POLICY, k_lo=-1)
+
+
+def test_log_gamma_evaluates_through_the_block(monkeypatch):
+    calls = []
+    block = polygamma_module.polygamma_block
+
+    def counting(*args, **kwargs):
+        calls.append((args[0], kwargs))
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(polygamma_module, "polygamma_block", counting)
+    value = log_gamma("0.37", POLICY, first=3)
+    assert calls == [(-1, {"k_lo": -1, "first": 3})]
+    assert value._mpf_ == block(-1, "0.37", POLICY, k_lo=-1, first=3)[-1]._mpf_
+
+
 def test_determinism():
     a = polygamma(2, "3.25", POLICY)
     b = polygamma(2, "3.25", POLICY)

@@ -389,6 +389,50 @@ def test_table_row_equals_standalone_row_past_the_threshold(bits):
             assert [d._mpf_ for d in table._row(spec, tv, policy)] == alone, (t, n, m)
 
 
+@pytest.mark.parametrize(
+    "cells, tails, lone",
+    [
+        # the full table: one block per n from ln Gamma (k = -1) to psi^(17)
+        ({(n, m): 12 for n in range(9) for m in range(7)}, [(n + 1, -1, 17) for n in range(9)], []),
+        # n = 0 reads ln Gamma alone, through log_gamma; n = 1 and 2 read it
+        # beside psi orders, in their one block
+        ({(0, 0): 0, (1, 0): 3, (2, 2): 4, (2, 0): 1}, [(1, -1, -1), (2, -1, 2), (3, -1, 5)], [1]),
+    ],
+    ids=["table", "mixed"],
+)
+def test_one_series_tail_per_n_at_a_point(monkeypatch, cells, tails, lone):
+    calls, lone_calls = [], []
+    series_tail, log_gamma_ = polygamma_module._series_tail, remainders_module.log_gamma
+
+    def counting(first, k_lo, k_max, *rest):
+        calls.append((first, k_lo, k_max))
+        return series_tail(first, k_lo, k_max, *rest)
+
+    def counting_log_gamma(t, policy, *, first):
+        lone_calls.append(first)
+        return log_gamma_(t, policy, first=first)
+
+    monkeypatch.setattr(polygamma_module, "_series_tail", counting)
+    monkeypatch.setattr(remainders_module, "log_gamma", counting_log_gamma)
+    polygamma_module._recurrence.cache_clear()
+    remainders_module._phi_rows(cells, "0.37", POLICY)
+    assert calls == tails
+    assert lone_calls == lone
+    # the blocks of one order range share one memo entry of the correction
+    assert polygamma_module._recurrence.cache_info().misses == len({c[1:] for c in calls})
+
+
+def test_log_gamma_tail_in_a_row_to_order_12_has_its_lone_bits():
+    # at 128 bits no point of the default grid makes the block to psi^(11)
+    # shift further than ln Gamma's tail alone
+    cells = {(n, 0): 12 for n in range(PHI_N_MAX + 1)}
+    for tv in degree_module.default_grid().values(POLICY.internal_bits()):
+        rows = remainders_module._phi_rows(cells, tv, POLICY)
+        for n, m in cells:
+            (alone,) = phi_derivatives(RemainderSpec(n=n, m=m), tv, 0, POLICY)
+            assert rows[n, m][0]._mpf_ == alone._mpf_, (n, tv)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("t", [Fraction(1, 2), 2, 30])
 def test_remainder_against_direct_stirling_difference(n, t):
